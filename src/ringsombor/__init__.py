@@ -31,7 +31,6 @@ from .closed_forms import (
     unit_pq_partition,
 )
 from .graphs import (
-    GRAPH_KINDS,
     TOTAL,
     UNIT,
     EdgePartition,
@@ -69,7 +68,7 @@ from .rings import (
     to_local_spec,
     z_prime_power,
 )
-from .sombor import degree_index_bruteforce, degree_pair_counts, sombor_bruteforce
+from .sombor import degree_pair_counts, sombor_bruteforce
 from .verify import (
     DEFAULT_CEILING,
     CaseResult,

@@ -12,10 +12,17 @@ import json
 import sys
 
 from . import verify as vf
-from .closed_forms import CORRECTED, PRINTED, UNIQUE, NotInFamilyError
-from .graphs import TOTAL, UNIT, predicted_degrees, write_edge_list
+from .closed_forms import CORRECTED, PRINTED, UNIQUE
+from .graphs import (
+    DEFAULT_CEILING,
+    TOTAL,
+    UNIT,
+    predicted_degrees,
+    total_graph,
+    unit_graph,
+    write_edge_list,
+)
 from .rings import TruncatedPolyRing, ZnRing, z_prime_power
-from .verify import DEFAULT_CEILING
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -24,16 +31,12 @@ EXIT_OFF_FAMILY = 3
 EXIT_IO = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 class OffFamilyError(Exception):
     pass
 
 
-def _add_ring_flags(parser):
-    parser.add_argument("--ring", choices=("zn", "zppow", "fpxk"), required=True,
+def _add_ring_flags(parser, required=True):
+    parser.add_argument("--ring", choices=("zn", "zppow", "fpxk"), required=required,
                         help="ring kind: Z_n, Z_{p^alpha}, or F_p[x]/(x^k)")
     parser.add_argument("--n", type=int, help="modulus for --ring zn")
     parser.add_argument("--p", type=int, help="prime for zppow/fpxk")
@@ -44,26 +47,17 @@ def _add_ring_flags(parser):
 def _build_ring(args):
     """Returns (ring, use_local_forms): zppow and fpxk are the local-ring
     entry points, zn uses its modulus-family formulas."""
-    try:
-        if args.ring == "zn":
-            if args.n is None:
-                raise UsageError("--ring zn requires --n")
-            return ZnRing(args.n), False
-        if args.ring == "zppow":
-            if args.p is None or args.alpha is None:
-                raise UsageError("--ring zppow requires --p and --alpha")
-            return z_prime_power(args.p, args.alpha), True
-        if args.p is None or args.k is None:
-            raise UsageError("--ring fpxk requires --p and --k")
-        return TruncatedPolyRing(args.p, args.k), True
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    if args.ring == "zn":
+        if args.n is None:
+            raise ValueError("--ring zn requires --n")
+        return ZnRing(args.n), False
+    if args.ring == "zppow":
+        if args.p is None or args.alpha is None:
+            raise ValueError("--ring zppow requires --p and --alpha")
+        return z_prime_power(args.p, args.alpha), True
+    if args.p is None or args.k is None:
+        raise ValueError("--ring fpxk requires --p and --k")
+    return TruncatedPolyRing(args.p, args.k), True
 
 
 def _kinds(arg: str):
@@ -73,155 +67,116 @@ def _kinds(arg: str):
 # ----------------------------------------------------------------------
 # compute
 
-def _float_text(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _closed_forms_for(ring, use_local, kind):
-    """{variant: (value, partition-or-None)} without building the graph."""
-    from .rings import classify, to_local_spec
-
-    if use_local or isinstance(ring, TruncatedPolyRing):
-        raw = vf._local_forms(to_local_spec(ring), kind)
-    else:
-        raw = vf._zn_forms(ring.order, classify(ring.order), kind)
-    return {v: (value, part) for v, value, part in raw}
+def _compute_text(payload: dict) -> str:
+    """The text form of a compute result, read off its JSON payload."""
+    lines = [f"ring = {payload['ring']}", f"graph = {payload['graph']}"]
+    if "family" in payload:
+        lines.append(f"family = {payload['family']}")
+    lines.append("degrees: zero={zero} unit={unit}".format(**payload["degrees"]))
+    if "partition" in payload:
+        lines.append(
+            "partition: alpha={alpha} beta={beta} gamma={gamma} edges={edges}".format(
+                **payload["partition"]
+            )
+        )
+    for side in ("oracle", "closed"):
+        if f"{side}_exact" in payload:
+            lines.append(f"{side} = {payload[side + '_exact']}")
+        if f"{side}_float" in payload:
+            lines.append(f"{side}_float = {payload[side + '_float']:.12g}")
+    if "match" in payload:
+        lines.append(f"match = {'true' if payload['match'] else 'false'}")
+    return "\n".join(lines)
 
 
 def cmd_compute(args) -> int:
     ring, use_local = _build_ring(args)
-    need_oracle = args.mode in ("oracle", "both")
-    if ring.order > args.ceiling and need_oracle:
-        raise UsageError(
-            f"{ring.name} has {ring.order} elements, above the ceiling {args.ceiling}; "
-            "raise --ceiling or use --mode closed"
-        )
-
     case = None
-    if need_oracle:
+    if args.mode in ("oracle", "both"):
         case = vf.verify_case(ring, args.graph, use_local_forms=use_local,
                               ceiling=args.ceiling)
 
     closed_value = closed_part = None
     if args.mode in ("closed", "both"):
-        if case is not None:
-            forms = {v.variant: (v.closed_value, v.closed_partition) for v in case.variants}
-        else:
-            forms = _closed_forms_for(ring, use_local, args.graph)
+        _, forms = vf.closed_forms(ring, args.graph, use_local)
         if not forms:
             raise OffFamilyError(
                 f"{ring.name} is outside every closed-form family; use --mode oracle"
             )
-        if args.variant in forms:
-            closed_value, closed_part = forms[args.variant]
-        elif UNIQUE in forms:
-            closed_value, closed_part = forms[UNIQUE]
-        else:
-            raise UsageError(f"no {args.variant} variant for {ring.name} {args.graph}")
+        # a ring has either one unique form or a corrected/printed pair
+        _, closed_value, closed_part = next(f for f in forms if f[0] in (args.variant, UNIQUE))
 
     if args.dump_graph:
-        from .graphs import total_graph, unit_graph
-
-        g, _ = total_graph(ring) if args.graph == TOTAL else unit_graph(ring)
+        build = total_graph if args.graph == TOTAL else unit_graph
+        g, _ = build(ring, ceiling=args.ceiling)
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
             write_edge_list(g, fh)
 
     # Printed-variant sanity warning whenever the oracle is within reach.
-    oracle_value = case.oracle_value if case is not None else None
+    oracle_value = reference = case.oracle_value if case is not None else None
     if (
         closed_value is not None
         and args.variant == PRINTED
-        and oracle_value is None
+        and reference is None
         and ring.order <= args.ceiling
     ):
-        probe = vf.verify_case(ring, args.graph, use_local_forms=use_local,
-                               ceiling=args.ceiling)
-        oracle_value = probe.oracle_value
-    if closed_value is not None and oracle_value is not None and closed_value != oracle_value:
+        reference = vf.verify_case(ring, args.graph, use_local_forms=use_local,
+                                   ceiling=args.ceiling).oracle_value
+    if closed_value is not None and reference is not None and closed_value != reference:
         print(
             f"warning: printed variant disagrees with the oracle on {ring.name} "
             f"({args.graph}): printed {closed_value.render()}, "
-            f"oracle {oracle_value.render()}",
+            f"oracle {reference.render()}",
             file=sys.stderr,
         )
 
-    show_exact = args.exact or not args.float
-    show_float = args.float
-    d_zero, d_unit = predicted_degrees(ring, args.graph)
-
-    if args.format == "text":
-        lines = [f"ring = {ring.name}", f"graph = {args.graph}"]
-        if case is not None:
-            lines.append(f"family = {case.family}")
-        lines.append(f"degrees: zero={d_zero} unit={d_unit}")
-        part = case.oracle_partition if case is not None else closed_part
-        if part is not None:
-            lines.append(
-                f"partition: alpha={part.alpha} beta={part.beta} "
-                f"gamma={part.gamma} edges={part.total}"
-            )
-        if case is not None:
-            if show_exact:
-                lines.append(f"oracle = {case.oracle_value.render()}")
-            if show_float:
-                lines.append(f"oracle_float = {_float_text(case.oracle_value.to_float())}")
-        if closed_value is not None:
-            if show_exact:
-                lines.append(f"closed = {closed_value.render()}")
-            if show_float:
-                lines.append(f"closed_float = {_float_text(closed_value.to_float())}")
-        if closed_value is not None and case is not None:
-            lines.append(f"match = {'true' if closed_value == case.oracle_value else 'false'}")
-        print("\n".join(lines))
-    elif args.format == "json":
-        payload = {
-            "ring": ring.name,
-            "n": ring.order,
-            "graph": args.graph,
-            "degrees": {"zero": d_zero, "unit": d_unit},
-        }
-        if case is not None:
-            payload["family"] = case.family
-            payload["partition"] = vf._partition_payload(case.oracle_partition)
-            if show_exact:
-                payload["oracle_exact"] = case.oracle_value.render()
-            if show_float:
-                payload["oracle_float"] = case.oracle_value.to_float()
-        elif closed_part is not None:
-            payload["partition"] = vf._partition_payload(closed_part)
-        if closed_value is not None:
-            if show_exact:
-                payload["closed_exact"] = closed_value.render()
-            if show_float:
-                payload["closed_float"] = closed_value.to_float()
-            payload["variant"] = args.variant
-        if closed_value is not None and case is not None:
-            payload["match"] = closed_value == case.oracle_value
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:  # csv: reuse the sweep row shape for the oracle-backed case
+    if args.format == "csv":  # the sweep row shape for the oracle-backed case
         if case is None:
-            raise UsageError("--format csv needs the oracle; use --mode both or oracle")
-        print(vf.CSV_HEADER)
-        for row in vf.sweep_rows(vf.SweepResult("single", ring.order, (args.graph,), (case,))):
-            print(row)
+            raise ValueError("--format csv needs the oracle; use --mode both or oracle")
+        result = vf.SweepResult("single", ring.order, (args.graph,), (case,))
+        vf.write_csv_rows(sys.stdout, vf.SWEEP_COLUMNS, vf.sweep_rows(result))
+        return EXIT_OK
+
+    d_zero, d_unit = predicted_degrees(ring, args.graph)
+    payload = {
+        "ring": ring.name,
+        "n": ring.order,
+        "graph": args.graph,
+        "degrees": {"zero": d_zero, "unit": d_unit},
+    }
+    part = closed_part
+    if case is not None:
+        payload["family"] = case.family
+        part = case.oracle_partition
+    if part is not None:
+        payload["partition"] = vf.partition_payload(part)
+    if closed_value is not None:
+        payload["variant"] = args.variant
+    for side, value in (("oracle", oracle_value), ("closed", closed_value)):
+        if value is not None:
+            if args.float:
+                payload[f"{side}_float"] = value.to_float()
+            else:
+                payload[f"{side}_exact"] = value.render()
+    if closed_value is not None and oracle_value is not None:
+        payload["match"] = closed_value == oracle_value
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(_compute_text(payload))
     return EXIT_OK
 
 
 # ----------------------------------------------------------------------
 # verify / sweep / structure / identity
 
-def _write_report(args, write_csv, payload_fn) -> int:
-    out, should_close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            write_csv(out)
-        else:
-            json.dump(payload_fn(), out, indent=2, sort_keys=True)
-            out.write("\n")
-    finally:
-        if should_close:
-            out.close()
-    return EXIT_OK
+def _write_report(args, header, rows, payload=None):
+    """The report to --out, or to stdout when --out is absent or "-"."""
+    if args.out in (None, "-"):
+        vf.write_report(sys.stdout, args.format, header, rows, payload)
+        return
+    with open(args.out, "w", encoding="utf-8") as out:
+        vf.write_report(out, args.format, header, rows, payload)
 
 
 def cmd_verify(args) -> int:
@@ -232,11 +187,7 @@ def cmd_verify(args) -> int:
             vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
         )
     result = vf.SweepResult("single", ring.order, _kinds(args.graph), tuple(cases))
-    _write_report(
-        args,
-        lambda fh: vf.write_sweep_csv(result, fh),
-        lambda: vf.sweep_payload(result),
-    )
+    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result), vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
@@ -248,11 +199,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         ceiling=args.ceiling,
     )
-    _write_report(
-        args,
-        lambda fh: vf.write_sweep_csv(result, fh),
-        lambda: vf.sweep_payload(result),
-    )
+    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result), vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
@@ -261,24 +208,16 @@ def cmd_structure(args) -> int:
         results = vf.structure_sweep(args.max_n, ceiling=args.ceiling)
     else:
         if args.ring is None:
-            raise UsageError("structure needs --max-n or ring flags")
+            raise ValueError("structure needs --max-n or ring flags")
         ring, _ = _build_ring(args)
         results = [vf.check_structure(ring, ceiling=args.ceiling)]
-    _write_report(
-        args,
-        lambda fh: vf.write_structure_csv(results, fh),
-        lambda: vf.structure_payload(results),
-    )
+    _write_report(args, vf.STRUCTURE_COLUMNS, vf.structure_rows(results))
     return EXIT_OK if all(r.consistent for r in results) else EXIT_MISMATCH
 
 
 def cmd_identity(args) -> int:
     results = vf.identity_sweep(args.max_n, args.circulant_max_n)
-    _write_report(
-        args,
-        lambda fh: vf.write_identity_csv(results, fh),
-        lambda: vf.identity_payload(results),
-    )
+    _write_report(args, vf.IDENTITY_COLUMNS, vf.identity_rows(results))
     return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
 
 
@@ -298,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("oracle", "closed", "both"), default="both")
     p.add_argument("--variant", choices=(PRINTED, CORRECTED), default=CORRECTED)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--exact", action="store_true", help="print exact radical text (default)")
-    p.add_argument("--float", action="store_true", help="print 12-significant-digit floats")
+    p.add_argument("--float", action="store_true",
+                   help="print 12-significant-digit floats instead of exact radical text")
     p.add_argument("--dump-graph", metavar="FILE", help="write a DIMACS-like edge list")
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.set_defaults(fn=cmd_compute)
@@ -324,11 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="degree, duality, and zero-divisor-clique checks")
     p.add_argument("--max-n", type=int, help="check Z_n for all 2 <= n <= max-n")
-    p.add_argument("--ring", choices=("zn", "zppow", "fpxk"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--k", type=int)
+    _add_ring_flags(p, required=False)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
@@ -353,13 +288,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OffFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OFF_FAMILY
-    except (vf.EmptySweepError, vf.CeilingExceededError, NotInFamilyError, ValueError) as exc:
+    except ValueError as exc:  # usage, ceiling and empty-sweep errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

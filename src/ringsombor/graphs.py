@@ -15,7 +15,13 @@ from .rings import FiniteRing, TruncatedPolyRing, ZnRing
 
 TOTAL = "total"
 UNIT = "unit"
-GRAPH_KINDS = (TOTAL, UNIT)
+
+# Largest ring order whose graphs are built explicitly (n rows of n bits).
+DEFAULT_CEILING = 1 << 14
+
+
+class CeilingExceededError(ValueError):
+    """The ring is too large for explicit graph construction."""
 
 
 def _full_mask(n: int) -> int:
@@ -52,9 +58,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
-
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
 
     def edges(self):
         """Yield edges (u, v) with u < v, ascending in u then v."""
@@ -183,8 +186,10 @@ def _generic_sum_rows(ring: FiniteRing, want_unit: bool) -> list[int]:
     return rows
 
 
-def _sum_graph(ring: FiniteRing, want_unit: bool) -> tuple[Graph, VertexClass]:
+def _sum_graph(ring: FiniteRing, want_unit: bool, ceiling: int) -> tuple[Graph, VertexClass]:
     n = ring.order
+    if n > ceiling:
+        raise CeilingExceededError(f"{ring.name} has {n} elements, above the ceiling {ceiling}")
     units = ring.unit_mask()
     if isinstance(ring, ZnRing):
         target = units if want_unit else _full_mask(n) ^ units
@@ -196,15 +201,16 @@ def _sum_graph(ring: FiniteRing, want_unit: bool) -> tuple[Graph, VertexClass]:
     return Graph(n, rows), VertexClass(n, units)
 
 
-def total_graph(ring: FiniteRing) -> tuple[Graph, VertexClass]:
+def total_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, VertexClass]:
     """Graph on the ring elements with x ~ y iff x + y is a zero-divisor
-    (0 included)."""
-    return _sum_graph(ring, want_unit=False)
+    (0 included).  Raises CeilingExceededError above `ceiling` elements."""
+    return _sum_graph(ring, False, ceiling)
 
 
-def unit_graph(ring: FiniteRing) -> tuple[Graph, VertexClass]:
-    """Graph on the ring elements with x ~ y iff x + y is a unit."""
-    return _sum_graph(ring, want_unit=True)
+def unit_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, VertexClass]:
+    """Graph on the ring elements with x ~ y iff x + y is a unit.  Raises
+    CeilingExceededError above `ceiling` elements."""
+    return _sum_graph(ring, True, ceiling)
 
 
 def complement(g: Graph) -> Graph:

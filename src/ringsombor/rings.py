@@ -163,7 +163,12 @@ def classify(n: int | Modulus) -> ModulusFamily:
 @dataclass(frozen=True)
 class LocalRingSpec:
     """The three parameters of a finite local ring that the local closed
-    forms consume: order, number of units, and whether 1+1 is a unit."""
+    forms consume: order, number of units, and whether 1+1 is a unit.
+
+    The non-units form the maximal ideal, so q = order / (order - units) is
+    the size of the residue field.  A finite local ring exists only when q
+    is a prime power, the order is a power of q, and 2 is a unit exactly
+    when q is odd."""
 
     order: int
     unit_count: int
@@ -178,6 +183,19 @@ class LocalRingSpec:
         if self.order % ideal != 0:
             raise ValueError(
                 f"non-unit count {ideal} does not divide order {self.order}"
+            )
+        q = self.order // ideal
+        rest = self.order
+        while rest % q == 0:
+            rest //= q
+        if rest != 1 or not factorize(q).is_prime_power:
+            raise ValueError(
+                f"order {self.order} is not a power of a prime-power residue field size {q}"
+            )
+        if self.two_is_unit != (q % 2 == 1):
+            raise ValueError(
+                f"two_is_unit={self.two_is_unit}, but 2 is a unit exactly when "
+                f"the residue field size {q} is odd"
             )
 
 
@@ -195,9 +213,6 @@ class FiniteRing:
     one_index: int
 
     def add(self, x: int, y: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, x: int) -> int:
         raise NotImplementedError
 
     def is_unit(self, x: int) -> bool:
@@ -242,9 +257,6 @@ class ZnRing(FiniteRing):
 
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.n
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.n
 
     def is_unit(self, x: int) -> bool:
         return math.gcd(x, self.n) == 1
@@ -319,15 +331,6 @@ class TruncatedPolyRing(FiniteRing):
             out += ((x + y) % p) * w
             x //= p
             y //= p
-            w *= p
-        return out
-
-    def neg(self, x: int) -> int:
-        p = self.p
-        out, w = 0, 1
-        for _ in range(self.k):
-            out += (-x % p) * w
-            x //= p
             w *= p
         return out
 

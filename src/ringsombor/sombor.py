@@ -42,11 +42,3 @@ def sombor_bruteforce(g: Graph) -> RadicalSum:
         terms[s] = terms.get(s, Fraction(0)) + count * c
     return RadicalSum(terms)
 
-
-def degree_index_bruteforce(g: Graph, h) -> float:
-    """Float sum over edges of a symmetric degree function h(d_u, d_v).
-
-    Exactness is reserved for sombor_bruteforce; this is the generic
-    float-only evaluator.
-    """
-    return float(sum(count * h(a, b) for (a, b), count in degree_pair_counts(g).items()))

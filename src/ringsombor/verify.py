@@ -3,8 +3,9 @@ structural facts, and serialize deterministic reports.
 
 A sweep never aborts on a mismatch: mismatches are findings, recorded and
 carried into the errata report.  Reports are byte-reproducible except for
-the generated-at header line and the per-case micros timing field; the
-canonical_* helpers strip exactly those so runs can be compared.
+the VOLATILE fields (the generated-at header and the per-case micros
+timing); the canonical_* helpers strip those by name so runs can be
+compared.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import datetime
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import closed_forms as cf
 from .graphs import (
+    DEFAULT_CEILING,
     TOTAL,
     UNIT,
+    CeilingExceededError,  # re-exported: callers catch it as verify.CeilingExceededError
     EdgePartition,
     Graph,
     circulant_graph,
@@ -38,21 +41,21 @@ from .rings import (
     TruncatedPolyRing,
     ZnRing,
     classify,
-    primes_up_to,
+    factorize,
     to_local_spec,
 )
 from .sombor import sombor_bruteforce
 
-DEFAULT_CEILING = 1 << 14
-
+# Sweep families: the four Z_n modulus families, and the local rings (Z_{p^a}
+# and F_p[x]/(x^k) together, or either alone).
 LOCAL = "local"
-FAMILIES = (EVEN, ODD_PRIME_POWER, ODD_PQ, ODD_P2Q, LOCAL, "localzn", "localpoly")
+LOCALZN = "localzn"
+LOCALPOLY = "localpoly"
+FAMILIES = (EVEN, ODD_PRIME_POWER, ODD_PQ, ODD_P2Q, LOCAL, LOCALZN, LOCALPOLY)
 
-CSV_HEADER = "n,ring,kind,family,variant,alpha,beta,gamma,edges,closed_exact,oracle_exact,match,micros"
-
-
-class CeilingExceededError(ValueError):
-    """The ring is too large for explicit graph construction."""
+# Family-tag suffix of a p^2*q modulus whose squared prime is the larger one,
+# outside the theorems' p < q hypothesis.
+PGTQ = "_pgtq"
 
 
 class EmptySweepError(ValueError):
@@ -92,37 +95,44 @@ class CaseResult:
         return all(v.match for v in self.variants if v.variant != cf.PRINTED)
 
 
-def _zn_forms(n: int, fam, kind: str) -> list[tuple[str, RadicalSum, EdgePartition | None]]:
+def closed_forms(
+    ring: FiniteRing, kind: str, use_local_forms: bool = False
+) -> tuple[str, list[tuple[str, RadicalSum, EdgePartition | None]]]:
+    """The ring's family tag and every closed form that applies to it, as
+    (variant, value, edge partition or None) triples; none for a ring
+    outside every family.  F_p[x]/(x^k), and any local ring under
+    use_local_forms, takes the local-ring formulas; Z_n takes its modulus
+    family's.  Only the three refuted statements (ERRATA) come as a
+    corrected/printed pair."""
+    pair = (cf.CORRECTED, cf.PRINTED)
+    if use_local_forms or isinstance(ring, TruncatedPolyRing):
+        spec = to_local_spec(ring)
+        if kind == TOTAL:
+            return LOCAL, [(cf.UNIQUE, cf.so_total_local(spec), None)]
+        if not spec.two_is_unit:
+            return LOCAL, [(cf.UNIQUE, cf.so_unit_local(spec), None)]
+        return LOCAL, [(v, cf.so_unit_local(spec, v), None) for v in pair]
+    fam = classify(ring.order)
+    tag = fam.kind if fam.in_hypothesis else fam.kind + PGTQ
+    p, q, unit = fam.p, fam.q, kind == UNIT
     if fam.kind == EVEN:
-        value = cf.so_total_even(n) if kind == TOTAL else cf.so_unit_even(n)
-        return [(cf.UNIQUE, value, None)]
+        value = cf.so_unit_even(ring.order) if unit else cf.so_total_even(ring.order)
+        return tag, [(cf.UNIQUE, value, None)]
     if fam.kind == ODD_PRIME_POWER:
-        if kind == TOTAL:
-            return [(cf.UNIQUE, cf.so_total_prime_power(fam.p, fam.alpha), None)]
-        return [
-            (v, cf.so_unit_prime_power(fam.p, fam.alpha, v), None)
-            for v in (cf.CORRECTED, cf.PRINTED)
-        ]
+        if unit:
+            return tag, [(v, cf.so_unit_prime_power(p, fam.alpha, v), None) for v in pair]
+        return tag, [(cf.UNIQUE, cf.so_total_prime_power(p, fam.alpha), None)]
     if fam.kind == ODD_PQ:
-        if kind == TOTAL:
-            return [(cf.UNIQUE, cf.so_total_pq(fam.p, fam.q), cf.total_pq_partition(fam.p, fam.q))]
-        return [(cf.UNIQUE, cf.so_unit_pq(fam.p, fam.q), cf.unit_pq_partition(fam.p, fam.q))]
+        if unit:
+            return tag, [(cf.UNIQUE, cf.so_unit_pq(p, q), cf.unit_pq_partition(p, q))]
+        return tag, [(cf.UNIQUE, cf.so_total_pq(p, q), cf.total_pq_partition(p, q))]
     if fam.kind == ODD_P2Q:
-        if kind == TOTAL:
-            return [(cf.UNIQUE, cf.so_total_p2q(fam.p, fam.q), cf.total_p2q_partition(fam.p, fam.q))]
-        return [
-            (v, cf.so_unit_p2q(fam.p, fam.q, v), cf.unit_p2q_partition(fam.p, fam.q, v))
-            for v in (cf.CORRECTED, cf.PRINTED)
-        ]
-    return []
-
-
-def _local_forms(spec, kind: str) -> list[tuple[str, RadicalSum, EdgePartition | None]]:
-    if kind == TOTAL:
-        return [(cf.UNIQUE, cf.so_total_local(spec), None)]
-    if not spec.two_is_unit:
-        return [(cf.UNIQUE, cf.so_unit_local(spec, cf.CORRECTED), None)]
-    return [(v, cf.so_unit_local(spec, v), None) for v in (cf.CORRECTED, cf.PRINTED)]
+        if unit:
+            return tag, [
+                (v, cf.so_unit_p2q(p, q, v), cf.unit_p2q_partition(p, q, v)) for v in pair
+            ]
+        return tag, [(cf.UNIQUE, cf.so_total_p2q(p, q), cf.total_p2q_partition(p, q))]
+    return tag, []
 
 
 def verify_case(
@@ -139,23 +149,12 @@ def verify_case(
     variants).  use_local_forms switches a local Z_n to the local-ring
     formulas instead of its Z_n family formulas.
     """
-    if ring.order > ceiling:
-        raise CeilingExceededError(
-            f"{ring.name} has {ring.order} elements, above the ceiling {ceiling}"
-        )
     start = time.perf_counter()
-    g, classes = total_graph(ring) if kind == TOTAL else unit_graph(ring)
+    build = total_graph if kind == TOTAL else unit_graph
+    g, classes = build(ring, ceiling=ceiling)
     oracle_value = sombor_bruteforce(g)
     oracle_partition = edge_partition_of(g, classes)
-
-    if use_local_forms or isinstance(ring, TruncatedPolyRing):
-        spec = to_local_spec(ring)
-        family_tag = LOCAL
-        forms = _local_forms(spec, kind)
-    else:
-        fam = classify(ring.order)
-        family_tag = fam.kind if fam.in_hypothesis else fam.kind + "_pgtq"
-        forms = _zn_forms(ring.order, fam, kind)
+    family_tag, forms = closed_forms(ring, kind, use_local_forms)
 
     variants = tuple(
         VariantResult(
@@ -183,61 +182,26 @@ def verify_case(
 # ----------------------------------------------------------------------
 # Sweeps
 
-def _family_ring_specs(family: str, max_n: int) -> list[tuple]:
-    """Picklable ring descriptors: ('zn', n, use_local) or ('poly', p, k)."""
-    specs: list[tuple] = []
-    if family == EVEN:
-        specs = [("zn", n, False) for n in range(2, max_n + 1, 2)]
-    elif family == ODD_PRIME_POWER:
-        for p in primes_up_to(max_n):
-            if p == 2:
-                continue
-            n = p
-            while n <= max_n:
-                specs.append(("zn", n, False))
-                n *= p
-    elif family == ODD_PQ:
-        primes = [p for p in primes_up_to(max_n // 3) if p != 2]
-        for i, p in enumerate(primes):
-            for q in primes[i + 1 :]:
-                if p * q > max_n:
-                    break
-                specs.append(("zn", p * q, False))
-    elif family == ODD_P2Q:
-        primes = [p for p in primes_up_to(max_n // 3) if p != 2]
-        for p in primes:
-            for q in primes:
-                if q == p:
-                    continue
-                if p * p * q <= max_n:
-                    specs.append(("zn", p * p * q, False))
-    elif family in (LOCAL, "localzn", "localpoly"):
-        if family in (LOCAL, "localzn"):
-            for p in primes_up_to(max_n):
-                n = p
-                while n <= max_n:
-                    specs.append(("zn", n, True))
-                    n *= p
-        if family in (LOCAL, "localpoly"):
-            for p in primes_up_to(max_n):
-                k = 1
-                while p**k <= max_n:
-                    specs.append(("poly", p, k))
-                    k += 1
-    else:
+def _family_rings(family: str, max_n: int) -> list[tuple[FiniteRing, bool]]:
+    """(ring, use_local_forms) for every ring of the family with order <= max_n."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return specs
-
-
-def _ring_from_spec(spec: tuple) -> tuple[FiniteRing, bool]:
-    if spec[0] == "zn":
-        return ZnRing(spec[1]), spec[2]
-    return TruncatedPolyRing(spec[1], spec[2]), True
+    rings: list[tuple[FiniteRing, bool]] = []
+    for n in range(2, max_n + 1):
+        if family in (LOCAL, LOCALZN, LOCALPOLY):
+            mod = factorize(n)
+            if mod.is_prime_power:
+                if family != LOCALPOLY:
+                    rings.append((ZnRing(n), True))
+                if family != LOCALZN:
+                    rings.append((TruncatedPolyRing(*mod.factors[0]), True))
+        elif classify(n).kind == family:
+            rings.append((ZnRing(n), False))
+    return rings
 
 
 def _run_case_spec(case_spec: tuple) -> CaseResult:
-    ring_spec, kind, ceiling = case_spec
-    ring, use_local = _ring_from_spec(ring_spec)
+    ring, use_local, kind, ceiling = case_spec
     return verify_case(ring, kind, use_local_forms=use_local, ceiling=ceiling)
 
 
@@ -268,7 +232,7 @@ class SweepResult:
         )
         extension = {}
         for c in self.cases:
-            if c.family.endswith("_pgtq"):
+            if c.family.endswith(PGTQ):
                 extension[f"{c.ring}:{c.kind}"] = all(
                     v.match for v in c.variants if v.variant != cf.PRINTED
                 )
@@ -300,8 +264,7 @@ def sweep(
     for kind in kinds:
         if kind not in (TOTAL, UNIT):
             raise ValueError(f"unknown graph kind {kind!r}")
-    ring_specs = _family_ring_specs(family, max_n)
-    case_specs = [(rs, kind, ceiling) for rs in ring_specs for kind in kinds]
+    case_specs = [(*rl, kind, ceiling) for rl in _family_rings(family, max_n) for kind in kinds]
     if not case_specs:
         raise EmptySweepError(f"no {family} cases with n <= {max_n}")
     if workers <= 1:
@@ -345,12 +308,8 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     """Three facts about a ring's graphs: is the zero-divisor-induced
     subgraph of the total graph complete, do both degree predictions hold,
     and is the unit graph exactly the complement of the total graph."""
-    if ring.order > ceiling:
-        raise CeilingExceededError(
-            f"{ring.name} has {ring.order} elements, above the ceiling {ceiling}"
-        )
-    tg, classes = total_graph(ring)
-    ug, _ = unit_graph(ring)
+    tg, classes = total_graph(ring, ceiling=ceiling)
+    ug, _ = unit_graph(ring, ceiling=ceiling)
     duality = complement(tg) == ug
     degrees = _degrees_match(tg, classes, ring, TOTAL) and _degrees_match(
         ug, classes, ring, UNIT
@@ -451,13 +410,16 @@ FORMULA_UNIT_PPOW = "unit-graph odd-prime-power unit-unit bracket"
 FORMULA_UNIT_P2Q_EDGES = "unit-graph p^2*q edge count"
 FORMULA_UNIT_LOCAL = "unit-graph local-ring two-is-unit case"
 
-_PRINTED_EXPRESSIONS = {
-    FORMULA_UNIT_PPOW: (
+# The printed statements that brute force refutes, by the family whose
+# printed variant evaluates them: (formula label, printed expression).
+ERRATA = {
+    ODD_PRIME_POWER: (
+        FORMULA_UNIT_PPOW,
         "phi*(n-phi)*sqrt(phi^2 + (phi-1)^2)"
-        " + (phi*(phi-1) - (n-phi))*(phi-1)/sqrt(2)"
+        " + (phi*(phi-1) - (n-phi))*(phi-1)/sqrt(2)",
     ),
-    FORMULA_UNIT_P2Q_EDGES: "|E| = p^2*(p-1)*(q-1)*(p^2*q - 1)/2",
-    FORMULA_UNIT_LOCAL: "|U|*(n-|U|)*sqrt(|U|^2 + (n-|U|)^2)",
+    ODD_P2Q: (FORMULA_UNIT_P2Q_EDGES, "|E| = p^2*(p-1)*(q-1)*(p^2*q - 1)/2"),
+    LOCAL: (FORMULA_UNIT_LOCAL, "|U|*(n-|U|)*sqrt(|U|^2 + (n-|U|)^2)"),
 }
 
 
@@ -472,210 +434,163 @@ class ErrataEntry:
     oracle_value: str
 
 
-def _formula_label(case: CaseResult) -> str | None:
-    if case.kind != UNIT:
-        return None
-    if case.family == ODD_PRIME_POWER:
-        return FORMULA_UNIT_PPOW
-    if case.family.startswith(ODD_P2Q):
-        return FORMULA_UNIT_P2Q_EDGES
-    if case.family == LOCAL:
-        return FORMULA_UNIT_LOCAL
-    return None
-
-
 def errata_report(cases) -> list[ErrataEntry]:
     """One entry per printed formula that mismatched the oracle somewhere in
     the supplied results, citing the smallest counterexample.  Empty when
     every printed formula matched."""
-    found: dict[str, tuple[CaseResult, VariantResult]] = {}
+    found: dict[str, ErrataEntry] = {}
     for case in sorted(cases, key=lambda c: (c.n, c.ring, c.kind)):
-        label = _formula_label(case)
-        if label is None or label in found:
-            continue
-        for variant in case.variants:
-            if variant.variant == cf.PRINTED and not variant.match:
-                found[label] = (case, variant)
-                break
-    return [
-        ErrataEntry(
-            formula=label,
-            printed_expression=_PRINTED_EXPRESSIONS[label],
-            ring=case.ring,
-            n=case.n,
-            kind=case.kind,
-            printed_value=variant.closed_value.render(),
-            oracle_value=case.oracle_value.render(),
-        )
-        for label, (case, variant) in sorted(found.items())
-    ]
+        for v in case.variants:
+            if v.variant != cf.PRINTED or v.match:
+                continue
+            label, expression = ERRATA[case.family.removesuffix(PGTQ)]
+            if label not in found:
+                found[label] = ErrataEntry(
+                    formula=label,
+                    printed_expression=expression,
+                    ring=case.ring,
+                    n=case.n,
+                    kind=case.kind,
+                    printed_value=v.closed_value.render(),
+                    oracle_value=case.oracle_value.render(),
+                )
+    return [found[label] for label in sorted(found)]
 
 
 # ----------------------------------------------------------------------
 # Report serialization
 
+# Report fields that differ between runs of the same sweep.
+VOLATILE = ("generated_at", "micros")
+
+SWEEP_COLUMNS = (
+    "n", "ring", "kind", "family", "variant", "alpha", "beta", "gamma", "edges",
+    "closed_exact", "oracle_exact", "match", "micros",
+)
+STRUCTURE_COLUMNS = ("n", "ring", "local", "zdiv_complete", "degrees_ok", "duality_ok")
+IDENTITY_COLUMNS = ("n", "k", "residual_zero", "circulant_checked", "circulant_match")
+
+
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _match_text(flag: bool) -> str:
-    return "true" if flag else "false"
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def sweep_rows(result: SweepResult) -> list[str]:
+def write_csv_rows(fh, header, rows):
+    """The header line, then one line per row dict, in header column order."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_cell(row[col]) for col in header) + "\n")
+
+
+def write_report(fh, fmt: str, header, rows, payload: dict | None = None):
+    """A report in fmt "csv" or "json".  CSV is a generated-at comment line
+    and then write_csv_rows; JSON is payload (by default {"cases": rows})
+    plus generated_at, with sorted keys."""
+    if fmt == "csv":
+        fh.write(f"# generated-at: {_timestamp()}\n")
+        write_csv_rows(fh, header, rows)
+    else:
+        body = {"cases": rows} if payload is None else payload
+        json.dump({"generated_at": _timestamp(), **body}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def sweep_rows(result: SweepResult) -> list[dict]:
+    """One row per case and variant; an oracle-only case gets one row with
+    variant "oracle" and match "na"."""
     rows = []
     for c in result.cases:
         part = c.oracle_partition
-        prefix = f"{c.n},{c.ring},{c.kind},{c.family}"
-        counts = f"{part.alpha},{part.beta},{part.gamma},{part.total}"
+        base = {
+            "n": c.n, "ring": c.ring, "kind": c.kind, "family": c.family,
+            "alpha": part.alpha, "beta": part.beta, "gamma": part.gamma, "edges": part.total,
+            "oracle_exact": c.oracle_value.render(), "micros": c.micros,
+        }
         if not c.variants:
-            rows.append(f"{prefix},oracle,{counts},,{c.oracle_value.render()},na,{c.micros}")
-            continue
+            rows.append({**base, "variant": "oracle", "closed_exact": None, "match": "na"})
         for v in c.variants:
             rows.append(
-                f"{prefix},{v.variant},{counts},"
-                f"{v.closed_value.render()},{c.oracle_value.render()},"
-                f"{_match_text(v.match)},{c.micros}"
+                {**base, "variant": v.variant, "closed_exact": v.closed_value.render(),
+                 "match": v.match}
             )
     return rows
 
 
-def write_sweep_csv(result: SweepResult, fh):
-    fh.write(f"# generated-at: {_timestamp()}\n")
-    fh.write(CSV_HEADER + "\n")
-    for row in sweep_rows(result):
-        fh.write(row + "\n")
-
-
-def _partition_payload(part: EdgePartition | None):
+def partition_payload(part: EdgePartition | None):
     if part is None:
         return None
     return {"alpha": part.alpha, "beta": part.beta, "gamma": part.gamma, "edges": part.total}
 
 
 def sweep_payload(result: SweepResult) -> dict:
-    cases = []
-    for c in result.cases:
-        cases.append(
-            {
-                "n": c.n,
-                "ring": c.ring,
-                "kind": c.kind,
-                "family": c.family,
-                "oracle_exact": c.oracle_value.render(),
-                "oracle_partition": _partition_payload(c.oracle_partition),
-                "variants": [
-                    {
-                        "variant": v.variant,
-                        "closed_exact": v.closed_value.render(),
-                        "closed_partition": _partition_payload(v.closed_partition),
-                        "match": v.match,
-                    }
-                    for v in c.variants
-                ],
-                "micros": c.micros,
-            }
-        )
-    errata = [
+    cases = [
         {
-            "formula": e.formula,
-            "printed_expression": e.printed_expression,
-            "ring": e.ring,
-            "n": e.n,
-            "kind": e.kind,
-            "printed_value": e.printed_value,
-            "oracle_value": e.oracle_value,
+            "n": c.n,
+            "ring": c.ring,
+            "kind": c.kind,
+            "family": c.family,
+            "oracle_exact": c.oracle_value.render(),
+            "oracle_partition": partition_payload(c.oracle_partition),
+            "variants": [
+                {
+                    "variant": v.variant,
+                    "closed_exact": v.closed_value.render(),
+                    "closed_partition": partition_payload(v.closed_partition),
+                    "match": v.match,
+                }
+                for v in c.variants
+            ],
+            "micros": c.micros,
         }
-        for e in errata_report(result.cases)
+        for c in result.cases
     ]
     return {
-        "generated_at": _timestamp(),
         "summary": result.summary(),
         "cases": cases,
-        "errata": errata,
+        "errata": [asdict(e) for e in errata_report(result.cases)],
     }
+
+
+def write_sweep_csv(result: SweepResult, fh):
+    write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(result))
 
 
 def write_sweep_json(result: SweepResult, fh):
-    json.dump(sweep_payload(result), fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    write_report(fh, "json", SWEEP_COLUMNS, None, sweep_payload(result))
 
 
-STRUCTURE_CSV_HEADER = "n,ring,local,zdiv_complete,degrees_ok,duality_ok"
+def structure_rows(results) -> list[dict]:
+    return [
+        {"n": r.n, "ring": r.ring, "local": r.is_local, "zdiv_complete": r.zdiv_complete,
+         "degrees_ok": r.degrees_ok, "duality_ok": r.duality_ok}
+        for r in sorted(results, key=lambda r: (r.n, r.ring))
+    ]
 
 
-def write_structure_csv(results, fh):
-    fh.write(f"# generated-at: {_timestamp()}\n")
-    fh.write(STRUCTURE_CSV_HEADER + "\n")
-    for r in sorted(results, key=lambda r: (r.n, r.ring)):
-        fh.write(
-            f"{r.n},{r.ring},{_match_text(r.is_local)},{_match_text(r.zdiv_complete)},"
-            f"{_match_text(r.degrees_ok)},{_match_text(r.duality_ok)}\n"
-        )
-
-
-def structure_payload(results) -> dict:
-    return {
-        "generated_at": _timestamp(),
-        "cases": [
-            {
-                "n": r.n,
-                "ring": r.ring,
-                "local": r.is_local,
-                "zdiv_complete": r.zdiv_complete,
-                "degrees_ok": r.degrees_ok,
-                "duality_ok": r.duality_ok,
-            }
-            for r in sorted(results, key=lambda r: (r.n, r.ring))
-        ],
-    }
-
-
-IDENTITY_CSV_HEADER = "n,k,residual_zero,circulant_checked,circulant_match"
-
-
-def write_identity_csv(results, fh):
-    fh.write(f"# generated-at: {_timestamp()}\n")
-    fh.write(IDENTITY_CSV_HEADER + "\n")
-    for r in results:
-        match = "" if r.circulant_match is None else _match_text(r.circulant_match)
-        fh.write(
-            f"{r.n},{r.k},{_match_text(r.residual_zero)},"
-            f"{_match_text(r.circulant_checked)},{match}\n"
-        )
-
-
-def identity_payload(results) -> dict:
-    return {
-        "generated_at": _timestamp(),
-        "cases": [
-            {
-                "n": r.n,
-                "k": r.k,
-                "residual_zero": r.residual_zero,
-                "circulant_checked": r.circulant_checked,
-                "circulant_match": r.circulant_match,
-            }
-            for r in results
-        ],
-    }
+def identity_rows(results) -> list[dict]:
+    return [asdict(r) for r in results]
 
 
 def canonical_csv_body(text: str) -> str:
-    """Sweep report text minus the timestamp header and the trailing micros
-    column, for determinism comparisons across runs and worker counts."""
-    lines = [
-        line.rsplit(",", 1)[0]
-        for line in text.splitlines()
-        if line and not line.startswith("#")
-    ]
-    return "\n".join(lines) + "\n"
+    """CSV report text minus the generated-at comment line and the VOLATILE
+    columns, for determinism comparisons across runs and worker counts."""
+    lines = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
+    keep = [i for i, col in enumerate(lines[0] if lines else ()) if col not in VOLATILE]
+    return "\n".join(",".join(fields[i] for i in keep) for fields in lines) + "\n"
 
 
 def canonical_json_body(text: str) -> str:
-    """JSON report normalized the same way: no generated_at, no micros."""
+    """JSON report minus the VOLATILE keys, at the top and in each case."""
     payload = json.loads(text)
-    payload.pop("generated_at", None)
-    for case in payload.get("cases", []):
-        case.pop("micros", None)
+    for record in (payload, *payload.get("cases", ())):
+        for name in VOLATILE:
+            record.pop(name, None)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

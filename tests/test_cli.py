@@ -85,6 +85,14 @@ class TestCompute:
                      "--ceiling", "50"])
         assert code == 2
 
+    def test_ceiling_blocks_dump_graph(self, tmp_path, capsys):
+        out_file = tmp_path / "z50.txt"
+        code = main(["compute", "--ring", "zn", "--n", "50", "--graph", "total",
+                     "--mode", "closed", "--ceiling", "10", "--dump-graph", str(out_file)])
+        assert code == 2
+        assert "above the ceiling 10" in capsys.readouterr().err
+        assert not out_file.exists()
+
 
 class TestVerifyCommand:
     def test_corrected_mismatch_does_not_fail(self, tmp_path):

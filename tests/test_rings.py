@@ -170,10 +170,9 @@ class TestZnRing:
         assert not ZnRing(8).two_is_unit
         assert ZnRing(9).two_is_unit
 
-    def test_add_neg(self):
+    def test_add(self):
         r = ZnRing(7)
         assert r.add(5, 4) == 2
-        assert r.neg(3) == 4
 
 
 class TestTruncatedPolyRing:
@@ -200,7 +199,6 @@ class TestTruncatedPolyRing:
             for y in range(r.order):
                 cs = tuple((a + b) % 3 for a, b in zip(r.coeffs(x), r.coeffs(y)))
                 assert r.coeffs(r.add(x, y)) == cs
-        assert r.add(r.neg(4), 4) == 0
 
     def test_unit_iff_inverse_exists(self):
         # independent oracle: truncated polynomial multiplication
@@ -259,6 +257,12 @@ class TestLocalSpec:
             LocalRingSpec(8, 0, False)
         with pytest.raises(ValueError):
             LocalRingSpec(15, 8, True)  # 7 non-units cannot divide 15
+        # residue field size q = order / non-units: the order must be a power
+        # of a prime power q, and 2 a unit exactly when q is odd
+        for order, units, two_is_unit in ((6, 3, True), (27, 24, True), (9, 6, False),
+                                          (8, 4, True)):
+            with pytest.raises(ValueError):
+                LocalRingSpec(order, units, two_is_unit)
 
     def test_z_prime_power(self):
         assert z_prime_power(3, 2).n == 9

@@ -4,7 +4,7 @@ from fractions import Fraction
 from ringsombor.graphs import Graph, circulant_graph, complement, complete_graph, total_graph, unit_graph
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import ZnRing
-from ringsombor.sombor import degree_index_bruteforce, degree_pair_counts, sombor_bruteforce
+from ringsombor.sombor import degree_pair_counts, sombor_bruteforce
 
 
 def naive_sombor(g):
@@ -75,21 +75,13 @@ class TestDegreePairCounts:
             g, _ = total_graph(ZnRing(n))
             assert sum(degree_pair_counts(g).values()) == g.edge_count
 
-
-class TestDegreeIndexBruteforce:
-    def test_first_zagreb_style(self):
-        assert degree_index_bruteforce(complete_graph(3), lambda x, y: x + y) == 12
-
-    def test_empty(self):
-        g, _ = total_graph(ZnRing(2))
-        assert degree_index_bruteforce(g, math.hypot) == 0
-
     def test_hypot_matches_exact(self):
+        # float cross-check of the exact oracle
         for n in (5, 16, 45, 77):
             for builder in (total_graph, unit_graph):
                 g, _ = builder(ZnRing(n))
                 exact = sombor_bruteforce(g).to_float()
-                approx = degree_index_bruteforce(g, math.hypot)
+                approx = sum(c * math.hypot(a, b) for (a, b), c in degree_pair_counts(g).items())
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
 

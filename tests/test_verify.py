@@ -10,6 +10,7 @@ from ringsombor.verify import (
     FORMULA_UNIT_LOCAL,
     FORMULA_UNIT_P2Q_EDGES,
     FORMULA_UNIT_PPOW,
+    STRUCTURE_COLUMNS,
     CeilingExceededError,
     EmptySweepError,
     canonical_csv_body,
@@ -18,10 +19,12 @@ from ringsombor.verify import (
     errata_report,
     identity_sweep,
     regular_circulant,
+    structure_rows,
     structure_sweep,
     sweep,
     sweep_payload,
     verify_case,
+    write_report,
     write_sweep_csv,
 )
 
@@ -72,6 +75,8 @@ class TestVerifyCase:
     def test_ceiling(self):
         with pytest.raises(CeilingExceededError):
             verify_case(ZnRing(100), TOTAL, ceiling=50)
+        with pytest.raises(CeilingExceededError):
+            check_structure(ZnRing(100), ceiling=50)
 
     def test_p2q_out_of_hypothesis_tag(self):
         case = verify_case(ZnRing(75), TOTAL)
@@ -243,3 +248,13 @@ class TestReports:
 
         p1 = json.dumps(sweep_payload(result))
         assert "generated_at" not in canonical_json_body(p1)
+
+    def test_canonical_csv_keeps_structure_columns(self):
+        buf = io.StringIO()
+        write_report(buf, "csv", STRUCTURE_COLUMNS, structure_rows(structure_sweep(4)))
+        assert canonical_csv_body(buf.getvalue()) == (
+            "n,ring,local,zdiv_complete,degrees_ok,duality_ok\n"
+            "2,Z_2,true,true,true,true\n"
+            "3,Z_3,true,true,true,true\n"
+            "4,Z_4,true,true,true,true\n"
+        )
