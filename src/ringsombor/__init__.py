@@ -35,7 +35,6 @@ from .graphs import (
     UNIT,
     EdgePartition,
     Graph,
-    VertexClass,
     circulant_graph,
     complement,
     complete_graph,
@@ -68,7 +67,7 @@ from .rings import (
     to_local_spec,
     z_prime_power,
 )
-from .sombor import degree_pair_counts, sombor_bruteforce
+from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 from .verify import (
     DEFAULT_CEILING,
     CaseResult,

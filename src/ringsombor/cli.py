@@ -105,6 +105,8 @@ def cmd_compute(args) -> int:
             )
         # a ring has either one unique form or a corrected/printed pair
         _, closed_value, closed_part = next(f for f in forms if f[0] in (args.variant, UNIQUE))
+    if args.format == "csv" and case is None:
+        raise ValueError("--format csv needs the oracle; use --mode both or oracle")
 
     if args.dump_graph:
         build = total_graph if args.graph == TOTAL else unit_graph
@@ -131,8 +133,6 @@ def cmd_compute(args) -> int:
         )
 
     if args.format == "csv":  # the sweep row shape for the oracle-backed case
-        if case is None:
-            raise ValueError("--format csv needs the oracle; use --mode both or oracle")
         result = vf.SweepResult("single", ring.order, (args.graph,), (case,))
         vf.write_csv_rows(sys.stdout, vf.SWEEP_COLUMNS, vf.sweep_rows(result))
         return EXIT_OK

@@ -49,15 +49,9 @@ class Graph:
             self._degrees = tuple(row.bit_count() for row in self.rows)
         return self._degrees
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     @property
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.rows[u] >> v) & 1 == 1
 
     def edges(self):
         """Yield edges (u, v) with u < v, ascending in u then v."""
@@ -68,13 +62,6 @@ class Graph:
                 low = rest & -rest
                 yield (u, base + low.bit_length() - 1)
                 rest ^= low
-
-    def degree_class_masks(self) -> dict[int, int]:
-        """Bitmask of vertices per degree value."""
-        masks: dict[int, int] = {}
-        for v, d in enumerate(self.degrees):
-            masks[d] = masks.get(d, 0) | (1 << v)
-        return masks
 
     def validate(self):
         """Check simplicity and symmetry; meant for tests."""
@@ -101,29 +88,6 @@ class Graph:
 
     def __repr__(self):
         return f"<Graph n={self.n} m={self.edge_count}>"
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    """Partition of the vertex set into zero-divisors and units."""
-
-    n: int
-    unit_mask: int
-
-    @property
-    def zero_mask(self) -> int:
-        return _full_mask(self.n) ^ self.unit_mask
-
-    def is_unit(self, v: int) -> bool:
-        return (self.unit_mask >> v) & 1 == 1
-
-    @property
-    def unit_count(self) -> int:
-        return self.unit_mask.bit_count()
-
-    @property
-    def zero_count(self) -> int:
-        return self.n - self.unit_count
 
 
 @dataclass(frozen=True)
@@ -186,7 +150,7 @@ def _generic_sum_rows(ring: FiniteRing, want_unit: bool) -> list[int]:
     return rows
 
 
-def _sum_graph(ring: FiniteRing, want_unit: bool, ceiling: int) -> tuple[Graph, VertexClass]:
+def _sum_graph(ring: FiniteRing, want_unit: bool, ceiling: int) -> tuple[Graph, int]:
     n = ring.order
     if n > ceiling:
         raise CeilingExceededError(f"{ring.name} has {n} elements, above the ceiling {ceiling}")
@@ -198,18 +162,19 @@ def _sum_graph(ring: FiniteRing, want_unit: bool, ceiling: int) -> tuple[Graph, 
         rows = _poly_sum_rows(ring, want_unit)
     else:
         rows = _generic_sum_rows(ring, want_unit)
-    return Graph(n, rows), VertexClass(n, units)
+    return Graph(n, rows), units
 
 
-def total_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, VertexClass]:
+def total_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, int]:
     """Graph on the ring elements with x ~ y iff x + y is a zero-divisor
-    (0 included).  Raises CeilingExceededError above `ceiling` elements."""
+    (0 included), and the ring's unit mask (bit v set iff v is a unit).
+    Raises CeilingExceededError above `ceiling` elements."""
     return _sum_graph(ring, False, ceiling)
 
 
-def unit_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, VertexClass]:
-    """Graph on the ring elements with x ~ y iff x + y is a unit.  Raises
-    CeilingExceededError above `ceiling` elements."""
+def unit_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, int]:
+    """Graph on the ring elements with x ~ y iff x + y is a unit, and the
+    ring's unit mask.  Raises CeilingExceededError above `ceiling` elements."""
     return _sum_graph(ring, True, ceiling)
 
 
@@ -267,21 +232,14 @@ def predicted_degrees(ring_or_spec, kind: str):
     return degree_pair(kind, r.order, r.unit_count, r.two_is_unit)
 
 
-def edge_partition_of(g: Graph, classes: VertexClass) -> EdgePartition:
-    """Count edges by endpoint class membership."""
-    zm = classes.zero_mask
-    um = classes.unit_mask
-    two_alpha = 0
-    beta = 0
-    two_gamma = 0
-    for v in range(g.n):
-        row = g.rows[v]
-        if (um >> v) & 1:
-            two_gamma += (row & um).bit_count()
-        else:
-            two_alpha += (row & zm).bit_count()
-            beta += (row & um).bit_count()
-    return EdgePartition(two_alpha // 2, beta, two_gamma // 2)
+def edge_partition_of(table: dict) -> EdgePartition:
+    """Count edges by endpoint class, read off a sombor.degree_pair_counts
+    table keyed by (is_unit, degree): is_unit_lo + is_unit_hi is 0 for
+    alpha, 1 for beta and 2 for gamma."""
+    by_units = [0, 0, 0]
+    for ((unit_lo, _), (unit_hi, _)), edges in table.items():
+        by_units[unit_lo + unit_hi] += edges
+    return EdgePartition(*by_units)
 
 
 def write_edge_list(g: Graph, fh):

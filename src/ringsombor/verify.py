@@ -44,7 +44,7 @@ from .rings import (
     factorize,
     to_local_spec,
 )
-from .sombor import sombor_bruteforce
+from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 # Sweep families: the four Z_n modulus families, and the local rings (Z_{p^a}
 # and F_p[x]/(x^k) together, or either alone).
@@ -151,9 +151,10 @@ def verify_case(
     """
     start = time.perf_counter()
     build = total_graph if kind == TOTAL else unit_graph
-    g, classes = build(ring, ceiling=ceiling)
-    oracle_value = sombor_bruteforce(g)
-    oracle_partition = edge_partition_of(g, classes)
+    g, units = build(ring, ceiling=ceiling)
+    table = degree_pair_counts(g, units)
+    oracle_value = sombor_of(table)
+    oracle_partition = edge_partition_of(table)
     family_tag, forms = closed_forms(ring, kind, use_local_forms)
 
     variants = tuple(
@@ -296,11 +297,10 @@ class StructureResult:
         return self.degrees_ok and self.duality_ok and self.zdiv_complete == self.is_local
 
 
-def _degrees_match(g: Graph, classes, ring: FiniteRing, kind: str) -> bool:
+def _degrees_match(g: Graph, units: int, ring: FiniteRing, kind: str) -> bool:
     d_zero, d_unit = predicted_degrees(ring, kind)
-    um = classes.unit_mask
     return all(
-        d == (d_unit if (um >> v) & 1 else d_zero) for v, d in enumerate(g.degrees)
+        d == (d_unit if (units >> v) & 1 else d_zero) for v, d in enumerate(g.degrees)
     )
 
 
@@ -308,13 +308,13 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     """Three facts about a ring's graphs: is the zero-divisor-induced
     subgraph of the total graph complete, do both degree predictions hold,
     and is the unit graph exactly the complement of the total graph."""
-    tg, classes = total_graph(ring, ceiling=ceiling)
+    tg, units = total_graph(ring, ceiling=ceiling)
     ug, _ = unit_graph(ring, ceiling=ceiling)
     duality = complement(tg) == ug
-    degrees = _degrees_match(tg, classes, ring, TOTAL) and _degrees_match(
-        ug, classes, ring, UNIT
+    degrees = _degrees_match(tg, units, ring, TOTAL) and _degrees_match(
+        ug, units, ring, UNIT
     )
-    zm = classes.zero_mask
+    zm = ((1 << ring.order) - 1) ^ units
     zdiv_complete = True
     rest = zm
     while rest:

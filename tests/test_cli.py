@@ -93,6 +93,17 @@ class TestCompute:
         assert "above the ceiling 10" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_closed_csv_fails_before_side_effects(self, tmp_path, capsys):
+        out_file = tmp_path / "z9.txt"
+        code = main(["compute", "--ring", "zn", "--n", "9", "--graph", "unit",
+                     "--mode", "closed", "--format", "csv", "--variant", "printed",
+                     "--dump-graph", str(out_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--format csv needs the oracle" in err
+        assert "warning" not in err
+        assert not out_file.exists()
+
 
 class TestVerifyCommand:
     def test_corrected_mismatch_does_not_fail(self, tmp_path):

@@ -28,7 +28,7 @@ from ringsombor.closed_forms import (
 from ringsombor.graphs import TOTAL, UNIT, degree_pair, edge_partition_of, total_graph, unit_graph
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import LocalRingSpec, TruncatedPolyRing, ZnRing, euler_phi, primes_up_to
-from ringsombor.sombor import sombor_bruteforce
+from ringsombor.sombor import degree_pair_counts, sombor_bruteforce
 
 
 def rt2(x):
@@ -96,8 +96,8 @@ class TestTotalPQ:
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (3, 11), (5, 7), (5, 11), (7, 11)):
             ring = ZnRing(p * q)
-            g, cls = total_graph(ring)
-            assert total_pq_partition(p, q) == edge_partition_of(g, cls)
+            g, units = total_graph(ring)
+            assert total_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_total_pq(p, q) == sombor_bruteforce(g)
 
     def test_requires_ordered_odd_primes(self):
@@ -120,8 +120,8 @@ class TestTotalP2Q:
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (5, 3), (3, 11)):
             ring = ZnRing(p * p * q)
-            g, cls = total_graph(ring)
-            assert total_p2q_partition(p, q) == edge_partition_of(g, cls)
+            g, units = total_graph(ring)
+            assert total_p2q_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_total_p2q(p, q) == sombor_bruteforce(g)
 
     def test_admits_swapped_primes(self):
@@ -188,8 +188,8 @@ class TestUnitPQ:
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (5, 7), (3, 11)):
             ring = ZnRing(p * q)
-            g, cls = unit_graph(ring)
-            assert unit_pq_partition(p, q) == edge_partition_of(g, cls)
+            g, units = unit_graph(ring)
+            assert unit_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_unit_pq(p, q) == sombor_bruteforce(g)
 
 
@@ -206,8 +206,8 @@ class TestUnitP2Q:
     def test_corrected_matches_oracle(self):
         for p, q in ((3, 5), (3, 7), (5, 3)):
             ring = ZnRing(p * p * q)
-            g, cls = unit_graph(ring)
-            assert unit_p2q_partition(p, q) == edge_partition_of(g, cls)
+            g, units = unit_graph(ring)
+            assert unit_p2q_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_unit_p2q(p, q) == sombor_bruteforce(g)
 
     def test_printed_disagrees_at_3_5(self):

@@ -75,6 +75,9 @@ def commands() -> list[list[str]]:
         ["compute", "--ring", "zn", "--n", "9", "--graph", "total", "--dump-graph", OUT],
         ["compute", "--ring", "fpxk", "--p", "3", "--k", "2", "--graph", "unit",
          "--mode", "closed", "--dump-graph", OUT],
+        # csv needs the oracle: refused before the dump and the printed warning
+        ["compute", "--ring", "zn", "--n", "9", "--graph", "unit", "--mode", "closed",
+         "--format", "csv", "--variant", "printed", "--dump-graph", OUT],
         # ceiling: the oracle is refused, closed forms are not
         ["compute", "--ring", "zn", "--n", "100", "--graph", "total", "--ceiling", "50"],
         ["compute", "--ring", "zn", "--n", "100", "--graph", "total", "--mode", "oracle",

@@ -18,6 +18,7 @@ from ringsombor.graphs import (
     write_edge_list,
 )
 from ringsombor.rings import FiniteRing, TruncatedPolyRing, ZnRing, euler_phi
+from ringsombor.sombor import degree_pair_counts
 
 
 def naive_sum_graph(ring, want_unit):
@@ -66,16 +67,16 @@ class TestBuilders:
         assert g.degrees == (1, 1, 1, 1)
 
     def test_total_z9(self):
-        g, cls = total_graph(ZnRing(9))
-        zset = [v for v in range(9) if not cls.is_unit(v)]
+        g, units = total_graph(ZnRing(9))
+        zset = [v for v in range(9) if not (units >> v) & 1]
         assert zset == [0, 3, 6]
         for u in zset:
             for v in zset:
                 if u != v:
-                    assert g.has_edge(u, v)
+                    assert (g.rows[u] >> v) & 1
         for v in range(9):
-            if cls.is_unit(v):
-                assert g.degree(v) == 3
+            if (units >> v) & 1:
+                assert g.degrees[v] == 3
 
     def test_unit_z2_single_edge(self):
         g, _ = unit_graph(ZnRing(2))
@@ -84,8 +85,8 @@ class TestBuilders:
     def test_unit_z5(self):
         g, _ = unit_graph(ZnRing(5))
         assert g.edge_count == 8
-        assert g.degree(0) == 4
-        assert all(g.degree(v) == 3 for v in range(1, 5))
+        assert g.degrees[0] == 4
+        assert all(g.degrees[v] == 3 for v in range(1, 5))
 
     def test_unit_z4_is_four_cycle(self):
         g, _ = unit_graph(ZnRing(4))
@@ -116,9 +117,9 @@ class TestBuilders:
 
     def test_classes_match_ring(self):
         ring = ZnRing(45)
-        _, cls = total_graph(ring)
-        assert cls.unit_count == euler_phi(45)
-        assert cls.zero_count == 45 - euler_phi(45)
+        _, units = total_graph(ring)
+        assert units.bit_count() == euler_phi(45)
+        assert units == ring.unit_mask()
 
 
 class TestComplement:
@@ -196,40 +197,40 @@ class TestDegreePredictions:
     def test_predictions_hold_on_zn(self, n):
         ring = ZnRing(n)
         for kind, builder in ((TOTAL, total_graph), (UNIT, unit_graph)):
-            g, cls = builder(ring)
+            g, units = builder(ring)
             d_zero, d_unit = predicted_degrees(ring, kind)
             for v in range(n):
-                assert g.degree(v) == (d_unit if cls.is_unit(v) else d_zero)
+                assert g.degrees[v] == (d_unit if (units >> v) & 1 else d_zero)
 
     @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (7, 1)])
     def test_predictions_hold_on_poly(self, p, k):
         ring = TruncatedPolyRing(p, k)
         for kind, builder in ((TOTAL, total_graph), (UNIT, unit_graph)):
-            g, cls = builder(ring)
+            g, units = builder(ring)
             d_zero, d_unit = predicted_degrees(ring, kind)
             for v in range(ring.order):
-                assert g.degree(v) == (d_unit if cls.is_unit(v) else d_zero)
+                assert g.degrees[v] == (d_unit if (units >> v) & 1 else d_zero)
 
 
 class TestEdgePartition:
     def test_total_z15(self):
-        g, cls = total_graph(ZnRing(15))
-        assert edge_partition_of(g, cls) == EdgePartition(13, 16, 20)
+        g, units = total_graph(ZnRing(15))
+        assert edge_partition_of(degree_pair_counts(g, units)) == EdgePartition(13, 16, 20)
 
     def test_unit_z5(self):
-        g, cls = unit_graph(ZnRing(5))
-        assert edge_partition_of(g, cls) == EdgePartition(0, 4, 4)
+        g, units = unit_graph(ZnRing(5))
+        assert edge_partition_of(degree_pair_counts(g, units)) == EdgePartition(0, 4, 4)
 
     def test_total_z2_empty(self):
-        g, cls = total_graph(ZnRing(2))
-        assert edge_partition_of(g, cls) == EdgePartition(0, 0, 0)
+        g, units = total_graph(ZnRing(2))
+        assert edge_partition_of(degree_pair_counts(g, units)) == EdgePartition(0, 0, 0)
 
     def test_partition_totals_match_edge_count(self):
         for n in (12, 15, 45, 64, 77):
             ring = ZnRing(n)
             for builder in (total_graph, unit_graph):
-                g, cls = builder(ring)
-                assert edge_partition_of(g, cls).total == g.edge_count
+                g, units = builder(ring)
+                assert edge_partition_of(degree_pair_counts(g, units)).total == g.edge_count
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

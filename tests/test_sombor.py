@@ -1,17 +1,29 @@
 import math
 from fractions import Fraction
 
-from ringsombor.graphs import Graph, circulant_graph, complement, complete_graph, total_graph, unit_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringsombor.graphs import (
+    EdgePartition,
+    Graph,
+    circulant_graph,
+    complement,
+    complete_graph,
+    edge_partition_of,
+    total_graph,
+    unit_graph,
+)
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import ZnRing
-from ringsombor.sombor import degree_pair_counts, sombor_bruteforce
+from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 
 def naive_sombor(g):
     # reference: literal edge loop, no degree grouping
     total = RadicalSum()
     for u, v in g.edges():
-        total = total + RadicalSum.sqrt(g.degree(u) ** 2 + g.degree(v) ** 2)
+        total = total + RadicalSum.sqrt(g.degrees[u] ** 2 + g.degrees[v] ** 2)
     return total
 
 
@@ -68,7 +80,7 @@ class TestSomborBruteforce:
 class TestDegreePairCounts:
     def test_unit_z5_counts(self):
         g, _ = unit_graph(ZnRing(5))
-        assert degree_pair_counts(g) == {(3, 4): 4, (3, 3): 4}
+        assert degree_pair_counts(g) == {((0, 3), (0, 4)): 4, ((0, 3), (0, 3)): 4}
 
     def test_counts_cover_all_edges(self):
         for n in (9, 15, 45):
@@ -81,8 +93,43 @@ class TestDegreePairCounts:
             for builder in (total_graph, unit_graph):
                 g, _ = builder(ZnRing(n))
                 exact = sombor_bruteforce(g).to_float()
-                approx = sum(c * math.hypot(a, b) for (a, b), c in degree_pair_counts(g).items())
+                approx = sum(
+                    c * math.hypot(a, b) for ((_, a), (_, b)), c in degree_pair_counts(g).items()
+                )
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+@st.composite
+def graphs_with_units(draw):
+    """A random simple graph on at most 14 vertices and a random unit mask."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows), draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+
+
+class TestPairTable:
+    # Sum graphs of rings have at most two (is_unit, degree) keys; only here
+    # does a class hold several degrees, or a vertex have none.
+    @given(graphs_with_units())
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_literal_edge_loop(self, graph_units):
+        g, units = graph_units
+        table = {}
+        by_units = [0, 0, 0]
+        for u, v in g.edges():
+            ku, kv = ((units >> u) & 1, g.degrees[u]), ((units >> v) & 1, g.degrees[v])
+            key = (min(ku, kv), max(ku, kv))
+            table[key] = table.get(key, 0) + 1
+            by_units[ku[0] + kv[0]] += 1
+        got = degree_pair_counts(g, units)
+        assert got == table
+        assert edge_partition_of(got) == EdgePartition(*by_units)
+        assert sombor_of(got) == naive_sombor(g)
 
 
 class TestComplementSanity:
