@@ -139,29 +139,25 @@ def _poly_sum_rows(ring: TruncatedPolyRing, want_unit: bool) -> list[int]:
     return rows
 
 
-def _generic_sum_rows(ring: FiniteRing, want_unit: bool) -> list[int]:
-    n = ring.order
-    rows = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if ring.is_unit(ring.add(x, y)) == want_unit:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    return rows
+def check_ceiling(ring: FiniteRing, ceiling: int):
+    """Raise CeilingExceededError if the ring has more than `ceiling` elements."""
+    if ring.order > ceiling:
+        raise CeilingExceededError(
+            f"{ring.name} has {ring.order} elements, above the ceiling {ceiling}"
+        )
 
 
 def _sum_graph(ring: FiniteRing, want_unit: bool, ceiling: int) -> tuple[Graph, int]:
+    if not isinstance(ring, (ZnRing, TruncatedPolyRing)):
+        raise TypeError(f"no graph builder for rings of type {type(ring).__name__}")
+    check_ceiling(ring, ceiling)
     n = ring.order
-    if n > ceiling:
-        raise CeilingExceededError(f"{ring.name} has {n} elements, above the ceiling {ceiling}")
     units = ring.unit_mask()
     if isinstance(ring, ZnRing):
         target = units if want_unit else _full_mask(n) ^ units
         rows = _zn_sum_rows(n, target)
-    elif isinstance(ring, TruncatedPolyRing):
-        rows = _poly_sum_rows(ring, want_unit)
     else:
-        rows = _generic_sum_rows(ring, want_unit)
+        rows = _poly_sum_rows(ring, want_unit)
     return Graph(n, rows), units
 
 

@@ -203,44 +203,14 @@ _ZD_TO_BITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
 class FiniteRing:
-    """Base class for enumerable commutative rings with unity.
+    """Base class of the two ring kinds, ZnRing and TruncatedPolyRing.
 
-    Subclasses fix an element indexing 0..order-1 (index 0 is the ring zero)
-    and provide addition and the unit test on indices.
+    Each fixes an element indexing 0..order-1 (index 0 is the ring zero) and
+    provides addition and the unit test on indices.  The graph builders
+    reject any other subclass with TypeError.
     """
 
     order: int
-    one_index: int
-
-    def add(self, x: int, y: int) -> int:
-        raise NotImplementedError
-
-    def is_unit(self, x: int) -> bool:
-        raise NotImplementedError
-
-    @property
-    def unit_count(self) -> int:
-        return sum(1 for x in range(self.order) if self.is_unit(x))
-
-    @property
-    def two_is_unit(self) -> bool:
-        return self.is_unit(self.add(self.one_index, self.one_index))
-
-    @property
-    def is_local(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
-
-    def unit_mask(self) -> int:
-        """Bitmask with bit x set iff element x is a unit."""
-        mask = 0
-        for x in range(self.order):
-            if self.is_unit(x):
-                mask |= 1 << x
-        return mask
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -253,7 +223,6 @@ class ZnRing(FiniteRing):
         self.modulus = factorize(n)
         self.n = n
         self.order = n
-        self.one_index = 1 % n
 
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.n

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime
 import json
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -24,6 +25,7 @@ from .graphs import (
     CeilingExceededError,  # re-exported: callers catch it as verify.CeilingExceededError
     EdgePartition,
     Graph,
+    check_ceiling,
     circulant_graph,
     complement,
     edge_partition_of,
@@ -56,6 +58,11 @@ FAMILIES = (EVEN, ODD_PRIME_POWER, ODD_PQ, ODD_P2Q, LOCAL, LOCALZN, LOCALPOLY)
 # Family-tag suffix of a p^2*q modulus whose squared prime is the larger one,
 # outside the theorems' p < q hypothesis.
 PGTQ = "_pgtq"
+
+# Most worker processes a sweep may start: under the fork start method the
+# pool starts all of them at its first task.  61 is the limit that
+# ProcessPoolExecutor itself enforces on Windows.
+MAX_WORKERS = 61
 
 
 class EmptySweepError(ValueError):
@@ -183,22 +190,21 @@ def verify_case(
 # ----------------------------------------------------------------------
 # Sweeps
 
-def _family_rings(family: str, max_n: int) -> list[tuple[FiniteRing, bool]]:
-    """(ring, use_local_forms) for every ring of the family with order <= max_n."""
+def _family_rings(family: str, max_n: int) -> Iterator[tuple[FiniteRing, bool]]:
+    """(ring, use_local_forms) for every ring of the family with order <= max_n,
+    in ascending order."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    rings: list[tuple[FiniteRing, bool]] = []
     for n in range(2, max_n + 1):
         if family in (LOCAL, LOCALZN, LOCALPOLY):
             mod = factorize(n)
             if mod.is_prime_power:
                 if family != LOCALPOLY:
-                    rings.append((ZnRing(n), True))
+                    yield ZnRing(n), True
                 if family != LOCALZN:
-                    rings.append((TruncatedPolyRing(*mod.factors[0]), True))
+                    yield TruncatedPolyRing(*mod.factors[0]), True
         elif classify(n).kind == family:
-            rings.append((ZnRing(n), False))
-    return rings
+            yield ZnRing(n), False
 
 
 def _run_case_spec(case_spec: tuple) -> CaseResult:
@@ -261,14 +267,20 @@ def sweep(
 
     Case execution order is irrelevant: results are sorted by (n, ring,
     kind) before aggregation, so any worker count yields the same report.
+    Every ring is checked against the ceiling before any case runs.
     """
     for kind in kinds:
         if kind not in (TOTAL, UNIT):
             raise ValueError(f"unknown graph kind {kind!r}")
-    case_specs = [(*rl, kind, ceiling) for rl in _family_rings(family, max_n) for kind in kinds]
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    case_specs = []
+    for ring, use_local in _family_rings(family, max_n):
+        check_ceiling(ring, ceiling)
+        case_specs += [(ring, use_local, kind, ceiling) for kind in kinds]
     if not case_specs:
         raise EmptySweepError(f"no {family} cases with n <= {max_n}")
-    if workers <= 1:
+    if workers == 1:
         results = [_run_case_spec(cs) for cs in case_specs]
     else:
         chunk = max(1, len(case_specs) // (workers * 4))
@@ -335,9 +347,12 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
 
 
 def structure_sweep(max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[StructureResult]:
-    """check_structure for every Z_n with 2 <= n <= max_n."""
+    """check_structure for every Z_n with 2 <= n <= max_n; the first Z_n
+    above the ceiling is refused before any check runs."""
     if max_n < 2:
         raise EmptySweepError(f"no rings with n <= {max_n}")
+    if max_n > ceiling:
+        check_ceiling(ZnRing(max(ceiling + 1, 2)), ceiling)
     return [check_structure(ZnRing(n), ceiling=ceiling) for n in range(2, max_n + 1)]
 
 

@@ -33,27 +33,21 @@ def naive_sum_graph(ring, want_unit):
     return Graph(n, rows)
 
 
-class PlainZn(FiniteRing):
-    # minimal ring exercising the generic construction path
-    def __init__(self, n):
-        self.order = n
-        self.one_index = 1
+class OtherRing(FiniteRing):
+    # a ring kind with no row builder; records every method the builders call
+    order = 4
+    name = "other_4"
+
+    def __init__(self):
+        self.calls = []
 
     def add(self, x, y):
-        return (x + y) % self.order
+        self.calls.append("add")
+        return (x + y) % 4
 
     def is_unit(self, x):
-        import math
-
-        return math.gcd(x, self.order) == 1
-
-    @property
-    def is_local(self):
-        return False
-
-    @property
-    def name(self):
-        return f"plain_{self.order}"
+        self.calls.append("is_unit")
+        return x % 2 == 1
 
 
 class TestBuilders:
@@ -108,12 +102,12 @@ class TestBuilders:
             g.validate()
             assert g == naive_sum_graph(ring, want_unit)
 
-    @pytest.mark.parametrize("n", [5, 12, 30])
-    def test_generic_path_matches_naive(self, n):
-        ring = PlainZn(n)
-        for want_unit, builder in ((False, total_graph), (True, unit_graph)):
-            g, _ = builder(ring)
-            assert g == naive_sum_graph(ring, want_unit)
+    @pytest.mark.parametrize("builder", [total_graph, unit_graph])
+    def test_other_ring_kind_rejected(self, builder):
+        ring = OtherRing()
+        with pytest.raises(TypeError, match="OtherRing"):
+            builder(ring)
+        assert ring.calls == []
 
     def test_classes_match_ring(self):
         ring = ZnRing(45)

@@ -2,6 +2,8 @@ import io
 
 import pytest
 
+from ringsombor import verify
+from ringsombor.cli import main
 from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE
 from ringsombor.graphs import TOTAL, UNIT
 from ringsombor.radicals import RadicalSum
@@ -10,6 +12,7 @@ from ringsombor.verify import (
     FORMULA_UNIT_LOCAL,
     FORMULA_UNIT_P2Q_EDGES,
     FORMULA_UNIT_PPOW,
+    MAX_WORKERS,
     STRUCTURE_COLUMNS,
     CeilingExceededError,
     EmptySweepError,
@@ -27,6 +30,19 @@ from ringsombor.verify import (
     write_report,
     write_sweep_csv,
 )
+
+
+def count_calls(monkeypatch, name):
+    """Wrap verify.<name> so that each call is recorded; returns the record."""
+    calls = []
+    real = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
 
 
 class TestVerifyCase:
@@ -128,6 +144,20 @@ class TestSweep:
         write_sweep_csv(par, buf2)
         assert canonical_csv_body(buf1.getvalue()) == canonical_csv_body(buf2.getvalue())
 
+    def test_ceiling_checked_before_any_case(self, monkeypatch):
+        calls = count_calls(monkeypatch, "verify_case")
+        with pytest.raises(CeilingExceededError, match="Z_111 has 111 elements"):
+            sweep("pq", 300, ceiling=100)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+    def test_workers_bounded(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep("pq", 40, workers=workers)
+
+    def test_cli_workers_zero_is_usage_error(self):
+        assert main(["sweep", "--family", "pq", "--max-n", "40", "--workers", "0"]) == 2
+
     def test_summary_counts(self):
         result = sweep("ppow", 30, kinds=(UNIT,))
         summary = result.summary()
@@ -161,6 +191,12 @@ class TestStructure:
     def test_sweep_empty(self):
         with pytest.raises(EmptySweepError):
             structure_sweep(1)
+
+    def test_sweep_ceiling_checked_before_any_ring(self, monkeypatch):
+        calls = count_calls(monkeypatch, "check_structure")
+        with pytest.raises(CeilingExceededError, match="Z_101 has 101 elements"):
+            structure_sweep(300, ceiling=100)
+        assert calls == []
 
 
 class TestIdentity:
