@@ -13,37 +13,24 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .rings import _prime_factors
+
 
 @lru_cache(maxsize=None)
 def radical_normalize(m: int) -> tuple[int, int]:
     """Write sqrt(m) = c*sqrt(s) with s square-free; returns (c, s).
 
-    Trial division with two shortcuts: a perfect-square check before every
-    divisor, and a cube-root cutoff (once no divisor below the cube root
-    remains and the cofactor is not a square, it is square-free).
+    Read off the exact prime factorization m = prod p^e (rings._prime_factors):
+    c = prod p^(e // 2) and s = prod p^(e % 2).  Raises ValueError when that
+    factorization needs a primality proof beyond rings.PSI_13.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")
     c, s = 1, 1
-    d = 2
-    while m > 1:
-        r = math.isqrt(m)
-        if r * r == m:
-            c *= r
-            m = 1
-            break
-        if d * d * d > m:
-            s *= m
-            break
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            c *= d ** (e // 2)
-            if e & 1:
-                s *= d
-        d += 1 if d == 2 else 2
+    for p, e in _prime_factors(m).items():
+        c *= p ** (e // 2)
+        if e & 1:
+            s *= p
     return c, s
 
 

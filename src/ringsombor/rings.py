@@ -9,6 +9,7 @@ addressed by an integer index in 0..order-1 with index 0 the ring zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,21 +18,6 @@ from functools import lru_cache
 class NonLocalRingError(ValueError):
     """A local-ring-only operation was applied to a ring with more than one
     maximal ideal."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -75,25 +61,127 @@ class Modulus:
         return len(self.factors) == 1
 
 
+# Primes below this bound are divided out by trial division.  A cofactor left
+# below its square has no factor below the bound, so it is 1 or a prime.
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
+
+# Miller-Rabin on the first 13 prime bases is proven exact below PSI_13, the
+# least composite that is a strong probable prime to all of them (Sorenson and
+# Webster, 2017).  The first 12 bases stop at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def _passes_miller_rabin(m: int) -> bool:
+    """Strong probable-prime test of an odd m > 41 on every base in _MR_BASES.
+
+    False is a proof that m is composite.  True is a proof that m is prime
+    below PSI_13; at or above it no primality is claimed and ValueError is
+    raised instead.
+    """
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= PSI_13:
+        raise ValueError(
+            f"{m} is a strong probable prime to the bases 2..41, which proves "
+            f"primality only below {PSI_13}"
+        )
+    return True
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division by the primes below 1000, then
+    deterministic Miller-Rabin.  Raises ValueError for an n >= PSI_13 that
+    no base proves composite."""
+    if n < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return False
+    return n < _TRIAL_BOUND**2 or _passes_miller_rabin(n)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n that is not a square: Brent's
+    variant of Pollard rho on x -> x^2 + c, taking the gcd once per batch of
+    128 steps, with c = 1, 2, ... until a run does not end on n itself."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(m: int) -> dict[int, int]:
+    """Exact prime factorization {prime: exponent} of m >= 1.
+
+    Trial division by the primes below _TRIAL_BOUND, then each cofactor is
+    split as an exact square, declared prime by is_prime's Miller-Rabin
+    test, or split by Pollard rho.  Raises ValueError where is_prime does.
+    """
+    factors: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = e
+    pending = [(m, 1)]  # (cofactor, multiplicity)
+    while pending:
+        r, mult = pending.pop()
+        if r == 1:
+            continue
+        root = math.isqrt(r)
+        if root * root == r:
+            pending.append((root, 2 * mult))
+        elif r < _TRIAL_BOUND**2 or _passes_miller_rabin(r):
+            factors[r] = factors.get(r, 0) + mult
+        else:
+            d = _rho_divisor(r)
+            pending += [(d, mult), (r // d, mult)]
+    return factors
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Modulus:
-    """Full prime factorization by trial division, primes ascending."""
+    """Full prime factorization, primes ascending (see _prime_factors)."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    m = n
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return Modulus(n, tuple(factors))
+    return Modulus(n, tuple(sorted(_prime_factors(n).items())))
 
 
 @lru_cache(maxsize=None)

@@ -387,11 +387,15 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     """For every n <= max_n and feasible k, check that the complement
     identity residual is exactly zero; for n up to circulant_max also build
     an explicit k-regular circulant and confirm both regular closed forms
-    against brute force."""
+    against brute force.  The largest circulant, on min(circulant_max, max_n)
+    vertices, is checked against DEFAULT_CEILING before any case runs."""
     if max_n < 3:
         raise EmptySweepError(f"identity sweep needs max_n >= 3, got {max_n}")
     if circulant_max is None:
         circulant_max = min(max_n, 100)
+    largest = min(circulant_max, max_n)
+    if largest > DEFAULT_CEILING:
+        check_ceiling(ZnRing(largest), DEFAULT_CEILING)
     out = []
     for n in range(3, max_n + 1):
         for k in range(n):

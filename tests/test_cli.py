@@ -1,6 +1,10 @@
 import json
+import time
+
+import pytest
 
 from ringsombor.cli import main
+from ringsombor.rings import PSI_13
 from ringsombor.verify import canonical_csv_body
 
 
@@ -105,6 +109,48 @@ class TestCompute:
         assert not out_file.exists()
 
 
+def timed_closed(capsys, n, graph):
+    """(exit code, seconds, stdout, stderr) of one closed-mode JSON query."""
+    start = time.perf_counter()
+    code = main(["compute", "--ring", "zn", "--n", str(n), "--graph", graph,
+                 "--mode", "closed", "--format", "json"])
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    return code, seconds, captured.out, captured.err
+
+
+class TestClosedModeLargeModuli:
+    def test_ten_digit_prime(self, capsys):
+        code, seconds, out, _ = timed_closed(capsys, 9999999967, "unit")
+        assert code == 0 and seconds < 1.0
+        # the value printed by the earlier trial-division implementation
+        assert json.loads(out)["closed_exact"] == (
+            "499999994750000018369999978580*sqrt(2) + "
+            "9999999966*sqrt(199999998620000002381)"
+        )
+
+    @pytest.mark.parametrize("graph", ["total", "unit"])
+    @pytest.mark.parametrize("family, n", [
+        ("even", 999999999998),  # 2 * 2969 * 168406871
+        ("ppow", 999999999989),  # prime
+        ("pq", 999962000357),  # 999979 * 999983
+        ("p2q", 999999999927),  # 3^2 * 111111111103
+    ])
+    def test_twelve_digit_moduli(self, capsys, family, n, graph):
+        code, seconds, out, _ = timed_closed(capsys, n, graph)
+        assert code == 0 and seconds < 1.0
+        payload = json.loads(out)
+        assert payload["n"] == n and payload["closed_exact"]
+
+    def test_unproven_cofactor_exits_2(self, capsys):
+        # the unit-graph radicand of this prime modulus is a strong probable
+        # prime to every base up to 41 above PSI_13, so it has no proof
+        code, _, out, err = timed_closed(capsys, 1300000000111, "unit")
+        assert code == 2
+        assert str(PSI_13) in err
+        assert out == ""
+
+
 class TestVerifyCommand:
     def test_corrected_mismatch_does_not_fail(self, tmp_path):
         out = tmp_path / "z45.csv"
@@ -186,3 +232,9 @@ class TestIdentityCommand:
 
     def test_too_small(self, capsys):
         assert main(["identity", "--max-n", "2"]) == 2
+
+    def test_circulants_above_ceiling_refused(self, capsys):
+        assert main(["identity", "--max-n", "20000", "--circulant-max-n", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert "Z_20000 has 20000 elements, above the ceiling 16384" in captured.err
+        assert captured.out == ""

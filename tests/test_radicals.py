@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -18,6 +19,20 @@ def squarefree_by_trial(s):
             return False
         d += 1
     return True
+
+
+def normalize_by_trial(m):
+    # independent reference: plain trial division up to sqrt of the cofactor
+    c, s, d = 1, 1, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        c *= d ** (e // 2)
+        s *= d ** (e % 2)
+        d += 1 if d == 2 else 2
+    return c, s * m
 
 
 class TestNormalize:
@@ -41,6 +56,28 @@ class TestNormalize:
         c, s = radical_normalize(m)
         assert c * c * s == m
         assert squarefree_by_trial(s)
+
+    @given(st.integers(min_value=1, max_value=10**12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_trial_division(self, m):
+        assert radical_normalize(m) == normalize_by_trial(m)
+
+    @pytest.mark.parametrize("m, expected", [
+        ((10**9 + 7) ** 2 * (10**6 + 3), (10**9 + 7, 10**6 + 3)),
+        ((10**12 + 39) ** 2 * (10**8 + 7), (10**12 + 39, 10**8 + 7)),
+        ((10**9 + 7) ** 2 * (10**9 + 9) * (10**6 + 3) ** 3,
+         ((10**9 + 7) * (10**6 + 3), (10**9 + 9) * (10**6 + 3))),
+    ])
+    def test_built_from_large_primes(self, m, expected):
+        start = time.perf_counter()
+        assert radical_normalize(m) == expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_strong_pseudoprime_cofactor_is_split(self):
+        # 399165290221 * 798330580441 is a strong pseudoprime to every base
+        # up to 37; read as a prime it would leave the square inside s
+        p, q = 399165290221, 798330580441
+        assert radical_normalize(p * p * q) == (p, q)
 
     def test_large_square_times_two(self):
         # the shape the complement-identity cross term produces

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ringsombor.rings import (
     ODD_PQ,
     ODD_PRIME_POWER,
     OTHER_ODD,
+    PSI_13,
     LocalRingSpec,
     NonLocalRingError,
     TruncatedPolyRing,
@@ -91,6 +93,24 @@ class TestFactorize:
             last = p
             prod *= p**e
         assert prod == n
+
+    def test_mersenne_61_is_prime_and_fast(self):
+        start = time.perf_counter()
+        assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p, q", [
+        (998244353, 1000000007),  # near 10^9
+        (999999999989, 1000000000039),  # near 10^12
+    ])
+    def test_two_large_primes_round_trip(self, p, q):
+        assert is_prime(p) and is_prime(q)
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+    def test_repeated_large_primes_round_trip(self):
+        p, q = 998244353, 1000000007
+        assert factorize(p**2 * q).factors == ((p, 2), (q, 1))
+        assert factorize(p**3 * q**2 * 3**5).factors == ((3, 5), (p, 3), (q, 2))
 
 
 class TestClassify:
@@ -282,3 +302,33 @@ class TestPrimes:
         rng = random.Random(7)
         for n in [rng.randrange(2, 3000) for _ in range(300)]:
             assert is_prime(n) == (n in table)
+
+    def test_is_prime_against_sieve_past_trial_division(self):
+        # every n in a window above 10^6, where Miller-Rabin decides
+        table = set(primes_up_to(1_010_000))
+        for n in range(990_000, 1_010_000):
+            assert is_prime(n) == (n in table)
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # ... to every base up to 23
+        318665857834031151167461,  # ... to every base up to 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_unproven_probable_prime_raises(self):
+        # PSI_13 is composite but a strong probable prime to every base up
+        # to 41; above it no answer is proven, so none is given
+        assert PSI_13 == 3317044064679887385961981
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(PSI_13)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            factorize(PSI_13)
+
+    def test_above_bound(self):
+        # a witness base proves compositeness at any size; a prime above the
+        # bound is not proven, so it raises like PSI_13
+        assert not is_prime(2000000000003 * 2000000000123)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(2**89 - 1)

@@ -206,6 +206,21 @@ class TestIdentity:
         assert all(c.residual_zero for c in cases)
         assert all(c.circulant_match for c in cases if c.circulant_checked)
 
+    def test_ceiling_checked_before_any_case(self, monkeypatch):
+        calls = []
+
+        def residual(*args):
+            calls.append(args)
+            raise AssertionError("residual evaluated before the ceiling check")
+
+        monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
+        with pytest.raises(CeilingExceededError, match="Z_20000 has 20000 elements"):
+            identity_sweep(20000, circulant_max=20000)
+        # the largest circulant is min(circulant_max, max_n)
+        with pytest.raises(CeilingExceededError, match="Z_16385 has 16385 elements"):
+            identity_sweep(16385, circulant_max=10**6)
+        assert calls == []
+
     def test_infeasible_pairs_skipped(self):
         cases = identity_sweep(7, circulant_max=0)
         assert all((c.n * c.k) % 2 == 0 for c in cases)
