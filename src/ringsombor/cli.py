@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_structure)
 
     p = sub.add_parser("identity", help="complement identity for regular graphs")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True,
+                   help=f"largest n, at most {vf.IDENTITY_MAX_N}")
     p.add_argument("--circulant-max-n", type=int, default=None,
                    help="explicit circulant checks up to this order (default min(max-n, 100))")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -108,21 +108,14 @@ class EdgePartition:
         return self.alpha + self.beta + self.gamma
 
 
-def _rotate_toward_zero(mask: int, shift: int, n: int):
-    """Cyclic shift of an n-bit mask so output bit i is input bit (i+shift) mod n."""
-    shift %= n
-    if shift == 0:
-        return mask
-    return ((mask >> shift) | (mask << (n - shift))) & _full_mask(n)
-
-
 def _zn_sum_rows(n: int, target_mask: int) -> list[int]:
-    # Row x collects every y with (x+y) mod n in the target set; for the
-    # cyclic ring that is the target mask rotated by x.
-    rows = []
-    for x in range(n):
-        rows.append(_rotate_toward_zero(target_mask, x, n) & ~(1 << x))
-    return rows
+    # Row x collects every y with (x+y) mod n in the target set T: bit y of
+    # row x is bit (x+y) mod n of T.  The doubled mask D = T | (T << n) holds
+    # that bit at x+y for every x, y < n, so row x is D >> x cut to n bits,
+    # minus the self bit.
+    doubled = target_mask | (target_mask << n)
+    full = _full_mask(n)
+    return [(doubled >> x) & (full ^ (1 << x)) for x in range(n)]
 
 
 def _poly_sum_rows(ring: TruncatedPolyRing, want_unit: bool) -> list[int]:

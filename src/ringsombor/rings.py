@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,12 +177,23 @@ def _prime_factors(m: int) -> dict[int, int]:
     return factors
 
 
-@lru_cache(maxsize=None)
-def factorize(n: int) -> Modulus:
-    """Full prime factorization, primes ascending (see _prime_factors)."""
+def _modulus(n: int) -> Modulus:
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     return Modulus(n, tuple(sorted(_prime_factors(n).items())))
+
+
+@lru_cache(maxsize=None)
+def factorize(n: int) -> Modulus:
+    """Full prime factorization, primes ascending (see _prime_factors)."""
+    return _modulus(n)
+
+
+def moduli(max_n: int) -> Iterator[Modulus]:
+    """The factorization of every n with 2 <= n <= max_n, ascending, without
+    entering factorize's cache: a sweep looks at every n but builds rings,
+    which factorize through the cache, for few of them."""
+    return map(_modulus, range(2, max_n + 1))
 
 
 @lru_cache(maxsize=None)

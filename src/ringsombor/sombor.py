@@ -5,40 +5,59 @@ edges straight off the adjacency structure and never consults ring theory.
 degree_pair_counts is the one pass over the adjacency rows; it counts edges
 by the (is_unit, degree) keys of their endpoints, and both the Sombor value
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
-that one table.  The unit mask is input data, not a derived fact.
+that one table.  Edges between two keys are counted over the rows of the
+smaller class only; a key's edges among itself follow from the handshake
+identity, so a graph with one key reads no row at all.  The unit mask is
+input data, not a derived fact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import or_
+from itertools import combinations, compress
 
 from .graphs import Graph
 from .radicals import RadicalSum, radical_normalize
 
 Key = tuple[int, int]  # (is_unit, degree) of one vertex
 
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int, n: int) -> bytes:
+    """Byte v is 1 if bit v of mask is set, else 0."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_TO_FLAGS)
+
 
 def degree_pair_counts(g: Graph, unit_mask: int = 0) -> dict[tuple[Key, Key], int]:
     """Edge counts keyed by the endpoints' (is_unit, degree) keys (lo, hi),
-    lo <= hi; keys with no edge between them are absent."""
-    is_unit = map(int, format(unit_mask, f"0{g.n}b")[::-1])  # bit v at index v
-    verts: dict[Key, list[int]] = {}
-    for v, key in enumerate(zip(is_unit, g.degrees)):
-        verts.setdefault(key, []).append(v)
-    keys = sorted(verts)
-    masks = {k: reduce(or_, map((1).__lshift__, verts[k])) for k in keys}
+    lo <= hi, in ascending key order; keys with no edge between them are
+    absent.
+
+    Each pair of distinct keys is counted once, as the bit counts of the
+    larger class's vertex mask ANDed with the rows of the smaller class.  A
+    key k of degree d and size s then has (d*s - edges from k to the other
+    keys) / 2 edges among itself (the handshake identity)."""
+    degrees = g.degrees
+    classes: dict[Key, int] = {}  # key -> vertex mask
+    for d in set(degrees):
+        at_d = int(bytes(map(d.__eq__, degrees))[::-1].translate(_TO_DIGITS), 2)
+        for key, mask in (((0, d), at_d & ~unit_mask), ((1, d), at_d & unit_mask)):
+            if mask:
+                classes[key] = mask
+    size = {k: m.bit_count() for k, m in classes.items()}
+    ends = {k: k[1] * size[k] for k in classes}  # edge ends at the vertices of k
     counts: dict[tuple[Key, Key], int] = {}
-    for i, a in enumerate(keys):
-        rows_a = list(map(g.rows.__getitem__, verts[a]))
-        for b in keys[i:]:
-            c = sum(map(int.bit_count, map(masks[b].__and__, rows_a)))
-            if a == b:
-                c //= 2
-            if c:
-                counts[(a, b)] = c
-    return counts
+    for a, b in combinations(sorted(classes), 2):
+        small, large = (a, b) if size[a] <= size[b] else (b, a)
+        rows = compress(g.rows, _flags(classes[small], g.n))
+        counts[a, b] = c = sum(map(int.bit_count, map(classes[large].__and__, rows)))
+        ends[a] -= c
+        ends[b] -= c
+    for k, left in ends.items():  # the ends left over pair up within k
+        counts[k, k] = left // 2
+    return {pair: c for pair, c in sorted(counts.items()) if c}
 
 
 def sombor_of(table: dict[tuple[Key, Key], int]) -> RadicalSum:

@@ -43,7 +43,7 @@ from .rings import (
     TruncatedPolyRing,
     ZnRing,
     classify,
-    factorize,
+    moduli,
     to_local_spec,
 )
 from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
@@ -195,16 +195,15 @@ def _family_rings(family: str, max_n: int) -> Iterator[tuple[FiniteRing, bool]]:
     in ascending order."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    for n in range(2, max_n + 1):
+    for mod in moduli(max_n):
         if family in (LOCAL, LOCALZN, LOCALPOLY):
-            mod = factorize(n)
             if mod.is_prime_power:
                 if family != LOCALPOLY:
-                    yield ZnRing(n), True
+                    yield ZnRing(mod.n), True
                 if family != LOCALZN:
                     yield TruncatedPolyRing(*mod.factors[0]), True
-        elif classify(n).kind == family:
-            yield ZnRing(n), False
+        elif classify(mod).kind == family:
+            yield ZnRing(mod.n), False
 
 
 def _run_case_spec(case_spec: tuple) -> CaseResult:
@@ -319,14 +318,18 @@ def _degrees_match(g: Graph, units: int, ring: FiniteRing, kind: str) -> bool:
 def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> StructureResult:
     """Three facts about a ring's graphs: is the zero-divisor-induced
     subgraph of the total graph complete, do both degree predictions hold,
-    and is the unit graph exactly the complement of the total graph."""
+    and is the unit graph exactly the complement of the total graph (checked
+    row by row, without building the complement)."""
     tg, units = total_graph(ring, ceiling=ceiling)
     ug, _ = unit_graph(ring, ceiling=ceiling)
-    duality = complement(tg) == ug
+    full = (1 << ring.order) - 1
+    duality = all(
+        u == t ^ full ^ (1 << v) for v, (t, u) in enumerate(zip(tg.rows, ug.rows))
+    )
     degrees = _degrees_match(tg, units, ring, TOTAL) and _degrees_match(
         ug, units, ring, UNIT
     )
-    zm = ((1 << ring.order) - 1) ^ units
+    zm = full ^ units
     zdiv_complete = True
     rest = zm
     while rest:
@@ -359,6 +362,12 @@ def structure_sweep(max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[Struc
 # ----------------------------------------------------------------------
 # Complement identity
 
+# Largest max_n identity_sweep accepts.  It evaluates one residual for each
+# of about max_n^2 / 4 (n, k) pairs, so its time grows as max_n^2: 400 takes
+# about 6 s.
+IDENTITY_MAX_N = 400
+
+
 @dataclass(frozen=True)
 class IdentityCase:
     n: int
@@ -387,8 +396,9 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     """For every n <= max_n and feasible k, check that the complement
     identity residual is exactly zero; for n up to circulant_max also build
     an explicit k-regular circulant and confirm both regular closed forms
-    against brute force.  The largest circulant, on min(circulant_max, max_n)
-    vertices, is checked against DEFAULT_CEILING before any case runs."""
+    against brute force.  Before any case runs, the largest circulant, on
+    min(circulant_max, max_n) vertices, is checked against DEFAULT_CEILING,
+    and then max_n against IDENTITY_MAX_N (ValueError above it)."""
     if max_n < 3:
         raise EmptySweepError(f"identity sweep needs max_n >= 3, got {max_n}")
     if circulant_max is None:
@@ -396,6 +406,8 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     largest = min(circulant_max, max_n)
     if largest > DEFAULT_CEILING:
         check_ceiling(ZnRing(largest), DEFAULT_CEILING)
+    if max_n > IDENTITY_MAX_N:
+        raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")
     out = []
     for n in range(3, max_n + 1):
         for k in range(n):

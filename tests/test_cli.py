@@ -233,6 +233,12 @@ class TestIdentityCommand:
     def test_too_small(self, capsys):
         assert main(["identity", "--max-n", "2"]) == 2
 
+    def test_max_n_above_bound_refused(self, capsys):
+        assert main(["identity", "--max-n", "401"]) == 2
+        captured = capsys.readouterr()
+        assert "identity sweep takes max_n <= 400, got 401" in captured.err
+        assert captured.out == ""
+
     def test_circulants_above_ceiling_refused(self, capsys):
         assert main(["identity", "--max-n", "20000", "--circulant-max-n", "20000"]) == 2
         captured = capsys.readouterr()

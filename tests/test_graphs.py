@@ -86,7 +86,11 @@ class TestBuilders:
         g, _ = unit_graph(ZnRing(4))
         assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 15, 16, 25, 45, 60])
+    # 63..65, 127..129 and 256 straddle 64- and 128-bit boundaries, where
+    # the doubled mask shifted by x is cut to n bits
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 9, 12, 15, 16, 25, 45, 60, 63, 64, 65, 127, 128, 129, 256]
+    )
     def test_zn_matches_naive(self, n):
         ring = ZnRing(n)
         for want_unit, builder in ((False, total_graph), (True, unit_graph)):

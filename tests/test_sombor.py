@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,27 @@ class TestDegreePairCounts:
                 assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+def literal_table(g, units):
+    """The pair table and (alpha, beta, gamma) from a literal edge loop."""
+    table = {}
+    by_units = [0, 0, 0]
+    for u, v in g.edges():
+        ku, kv = ((units >> u) & 1, g.degrees[u]), ((units >> v) & 1, g.degrees[v])
+        key = (min(ku, kv), max(ku, kv))
+        table[key] = table.get(key, 0) + 1
+        by_units[ku[0] + kv[0]] += 1
+    return table, EdgePartition(*by_units)
+
+
+def check_table(g, units):
+    table, partition = literal_table(g, units)
+    got = degree_pair_counts(g, units)
+    assert got == table
+    assert list(got) == sorted(got)  # ascending key pairs
+    assert edge_partition_of(got) == partition
+    assert sombor_of(got) == naive_sombor(g)
+
+
 @st.composite
 def graphs_with_units(draw):
     """A random simple graph on at most 14 vertices and a random unit mask."""
@@ -112,24 +134,74 @@ def graphs_with_units(draw):
     return Graph(n, rows), draw(st.integers(min_value=0, max_value=(1 << n) - 1))
 
 
+@st.composite
+def wide_graphs_with_units(draw):
+    """A random simple graph on 15 to 90 vertices, so that its vertex masks
+    span several bytes, and a random unit mask.  Each vertex's neighbours
+    above it are drawn as one integer, or the AND of two for a sparser
+    graph."""
+    n = draw(st.integers(min_value=15, max_value=90))
+    sparse = draw(st.booleans())
+    rows = [0] * n
+    for u in range(n):
+        above = draw(st.integers(min_value=0, max_value=(1 << (n - u - 1)) - 1))
+        if sparse:
+            above &= draw(st.integers(min_value=0, max_value=(1 << (n - u - 1)) - 1))
+        rows[u] |= above << (u + 1)
+        for v in range(u + 1, n):
+            if (above >> (v - u - 1)) & 1:
+                rows[v] |= 1 << u
+    return Graph(n, rows), draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+
+
+def blank_rows(g, mask):
+    """g with its degrees kept and the rows of the vertices in mask zeroed:
+    what the oracle reads of those rows is then wrong."""
+    g.degrees  # computed from the real rows and cached
+    g.rows = [0 if (mask >> v) & 1 else row for v, row in enumerate(g.rows)]
+    return g
+
+
 class TestPairTable:
     # Sum graphs of rings have at most two (is_unit, degree) keys; only here
     # does a class hold several degrees, or a vertex have none.
     @given(graphs_with_units())
     @settings(max_examples=300, deadline=None)
     def test_table_matches_literal_edge_loop(self, graph_units):
-        g, units = graph_units
-        table = {}
-        by_units = [0, 0, 0]
-        for u, v in g.edges():
-            ku, kv = ((units >> u) & 1, g.degrees[u]), ((units >> v) & 1, g.degrees[v])
-            key = (min(ku, kv), max(ku, kv))
-            table[key] = table.get(key, 0) + 1
-            by_units[ku[0] + kv[0]] += 1
-        got = degree_pair_counts(g, units)
-        assert got == table
-        assert edge_partition_of(got) == EdgePartition(*by_units)
-        assert sombor_of(got) == naive_sombor(g)
+        check_table(*graph_units)
+
+    @given(wide_graphs_with_units())
+    @settings(max_examples=150, deadline=None)
+    def test_wide_table_matches_literal_edge_loop(self, graph_units):
+        check_table(*graph_units)
+
+    def test_regular_graph_reads_no_row(self):
+        # one key: the handshake alone gives its d * n / 2 edges
+        g = circulant_graph(12, [1, 2, 6])
+        assert set(g.degrees) == {5}
+        g = blank_rows(g, (1 << 12) - 1)
+        assert degree_pair_counts(g) == {((0, 5), (0, 5)): 30}
+
+    def test_isolated_vertices(self):
+        # K_4 on 0..3, a path 4-5-6, and 7..9 isolated; 2, 5 and 8 are units
+        rows = [0b1111 ^ (1 << v) for v in range(4)] + [0b100000, 0b1010000, 0b100000, 0, 0, 0]
+        g = Graph(10, rows)
+        g.validate()
+        units = (1 << 2) | (1 << 5) | (1 << 8)
+        check_table(g, units)
+        assert ((0, 0), (0, 0)) not in degree_pair_counts(g, units)
+
+    # Z_210 has 48 units and 162 non-units, Z_49 42 and 7, Z_77 60 and 17
+    # (Z_49 is local, so its total graph has no unit-non-unit edge)
+    @pytest.mark.parametrize("n,smaller_is_units", [(210, True), (49, False), (77, False)])
+    @pytest.mark.parametrize("builder", [total_graph, unit_graph])
+    def test_sum_graph_counts_over_smaller_class(self, n, smaller_is_units, builder):
+        g, units = builder(ZnRing(n))
+        assert (units.bit_count() < n / 2) == smaller_is_units
+        check_table(g, units)
+        table = degree_pair_counts(g, units)
+        larger = ((1 << n) - 1) ^ units if smaller_is_units else units
+        assert degree_pair_counts(blank_rows(g, larger), units) == table
 
 
 class TestComplementSanity:

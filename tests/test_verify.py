@@ -5,13 +5,14 @@ import pytest
 from ringsombor import verify
 from ringsombor.cli import main
 from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE
-from ringsombor.graphs import TOTAL, UNIT
+from ringsombor.graphs import TOTAL, UNIT, Graph
 from ringsombor.radicals import RadicalSum
-from ringsombor.rings import TruncatedPolyRing, ZnRing
+from ringsombor.rings import TruncatedPolyRing, ZnRing, factorize
 from ringsombor.verify import (
     FORMULA_UNIT_LOCAL,
     FORMULA_UNIT_P2Q_EDGES,
     FORMULA_UNIT_PPOW,
+    IDENTITY_MAX_N,
     MAX_WORKERS,
     STRUCTURE_COLUMNS,
     CeilingExceededError,
@@ -100,6 +101,14 @@ class TestVerifyCase:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("family", ["even", "pq", "local"])
+    def test_enumeration_caches_only_built_rings(self, family):
+        # every n up to 600 is factored, but only the Z_n rings built (one
+        # factorize call each) enter the cache
+        factorize.cache_clear()
+        built = [ring for ring, _ in verify._family_rings(family, 600)]
+        assert factorize.cache_info().currsize == sum(isinstance(r, ZnRing) for r in built)
+
     def test_pq_to_100(self):
         result = sweep("pq", 100)
         assert [c.n for c in result.cases] == [15, 21, 33, 35, 39, 51, 55, 57,
@@ -183,6 +192,24 @@ class TestStructure:
         r = check_structure(TruncatedPolyRing(3, 2))
         assert (r.zdiv_complete, r.degrees_ok, r.duality_ok) == (True, True, True)
 
+    def test_duality_checked_without_complement(self, monkeypatch):
+        calls = count_calls(monkeypatch, "complement")
+        assert check_structure(ZnRing(12)).duality_ok
+        assert calls == []
+
+    def test_duality_flags_one_flipped_edge(self, monkeypatch):
+        real = verify.unit_graph
+
+        def flipped(ring, **kwargs):
+            g, units = real(ring, **kwargs)
+            rows = list(g.rows)
+            rows[1] ^= 1 << 4
+            rows[4] ^= 1 << 1
+            return Graph(g.n, rows), units
+
+        monkeypatch.setattr(verify, "unit_graph", flipped)
+        assert not check_structure(ZnRing(12)).duality_ok
+
     def test_sweep_range(self):
         results = structure_sweep(40)
         assert len(results) == 39
@@ -219,6 +246,20 @@ class TestIdentity:
         # the largest circulant is min(circulant_max, max_n)
         with pytest.raises(CeilingExceededError, match="Z_16385 has 16385 elements"):
             identity_sweep(16385, circulant_max=10**6)
+        assert calls == []
+
+    def test_max_n_bounded_before_any_case(self, monkeypatch):
+        calls = []
+
+        def residual(*args):
+            calls.append(args)
+            raise AssertionError("residual evaluated before the max_n bound")
+
+        monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
+        assert IDENTITY_MAX_N >= 200  # criterion 7's range
+        for circulant_max in (None, 0, IDENTITY_MAX_N + 1):
+            with pytest.raises(ValueError, match=f"max_n <= {IDENTITY_MAX_N}, got"):
+                identity_sweep(IDENTITY_MAX_N + 1, circulant_max=circulant_max)
         assert calls == []
 
     def test_infeasible_pairs_skipped(self):
