@@ -1,10 +1,15 @@
 """Simple undirected graphs on ring element sets.
 
-Adjacency is stored as one Python-int bitmask per vertex, which keeps the
-pairwise sum tests bit-parallel and makes popcount-style edge counting cheap
-up to the default vertex ceiling of 2**14.  Edge iteration order is
-lexicographic (u < v ascending), and report writers rely on that for
-reproducible output.
+Adjacency is one Python-int bitmask per vertex, which keeps the pairwise sum
+tests bit-parallel and makes popcount-style edge counting cheap up to the
+default vertex ceiling of 2**14.  A ring's graph comes as a row source
+(row_source): its unit mask and rows_of(indices), which makes the asked rows
+on demand, so the oracle and the structure checks read a graph in chunks of
+CHUNK_ROWS rows and never hold n rows of n bits.  A Graph holds every row;
+it is built (total_graph, unit_graph) only to dump an edge list, for the
+identity circulants and in tests, and offers the same rows_of.  Edge
+iteration order is lexicographic (u < v ascending), and report writers rely
+on that for reproducible output.
 """
 
 from __future__ import annotations
@@ -19,6 +24,12 @@ UNIT = "unit"
 # Largest ring order whose graphs are built explicitly (n rows of n bits).
 DEFAULT_CEILING = 1 << 14
 
+# Rows read at a time from a row source: 2048 rows of 2^14 bits are 4 MB, and
+# every graph of at most 2048 vertices is one chunk.
+CHUNK_ROWS = 2048
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class CeilingExceededError(ValueError):
     """The ring is too large for explicit graph construction."""
@@ -26,6 +37,16 @@ class CeilingExceededError(ValueError):
 
 def _full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+def row_chunks(n: int) -> list[range]:
+    """The vertices 0..n-1 in consecutive ranges of CHUNK_ROWS."""
+    return [range(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
+
+
+def vertex_flags(mask: int, n: int) -> bytes:
+    """Byte v is 1 if bit v of mask is set, else 0."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_TO_FLAGS)
 
 
 class Graph:
@@ -46,8 +67,12 @@ class Graph:
     @property
     def degrees(self) -> tuple[int, ...]:
         if self._degrees is None:
-            self._degrees = tuple(row.bit_count() for row in self.rows)
+            self._degrees = tuple(map(int.bit_count, self.rows))
         return self._degrees
+
+    def rows_of(self, indices) -> list[int]:
+        """The held rows of the given vertices, in the given order."""
+        return list(map(self.rows.__getitem__, indices))
 
     @property
     def edge_count(self) -> int:
@@ -108,28 +133,39 @@ class EdgePartition:
         return self.alpha + self.beta + self.gamma
 
 
-def _zn_sum_rows(n: int, target_mask: int) -> list[int]:
+class _ZnSumRows:
     # Row x collects every y with (x+y) mod n in the target set T: bit y of
     # row x is bit (x+y) mod n of T.  The doubled mask D = T | (T << n) holds
     # that bit at x+y for every x, y < n, so row x is D >> x cut to n bits,
     # minus the self bit.
-    doubled = target_mask | (target_mask << n)
-    full = _full_mask(n)
-    return [(doubled >> x) & (full ^ (1 << x)) for x in range(n)]
+    __slots__ = ("n", "units", "_doubled", "_full")
+
+    def __init__(self, n: int, units: int, target_mask: int):
+        self.n, self.units = n, units
+        self._doubled = target_mask | (target_mask << n)
+        self._full = _full_mask(n)
+
+    def rows_of(self, indices) -> list[int]:
+        doubled, full = self._doubled, self._full
+        return [(doubled >> x) & (full ^ (1 << x)) for x in indices]
 
 
-def _poly_sum_rows(ring: TruncatedPolyRing, want_unit: bool) -> list[int]:
+class _PolySumRows:
     # x+y is a unit iff the constant coefficients do not cancel mod p, and
-    # the index blocks of size p^(k-1) group elements by constant coefficient.
-    p, lead, n = ring.p, ring.lead, ring.order
-    full = _full_mask(n)
-    block = _full_mask(lead)
-    rows = []
-    for x in range(n):
-        cancel = block << ((-(x // lead)) % p * lead)
-        row = (full ^ cancel) if want_unit else cancel
-        rows.append(row & ~(1 << x))
-    return rows
+    # the index blocks of size p^(k-1) group elements by constant coefficient:
+    # row x is the row of its block, minus the self bit.
+    __slots__ = ("n", "units", "_lead", "_block_rows")
+
+    def __init__(self, ring: TruncatedPolyRing, units: int, want_unit: bool):
+        p, lead, n = ring.p, ring.lead, ring.order
+        self.n, self.units, self._lead = n, units, lead
+        full, block = _full_mask(n), _full_mask(lead)
+        cancels = [block << ((-c) % p * lead) for c in range(p)]
+        self._block_rows = [full ^ m for m in cancels] if want_unit else cancels
+
+    def rows_of(self, indices) -> list[int]:
+        lead, block_rows = self._lead, self._block_rows
+        return [block_rows[x // lead] & ~(1 << x) for x in indices]
 
 
 def check_ceiling(ring: FiniteRing, ceiling: int):
@@ -140,31 +176,37 @@ def check_ceiling(ring: FiniteRing, ceiling: int):
         )
 
 
-def _sum_graph(ring: FiniteRing, want_unit: bool, ceiling: int) -> tuple[Graph, int]:
+def row_source(ring: FiniteRing, kind: str, *, ceiling: int = DEFAULT_CEILING):
+    """The rows of the ring's total or unit graph, made on demand: an object
+    with n, units (the ring's unit mask, bit v set iff v is a unit) and
+    rows_of(indices), the adjacency rows of the given vertices in the given
+    order.  Raises CeilingExceededError above `ceiling` elements."""
     if not isinstance(ring, (ZnRing, TruncatedPolyRing)):
         raise TypeError(f"no graph builder for rings of type {type(ring).__name__}")
+    if kind not in (TOTAL, UNIT):
+        raise ValueError(f"unknown graph kind {kind!r}")
     check_ceiling(ring, ceiling)
-    n = ring.order
-    units = ring.unit_mask()
+    n, units = ring.order, ring.unit_mask()
     if isinstance(ring, ZnRing):
-        target = units if want_unit else _full_mask(n) ^ units
-        rows = _zn_sum_rows(n, target)
-    else:
-        rows = _poly_sum_rows(ring, want_unit)
-    return Graph(n, rows), units
+        return _ZnSumRows(n, units, units if kind == UNIT else _full_mask(n) ^ units)
+    return _PolySumRows(ring, units, kind == UNIT)
+
+
+def _held(source) -> tuple[Graph, int]:
+    return Graph(source.n, source.rows_of(range(source.n))), source.units
 
 
 def total_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, int]:
     """Graph on the ring elements with x ~ y iff x + y is a zero-divisor
     (0 included), and the ring's unit mask (bit v set iff v is a unit).
     Raises CeilingExceededError above `ceiling` elements."""
-    return _sum_graph(ring, False, ceiling)
+    return _held(row_source(ring, TOTAL, ceiling=ceiling))
 
 
 def unit_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, int]:
     """Graph on the ring elements with x ~ y iff x + y is a unit, and the
     ring's unit mask.  Raises CeilingExceededError above `ceiling` elements."""
-    return _sum_graph(ring, True, ceiling)
+    return _held(row_source(ring, UNIT, ceiling=ceiling))
 
 
 def complement(g: Graph) -> Graph:

@@ -1,14 +1,16 @@
-"""Brute-force degree-based index evaluation on explicit graphs.
+"""Brute-force degree-based index evaluation on adjacency rows.
 
 This is the oracle side of every closed-form check: it reads degrees and
-edges straight off the adjacency structure and never consults ring theory.
-degree_pair_counts is the one pass over the adjacency rows; it counts edges
-by the (is_unit, degree) keys of their endpoints, and both the Sombor value
+edges straight off the adjacency rows and never consults ring theory.
+degree_pair_counts is the only reader of the rows; it counts edges by the
+(is_unit, degree) keys of their endpoints, and both the Sombor value
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
-that one table.  Edges between two keys are counted over the rows of the
+that one table.  It reads any row source (a ring's graphs.row_source, or a
+held Graph) in chunks of graphs.CHUNK_ROWS rows, so a ring's graph is never
+held whole.  Edges between two keys are counted over the rows of the
 smaller class only; a key's edges among itself follow from the handshake
-identity, so a graph with one key reads no row at all.  The unit mask is
-input data, not a derived fact.
+identity, so a graph with one key reads each row once, for its degree.  The
+unit mask is input data, not a derived fact.
 """
 
 from __future__ import annotations
@@ -16,30 +18,33 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, compress
 
-from .graphs import Graph
+from .graphs import Graph, row_chunks, vertex_flags
 from .radicals import RadicalSum, radical_normalize
 
 Key = tuple[int, int]  # (is_unit, degree) of one vertex
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _flags(mask: int, n: int) -> bytes:
-    """Byte v is 1 if bit v of mask is set, else 0."""
-    return format(mask, f"0{n}b").encode()[::-1].translate(_TO_FLAGS)
-
-
-def degree_pair_counts(g: Graph, unit_mask: int = 0) -> dict[tuple[Key, Key], int]:
+def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]:
     """Edge counts keyed by the endpoints' (is_unit, degree) keys (lo, hi),
     lo <= hi, in ascending key order; keys with no edge between them are
-    absent.
+    absent.  source is anything with n and rows_of(indices).
 
-    Each pair of distinct keys is counted once, as the bit counts of the
-    larger class's vertex mask ANDed with the rows of the smaller class.  A
-    key k of degree d and size s then has (d*s - edges from k to the other
-    keys) / 2 edges among itself (the handshake identity)."""
-    degrees = g.degrees
+    A first pass over the row chunks takes the degrees.  Each pair of
+    distinct keys is then counted once, as the bit counts of the larger
+    class's vertex mask ANDed with the rows of the smaller class; this second
+    pass starts from the chunk the first one ended on, still held, and makes
+    only the smaller classes' rows of the others.  A key k of degree d and
+    size s then has (d*s - edges from k to the other keys) / 2 edges among
+    itself (the handshake identity)."""
+    n = source.n
+    chunks = row_chunks(n)
+    degrees: list[int] = []
+    for idx in chunks[:-1]:
+        degrees += map(int.bit_count, source.rows_of(idx))
+    held = source.rows_of(chunks[-1]) if chunks else []  # kept for the second pass
+    degrees += map(int.bit_count, held)
     classes: dict[Key, int] = {}  # key -> vertex mask
     for d in set(degrees):
         at_d = int(bytes(map(d.__eq__, degrees))[::-1].translate(_TO_DIGITS), 2)
@@ -49,10 +54,26 @@ def degree_pair_counts(g: Graph, unit_mask: int = 0) -> dict[tuple[Key, Key], in
     size = {k: m.bit_count() for k, m in classes.items()}
     ends = {k: k[1] * size[k] for k in classes}  # edge ends at the vertices of k
     counts: dict[tuple[Key, Key], int] = {}
+    pairs = []  # (key pair, smaller class's vertex flags, larger class's mask)
+    needed = 0  # the vertices whose rows the second pass reads
     for a, b in combinations(sorted(classes), 2):
         small, large = (a, b) if size[a] <= size[b] else (b, a)
-        rows = compress(g.rows, _flags(classes[small], g.n))
-        counts[a, b] = c = sum(map(int.bit_count, map(classes[large].__and__, rows)))
+        pairs.append(((a, b), vertex_flags(classes[small], n), classes[large]))
+        counts[a, b] = 0
+        needed |= classes[small]
+    if pairs:
+        wanted = vertex_flags(needed, n)
+        for idx in reversed(chunks):
+            want = wanted[idx.start:idx.stop]
+            if held is not None:  # the last chunk, then let go
+                picked, held = list(compress(held, want)), None
+            else:
+                picked = source.rows_of(compress(idx, want))
+            for pair, flags, large in pairs:
+                mine = compress(picked, compress(flags[idx.start:idx.stop], want))
+                counts[pair] += sum(map(int.bit_count, map(large.__and__, mine)))
+            del picked  # before the next chunk's rows are made
+    for (a, b), c in counts.items():
         ends[a] -= c
         ends[b] -= c
     for k, left in ends.items():  # the ends left over pair up within k

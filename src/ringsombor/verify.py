@@ -16,6 +16,7 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import compress
 
 from . import closed_forms as cf
 from .graphs import (
@@ -30,8 +31,9 @@ from .graphs import (
     complement,
     edge_partition_of,
     predicted_degrees,
-    total_graph,
-    unit_graph,
+    row_chunks,
+    row_source,
+    vertex_flags,
 )
 from .radicals import RadicalSum
 from .rings import (
@@ -149,17 +151,16 @@ def verify_case(
     use_local_forms: bool = False,
     ceiling: int = DEFAULT_CEILING,
 ) -> CaseResult:
-    """Build the graph, run the brute-force oracle, evaluate every applicable
-    closed-form variant, and record exact-match flags.
+    """Run the brute-force oracle over the graph's row source, evaluate every
+    applicable closed-form variant, and record exact-match flags.
 
     Rings whose family has no closed form come back oracle-only (no
     variants).  use_local_forms switches a local Z_n to the local-ring
     formulas instead of its Z_n family formulas.
     """
     start = time.perf_counter()
-    build = total_graph if kind == TOTAL else unit_graph
-    g, units = build(ring, ceiling=ceiling)
-    table = degree_pair_counts(g, units)
+    source = row_source(ring, kind, ceiling=ceiling)
+    table = degree_pair_counts(source, source.units)
     oracle_value = sombor_of(table)
     oracle_partition = edge_partition_of(table)
     family_tag, forms = closed_forms(ring, kind, use_local_forms)
@@ -308,37 +309,41 @@ class StructureResult:
         return self.degrees_ok and self.duality_ok and self.zdiv_complete == self.is_local
 
 
-def _degrees_match(g: Graph, units: int, ring: FiniteRing, kind: str) -> bool:
-    d_zero, d_unit = predicted_degrees(ring, kind)
-    return all(
-        d == (d_unit if (units >> v) & 1 else d_zero) for v, d in enumerate(g.degrees)
-    )
-
-
 def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> StructureResult:
     """Three facts about a ring's graphs: is the zero-divisor-induced
     subgraph of the total graph complete, do both degree predictions hold,
-    and is the unit graph exactly the complement of the total graph (checked
-    row by row, without building the complement)."""
-    tg, units = total_graph(ring, ceiling=ceiling)
-    ug, _ = unit_graph(ring, ceiling=ceiling)
-    full = (1 << ring.order) - 1
-    duality = all(
-        u == t ^ full ^ (1 << v) for v, (t, u) in enumerate(zip(tg.rows, ug.rows))
-    )
-    degrees = _degrees_match(tg, units, ring, TOTAL) and _degrees_match(
-        ug, units, ring, UNIT
-    )
+    and is the unit graph exactly the complement of the total graph.  The
+    two graphs' row sources are read side by side, one chunk of rows at a
+    time, and each fact is checked row by row."""
+    total = row_source(ring, TOTAL, ceiling=ceiling)
+    unit = row_source(ring, UNIT, ceiling=ceiling)
+    n, units = total.n, total.units
+    full = (1 << n) - 1
     zm = full ^ units
-    zdiv_complete = True
-    rest = zm
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        if tg.rows[v] & zm != zm ^ low:
-            zdiv_complete = False
-            break
+    is_unit = vertex_flags(units, n)
+    is_zero = vertex_flags(zm, n)
+    predicted = predicted_degrees(ring, TOTAL), predicted_degrees(ring, UNIT)
+    duality = degrees = zdiv_complete = True
+    for idx in row_chunks(n):
+        t_rows, u_rows = total.rows_of(idx), unit.rows_of(idx)
+        duality = duality and all(
+            u == t ^ full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)
+        )
+        flags = is_unit[idx.start:idx.stop]
+        degrees = degrees and all(
+            list(map(int.bit_count, rows)) == list(map(pair.__getitem__, flags))
+            for rows, pair in zip((t_rows, u_rows), predicted)
+        )
+        # each zero-divisor row holds every other zero-divisor and not itself
+        zeros = is_zero[idx.start:idx.stop]
+        zdiv_complete = zdiv_complete and all(
+            map(
+                int.__eq__,
+                map(zm.__and__, compress(t_rows, zeros)),
+                map(zm.__xor__, map((1).__lshift__, compress(idx, zeros))),
+            )
+        )
+        del t_rows, u_rows  # before the next chunk's rows are made
     return StructureResult(
         ring=ring.name,
         n=ring.order,

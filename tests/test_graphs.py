@@ -13,6 +13,7 @@ from ringsombor.graphs import (
     degree_pair,
     edge_partition_of,
     predicted_degrees,
+    row_source,
     total_graph,
     unit_graph,
     write_edge_list,
@@ -112,6 +113,21 @@ class TestBuilders:
         with pytest.raises(TypeError, match="OtherRing"):
             builder(ring)
         assert ring.calls == []
+
+    @pytest.mark.parametrize("ring", [ZnRing(45), ZnRing(64), TruncatedPolyRing(3, 2)])
+    @pytest.mark.parametrize("kind,builder", [(TOTAL, total_graph), (UNIT, unit_graph)])
+    def test_row_source_makes_the_held_rows(self, ring, kind, builder):
+        # rows come in the order asked, from a list or a one-shot iterator
+        g, units = builder(ring)
+        source = row_source(ring, kind)
+        assert (source.n, source.units) == (ring.order, units)
+        picks = [ring.order - 1, 0, 7, 7, 3]
+        assert source.rows_of(picks) == g.rows_of(picks) == [g.rows[v] for v in picks]
+        assert source.rows_of(iter(range(ring.order))) == g.rows
+
+    def test_row_source_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown graph kind"):
+            row_source(ZnRing(5), "sum")
 
     def test_classes_match_ring(self):
         ring = ZnRing(45)

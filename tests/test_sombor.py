@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringsombor import graphs
 from ringsombor.graphs import (
+    TOTAL,
+    UNIT,
     EdgePartition,
     Graph,
     circulant_graph,
     complement,
     complete_graph,
     edge_partition_of,
+    row_source,
     total_graph,
     unit_graph,
 )
@@ -154,12 +158,21 @@ def wide_graphs_with_units(draw):
     return Graph(n, rows), draw(st.integers(min_value=0, max_value=(1 << n) - 1))
 
 
-def blank_rows(g, mask):
-    """g with its degrees kept and the rows of the vertices in mask zeroed:
-    what the oracle reads of those rows is then wrong."""
-    g.degrees  # computed from the real rows and cached
-    g.rows = [0 if (mask >> v) & 1 else row for v, row in enumerate(g.rows)]
-    return g
+class ForgetfulRows:
+    """A row source over g that answers a second request for the row of a
+    vertex in mask with an empty row: what the oracle reads of those rows
+    after their first reading is then wrong."""
+
+    def __init__(self, g, mask):
+        self.n, self.g, self.mask, self.seen = g.n, g, mask, set()
+
+    def rows_of(self, indices):
+        rows = []
+        for v in indices:
+            forgotten = v in self.seen and (self.mask >> v) & 1
+            rows.append(0 if forgotten else self.g.rows[v])
+            self.seen.add(v)
+        return rows
 
 
 class TestPairTable:
@@ -175,12 +188,31 @@ class TestPairTable:
     def test_wide_table_matches_literal_edge_loop(self, graph_units):
         check_table(*graph_units)
 
-    def test_regular_graph_reads_no_row(self):
-        # one key: the handshake alone gives its d * n / 2 edges
+    # The same comparisons with the rows read in chunks of 1, 3 and 7, so
+    # that chunk boundaries fall inside the graphs.
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    @given(graph_units=graphs_with_units())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_table_matches_literal_edge_loop(self, chunk_rows, graph_units):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+            check_table(*graph_units)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    @given(graph_units=wide_graphs_with_units())
+    @settings(max_examples=50, deadline=None)
+    def test_chunked_wide_table_matches_literal_edge_loop(self, chunk_rows, graph_units):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+            check_table(*graph_units)
+
+    def test_regular_graph_reads_no_row(self, monkeypatch):
+        # one key: the rows are read once, for the degrees, and the
+        # handshake alone gives its d * n / 2 edges
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 5)
         g = circulant_graph(12, [1, 2, 6])
         assert set(g.degrees) == {5}
-        g = blank_rows(g, (1 << 12) - 1)
-        assert degree_pair_counts(g) == {((0, 5), (0, 5)): 30}
+        assert degree_pair_counts(ForgetfulRows(g, (1 << 12) - 1)) == {((0, 5), (0, 5)): 30}
 
     def test_isolated_vertices(self):
         # K_4 on 0..3, a path 4-5-6, and 7..9 isolated; 2, 5 and 8 are units
@@ -195,13 +227,26 @@ class TestPairTable:
     # (Z_49 is local, so its total graph has no unit-non-unit edge)
     @pytest.mark.parametrize("n,smaller_is_units", [(210, True), (49, False), (77, False)])
     @pytest.mark.parametrize("builder", [total_graph, unit_graph])
-    def test_sum_graph_counts_over_smaller_class(self, n, smaller_is_units, builder):
+    def test_sum_graph_counts_over_smaller_class(self, n, smaller_is_units, builder,
+                                                 monkeypatch):
         g, units = builder(ZnRing(n))
         assert (units.bit_count() < n / 2) == smaller_is_units
         check_table(g, units)
         table = degree_pair_counts(g, units)
         larger = ((1 << n) - 1) ^ units if smaller_is_units else units
-        assert degree_pair_counts(blank_rows(g, larger), units) == table
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 16)
+        assert degree_pair_counts(ForgetfulRows(g, larger), units) == table
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    @pytest.mark.parametrize("n", [49, 77, 210])
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT])
+    def test_ring_source_table_equals_held_graph(self, n, kind, chunk_rows, monkeypatch):
+        g, units = (total_graph if kind == TOTAL else unit_graph)(ZnRing(n))
+        table = degree_pair_counts(g, units)
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        source = row_source(ZnRing(n), kind)
+        assert source.units == units
+        assert degree_pair_counts(source, units) == table
 
 
 class TestComplementSanity:

@@ -1,11 +1,12 @@
 import io
+import tracemalloc
 
 import pytest
 
-from ringsombor import verify
+from ringsombor import graphs, verify
 from ringsombor.cli import main
 from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE
-from ringsombor.graphs import TOTAL, UNIT, Graph
+from ringsombor.graphs import TOTAL, UNIT
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing, factorize
 from ringsombor.verify import (
@@ -44,6 +45,31 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(verify, name, counted)
     return calls
+
+
+class EditedRows:
+    """A row source whose row of each vertex in edits is XORed with the
+    vertex's edit mask."""
+
+    def __init__(self, source, edits):
+        self.n, self.units, self.source, self.edits = source.n, source.units, source, edits
+
+    def rows_of(self, indices):
+        indices = list(indices)
+        rows = self.source.rows_of(indices)
+        return [row ^ self.edits.get(v, 0) for v, row in zip(indices, rows)]
+
+
+def edit_rows(monkeypatch, kind, edits):
+    """Patch verify.row_source so that the sources of graph kind `kind` come
+    back as EditedRows with these edits."""
+    real = verify.row_source
+
+    def edited(ring, k, **kwargs):
+        source = real(ring, k, **kwargs)
+        return EditedRows(source, edits) if k == kind else source
+
+    monkeypatch.setattr(verify, "row_source", edited)
 
 
 class TestVerifyCase:
@@ -198,16 +224,7 @@ class TestStructure:
         assert calls == []
 
     def test_duality_flags_one_flipped_edge(self, monkeypatch):
-        real = verify.unit_graph
-
-        def flipped(ring, **kwargs):
-            g, units = real(ring, **kwargs)
-            rows = list(g.rows)
-            rows[1] ^= 1 << 4
-            rows[4] ^= 1 << 1
-            return Graph(g.n, rows), units
-
-        monkeypatch.setattr(verify, "unit_graph", flipped)
+        edit_rows(monkeypatch, UNIT, {1: 1 << 4, 4: 1 << 1})
         assert not check_structure(ZnRing(12)).duality_ok
 
     def test_sweep_range(self):
@@ -224,6 +241,66 @@ class TestStructure:
         with pytest.raises(CeilingExceededError, match="Z_101 has 101 elements"):
             structure_sweep(300, ceiling=100)
         assert calls == []
+
+
+# The rings check_structure is compared on at chunk sizes 1, 3 and 7.
+CHUNKED_RINGS = [ZnRing(n) for n in range(2, 301)] + [
+    TruncatedPolyRing(p, k) for p, top in ((2, 8), (3, 5), (5, 3)) for k in range(1, top + 1)
+]
+
+
+@pytest.fixture(scope="module")
+def whole_chunk_structures():
+    return [check_structure(ring) for ring in CHUNKED_RINGS]
+
+
+class TestStructureChunks:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    def test_verdicts_equal_whole_chunk(self, chunk_rows, whole_chunk_structures, monkeypatch):
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        assert [check_structure(ring) for ring in CHUNKED_RINGS] == whole_chunk_structures
+
+    # Z_27 is local: its zero-divisors 0, 3, ..., 24 form a clique.  Rows 0,
+    # 12 and 24 sit in its first, a middle and (at 3 and 7 rows a chunk) its
+    # last chunk; row 26 is last at every chunk size.
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    @pytest.mark.parametrize("row", [0, 12, 26])
+    def test_one_flipped_unit_bit_is_flagged(self, chunk_rows, row, monkeypatch):
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        edit_rows(monkeypatch, UNIT, {row: 1 << (row + 5) % 27})
+        r = check_structure(ZnRing(27))
+        assert not r.duality_ok and not r.degrees_ok
+        assert r.zdiv_complete
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    @pytest.mark.parametrize("row", [0, 12, 24])
+    def test_one_missing_zero_divisor_pair_is_flagged(self, chunk_rows, row, monkeypatch):
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        edit_rows(monkeypatch, TOTAL, {row: 1 << (row + 9) % 27})
+        r = check_structure(ZnRing(27))
+        assert not r.zdiv_complete
+
+    def test_zero_divisor_row_with_self_loop_is_flagged(self, monkeypatch):
+        # row 3 holds every zero-divisor, itself included
+        edit_rows(monkeypatch, TOTAL, {3: 1 << 3})
+        assert not check_structure(ZnRing(27)).zdiv_complete
+
+
+class TestMemory:
+    # n^2/16 bytes is half of one graph of n rows of n bits held in memory
+    @pytest.mark.parametrize("run", [
+        lambda ring: verify_case(ring, TOTAL),
+        lambda ring: check_structure(ring),
+    ], ids=["verify_case", "check_structure"])
+    def test_ceiling_ring_holds_no_graph(self, run):
+        ring = ZnRing(16384)
+        tracemalloc.start()
+        try:
+            run(ring)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ring.order**2 // 16
 
 
 class TestIdentity:
