@@ -8,6 +8,7 @@ an off-family ring, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,8 +36,19 @@ class OffFamilyError(Exception):
     pass
 
 
+# Each ring kind: the flags it takes, in its constructor's order, the
+# constructor, and whether it is a local-ring entry point (zppow and fpxk)
+# or uses the modulus-family formulas (zn).
+_RING_KINDS = {
+    "zn": (("n",), ZnRing, False),
+    "zppow": (("p", "alpha"), z_prime_power, True),
+    "fpxk": (("p", "k"), TruncatedPolyRing, True),
+}
+_RING_FLAGS = ("n", "p", "alpha", "k")
+
+
 def _add_ring_flags(parser, required=True):
-    parser.add_argument("--ring", choices=("zn", "zppow", "fpxk"), required=required,
+    parser.add_argument("--ring", choices=tuple(_RING_KINDS), required=required,
                         help="ring kind: Z_n, Z_{p^alpha}, or F_p[x]/(x^k)")
     parser.add_argument("--n", type=int, help="modulus for --ring zn")
     parser.add_argument("--p", type=int, help="prime for zppow/fpxk")
@@ -44,20 +56,22 @@ def _add_ring_flags(parser, required=True):
     parser.add_argument("--k", type=int, help="truncation degree for fpxk")
 
 
+def _given(args, names) -> list[str]:
+    """The flags among names that were given on the command line."""
+    return [f"--{name}" for name in names if getattr(args, name) is not None]
+
+
 def _build_ring(args):
-    """Returns (ring, use_local_forms): zppow and fpxk are the local-ring
-    entry points, zn uses its modulus-family formulas."""
-    if args.ring == "zn":
-        if args.n is None:
-            raise ValueError("--ring zn requires --n")
-        return ZnRing(args.n), False
-    if args.ring == "zppow":
-        if args.p is None or args.alpha is None:
-            raise ValueError("--ring zppow requires --p and --alpha")
-        return z_prime_power(args.p, args.alpha), True
-    if args.p is None or args.k is None:
-        raise ValueError("--ring fpxk requires --p and --k")
-    return TruncatedPolyRing(args.p, args.k), True
+    """Returns (ring, use_local_forms).  A flag of another ring kind is a
+    usage error, not ignored."""
+    flags, make, use_local = _RING_KINDS[args.ring]
+    if any(getattr(args, name) is None for name in flags):
+        raise ValueError(f"--ring {args.ring} requires "
+                         + " and ".join(f"--{name}" for name in flags))
+    stray = _given(args, (name for name in _RING_FLAGS if name not in flags))
+    if stray:
+        raise ValueError(f"--ring {args.ring} does not take {', '.join(stray)}")
+    return make(*(getattr(args, name) for name in flags)), use_local
 
 
 def _kinds(arg: str):
@@ -205,6 +219,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_structure(args) -> int:
     if args.max_n is not None:
+        ring_flags = _given(args, ("ring", *_RING_FLAGS))
+        if ring_flags:
+            raise ValueError("structure takes --max-n or ring flags, not both; "
+                             f"got --max-n with {', '.join(ring_flags)}")
         results = vf.structure_sweep(args.max_n, ceiling=args.ceiling)
     else:
         if args.ring is None:
@@ -224,6 +242,9 @@ def cmd_identity(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on every call; main reuses one through _parser."""
+    ceiling_help = ("largest ring order the oracle builds a graph for "
+                    f"(default 2^{DEFAULT_CEILING.bit_length() - 1} = {DEFAULT_CEILING})")
     parser = argparse.ArgumentParser(
         prog="ringsombor",
         description="Sombor index of total and unit graphs of finite commutative "
@@ -240,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float", action="store_true",
                    help="print 12-significant-digit floats instead of exact radical text")
     p.add_argument("--dump-graph", metavar="FILE", help="write a DIMACS-like edge list")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("verify", help="verify one ring against its closed forms")
@@ -248,17 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", choices=("total", "unit", "both"), default="both")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE", help="report file (default stdout)")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a whole family up to a bound")
     p.add_argument("--family", choices=vf.FAMILIES, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--graph", choices=("total", "unit", "both"), default="total")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"worker processes, 1..{vf.MAX_WORKERS} (default 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("structure", help="degree, duality, and zero-divisor-clique checks")
@@ -266,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_flags(p, required=False)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
     p.set_defaults(fn=cmd_structure)
 
     p = sub.add_parser("identity", help="complement identity for regular graphs")
@@ -281,10 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call uses, built on first use.  parse_args
+    keeps no state between calls: each makes a fresh Namespace, and an
+    error writes to the sys.stderr of that moment."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

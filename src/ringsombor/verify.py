@@ -14,7 +14,6 @@ import datetime
 import json
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import compress
 
@@ -283,6 +282,9 @@ def sweep(
     if workers == 1:
         results = [_run_case_spec(cs) for cs in case_specs]
     else:
+        # imported here so that a serial run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(case_specs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case_spec, case_specs, chunksize=chunk))

@@ -1,11 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ringsombor
+from ringsombor import cli
 from ringsombor.cli import main
 from ringsombor.rings import PSI_13
 from ringsombor.verify import canonical_csv_body
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.<name> so that each call is recorded; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestCompute:
@@ -106,6 +125,22 @@ class TestCompute:
         err = capsys.readouterr().err
         assert "--format csv needs the oracle" in err
         assert "warning" not in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("ring, stray", [
+        (["--ring", "zn", "--n", "15", "--p", "3"], "--p"),
+        (["--ring", "zppow", "--p", "3", "--alpha", "2", "--n", "9"], "--n"),
+        (["--ring", "fpxk", "--p", "2", "--k", "3", "--alpha", "2"], "--alpha"),
+        (["--ring", "zn", "--n", "15", "--p", "3", "--k", "2"], "--p, --k"),
+    ])
+    def test_flag_of_another_ring_kind_exits_2(self, tmp_path, capsys, ring, stray):
+        out_file = tmp_path / "graph.txt"
+        code = main(["compute", *ring, "--graph", "unit", "--variant", "printed",
+                     "--dump-graph", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --ring {ring[1]} does not take {stray}\n"
+        assert captured.out == ""
         assert not out_file.exists()
 
 
@@ -221,6 +256,16 @@ class TestStructureCommand:
     def test_needs_target(self, capsys):
         assert main(["structure"]) == 2
 
+    def test_max_n_refuses_ring_flags(self, tmp_path, capsys):
+        out = tmp_path / "structure.csv"
+        code = main(["structure", "--max-n", "5", "--ring", "zn", "--n", "7",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--max-n with --ring, --n" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestIdentityCommand:
     def test_max_n_50(self, tmp_path):
@@ -244,3 +289,62 @@ class TestIdentityCommand:
         captured = capsys.readouterr()
         assert "Z_20000 has 20000 elements, above the ceiling 16384" in captured.err
         assert captured.out == ""
+
+
+class TestParserReuse:
+    # usage errors mixed with valid commands, and a --float run before one
+    # without, so that a value left over from an earlier call would show
+    SEQUENCE = [
+        [],
+        ["sweep", "--family", "nope", "--max-n", "10"],
+        ["compute", "--ring", "zn", "--n", "15"],
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--float",
+         "--format", "json"],
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "total"],
+        ["sweep", "--family", "pq", "--max-n", "40", "--graph", "both"],
+        ["compute", "--ring", "zppow", "--p", "3", "--alpha", "2", "--graph", "unit",
+         "--mode", "closed"],
+        ["sweep", "--family", "even", "--max-n", "1"],
+        ["sweep", "--family", "even", "--max-n", "12"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = captured.out
+        if argv[:1] == ["sweep"] and code == 0:  # drop the timestamp and micros
+            out = canonical_csv_body(out)
+        return code, out, captured.err
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_reuses_one_parser_that_keeps_no_state(self, monkeypatch, capsys):
+        cli._parser.cache_clear()
+        calls = count_calls(monkeypatch, cli, "build_parser")
+        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert len(calls) == 1  # built on the first call, then reused
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert len(calls) == 1 + len(self.SEQUENCE)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 2, 2, 0, 0, 0, 0, 2, 0]
+        assert "invalid choice: 'nope'" in reused[1][2]
+        assert "--graph" in reused[2][2]
+        assert "oracle_float" in reused[3][1] and "oracle = " in reused[4][1]
+
+
+def test_import_loads_no_pool_machinery():
+    script = (
+        "import sys\n"
+        "import ringsombor, ringsombor.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ringsombor.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

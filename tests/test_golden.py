@@ -104,6 +104,12 @@ def commands() -> list[list[str]]:
         ["compute", "--ring", "fpxk", "--p", "4", "--k", "2", "--graph", "unit"],
         ["compute", "--ring", "fpxk", "--p", "3", "--graph", "unit"],
         ["verify", "--ring", "zn", "--n", "1"],
+        # a flag of another ring kind
+        ["compute", "--ring", "zn", "--n", "15", "--p", "3", "--graph", "total"],
+        ["compute", "--ring", "zppow", "--p", "3", "--alpha", "2", "--n", "9",
+         "--graph", "unit"],
+        ["compute", "--ring", "fpxk", "--p", "2", "--k", "3", "--alpha", "2",
+         "--graph", "unit"],
         # off-family
         ["compute", "--ring", "zn", "--n", "231", "--graph", "unit", "--mode", "closed",
          "--format", "json"],
