@@ -105,20 +105,28 @@ def _compute_text(payload: dict) -> str:
 
 def cmd_compute(args) -> int:
     ring, use_local = _build_ring(args)
+    # The oracle runs in oracle and both modes, and in closed mode to check a
+    # printed form within the ceiling (not for csv, which closed mode refuses).
     case = None
-    if args.mode in ("oracle", "both"):
+    if args.mode != "closed" or (
+        args.variant == PRINTED and ring.order <= args.ceiling and args.format != "csv"
+    ):
         case = vf.verify_case(ring, args.graph, use_local_forms=use_local,
                               ceiling=args.ceiling)
-
-    closed_value = closed_part = None
-    if args.mode in ("closed", "both"):
+        forms = [(v.variant, v.closed_value, v.closed_partition) for v in case.variants]
+    else:
         _, forms = vf.closed_forms(ring, args.graph, use_local)
+
+    variant = closed_value = closed_part = None
+    if args.mode != "oracle":
         if not forms:
             raise OffFamilyError(
                 f"{ring.name} is outside every closed-form family; use --mode oracle"
             )
         # a ring has either one unique form or a corrected/printed pair
-        _, closed_value, closed_part = next(f for f in forms if f[0] in (args.variant, UNIQUE))
+        variant, closed_value, closed_part = next(
+            f for f in forms if f[0] in (args.variant, UNIQUE)
+        )
     if args.format == "csv" and case is None:
         raise ValueError("--format csv needs the oracle; use --mode both or oracle")
 
@@ -128,28 +136,22 @@ def cmd_compute(args) -> int:
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
             write_edge_list(g, fh)
 
-    # Printed-variant sanity warning whenever the oracle is within reach.
-    oracle_value = reference = case.oracle_value if case is not None else None
-    if (
-        closed_value is not None
-        and args.variant == PRINTED
-        and reference is None
-        and ring.order <= args.ceiling
-    ):
-        reference = vf.verify_case(ring, args.graph, use_local_forms=use_local,
-                                   ceiling=args.ceiling).oracle_value
-    if closed_value is not None and reference is not None and closed_value != reference:
-        print(
-            f"warning: printed variant disagrees with the oracle on {ring.name} "
-            f"({args.graph}): printed {closed_value.render()}, "
-            f"oracle {reference.render()}",
-            file=sys.stderr,
-        )
+    for v in case.variants if case is not None else ():
+        if v.failed:
+            print(f"error: the {v.variant} form disagrees with the oracle on {ring.name} "
+                  f"({args.graph})", file=sys.stderr)
+        elif v.variant == variant == PRINTED and not v.match:
+            print(
+                f"warning: printed variant disagrees with the oracle on {ring.name} "
+                f"({args.graph}): printed {closed_value.render()}, "
+                f"oracle {case.oracle_value.render()}",
+                file=sys.stderr,
+            )
+    code = EXIT_OK if case is None or case.ok else EXIT_MISMATCH
 
     if args.format == "csv":  # the sweep row shape for the oracle-backed case
-        result = vf.SweepResult("single", ring.order, (args.graph,), (case,))
-        vf.write_csv_rows(sys.stdout, vf.SWEEP_COLUMNS, vf.sweep_rows(result))
-        return EXIT_OK
+        vf.write_csv_rows(sys.stdout, vf.SWEEP_COLUMNS, vf.sweep_rows([case]))
+        return code
 
     d_zero, d_unit = predicted_degrees(ring, args.graph)
     payload = {
@@ -158,10 +160,11 @@ def cmd_compute(args) -> int:
         "graph": args.graph,
         "degrees": {"zero": d_zero, "unit": d_unit},
     }
-    part = closed_part
-    if case is not None:
+    # closed mode reports the closed form alone, even when the oracle checked it
+    oracle_value, part = None, closed_part
+    if args.mode != "closed":
         payload["family"] = case.family
-        part = case.oracle_partition
+        oracle_value, part = case.oracle_value, case.oracle_partition
     if part is not None:
         payload["partition"] = vf.partition_payload(part)
     if closed_value is not None:
@@ -178,7 +181,7 @@ def cmd_compute(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(_compute_text(payload))
-    return EXIT_OK
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +204,7 @@ def cmd_verify(args) -> int:
             vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
         )
     result = vf.SweepResult("single", ring.order, _kinds(args.graph), tuple(cases))
-    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result), vf.sweep_payload(result))
+    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(cases), vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
@@ -213,7 +216,8 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         ceiling=args.ceiling,
     )
-    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result), vf.sweep_payload(result))
+    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result.cases),
+                  vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
@@ -226,6 +230,10 @@ def cmd_structure(args) -> int:
         results = vf.structure_sweep(args.max_n, ceiling=args.ceiling)
     else:
         if args.ring is None:
+            given = _given(args, _RING_FLAGS)
+            if given:
+                verb = "needs" if len(given) == 1 else "need"
+                raise ValueError(f"{', '.join(given)} {verb} --ring")
             raise ValueError("structure needs --max-n or ring flags")
         ring, _ = _build_ring(args)
         results = [vf.check_structure(ring, ceiling=args.ceiling)]

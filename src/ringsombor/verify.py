@@ -84,6 +84,12 @@ class VariantResult:
             return False
         return self.value_match
 
+    @property
+    def failed(self) -> bool:
+        """The verdict rule: a unique or corrected form that disagrees with
+        the oracle fails; a printed one that disagrees is an erratum finding."""
+        return not self.match and self.variant != cf.PRINTED
+
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -98,9 +104,8 @@ class CaseResult:
 
     @property
     def ok(self) -> bool:
-        """True when every unique/corrected variant matched the oracle.
-        Printed-variant mismatches are expected findings, not failures."""
-        return all(v.match for v in self.variants if v.variant != cf.PRINTED)
+        """True when no variant failed (VariantResult.failed)."""
+        return not any(v.failed for v in self.variants)
 
 
 def closed_forms(
@@ -223,34 +228,19 @@ class SweepResult:
         return all(c.ok for c in self.cases)
 
     def summary(self) -> dict:
-        rows = sum(len(c.variants) for c in self.cases)
-        mismatched_expected = sum(
-            1
-            for c in self.cases
-            for v in c.variants
-            if v.variant == cf.PRINTED and not v.match
-        )
-        failed = sum(
-            1
-            for c in self.cases
-            for v in c.variants
-            if v.variant != cf.PRINTED and not v.match
-        )
-        extension = {}
-        for c in self.cases:
-            if c.family.endswith(PGTQ):
-                extension[f"{c.ring}:{c.kind}"] = all(
-                    v.match for v in c.variants if v.variant != cf.PRINTED
-                )
+        variants = [v for c in self.cases for v in c.variants]
+        failed = sum(v.failed for v in variants)
         return {
             "family": self.family,
             "max_n": self.max_n,
             "kinds": list(self.kinds),
             "cases": len(self.cases),
-            "variant_rows": rows,
+            "variant_rows": len(variants),
             "failed_rows": failed,
-            "printed_mismatch_rows": mismatched_expected,
-            "out_of_hypothesis_outcomes": extension,
+            "printed_mismatch_rows": sum(not v.match for v in variants) - failed,
+            "out_of_hypothesis_outcomes": {
+                f"{c.ring}:{c.kind}": c.ok for c in self.cases if c.family.endswith(PGTQ)
+            },
         }
 
 
@@ -474,12 +464,12 @@ class ErrataEntry:
 
 def errata_report(cases) -> list[ErrataEntry]:
     """One entry per printed formula that mismatched the oracle somewhere in
-    the supplied results, citing the smallest counterexample.  Empty when
-    every printed formula matched."""
+    the supplied results (a variant that neither matched nor failed), citing
+    the smallest counterexample.  Empty when every printed formula matched."""
     found: dict[str, ErrataEntry] = {}
     for case in sorted(cases, key=lambda c: (c.n, c.ring, c.kind)):
         for v in case.variants:
-            if v.variant != cf.PRINTED or v.match:
+            if v.match or v.failed:
                 continue
             label, expression = ERRATA[case.family.removesuffix(PGTQ)]
             if label not in found:
@@ -541,64 +531,60 @@ def write_report(fh, fmt: str, header, rows, payload: dict | None = None):
         fh.write("\n")
 
 
-def sweep_rows(result: SweepResult) -> list[dict]:
-    """One row per case and variant; an oracle-only case gets one row with
-    variant "oracle" and match "na"."""
-    rows = []
-    for c in result.cases:
-        part = c.oracle_partition
-        base = {
-            "n": c.n, "ring": c.ring, "kind": c.kind, "family": c.family,
-            "alpha": part.alpha, "beta": part.beta, "gamma": part.gamma, "edges": part.total,
-            "oracle_exact": c.oracle_value.render(), "micros": c.micros,
-        }
-        if not c.variants:
-            rows.append({**base, "variant": "oracle", "closed_exact": None, "match": "na"})
-        for v in c.variants:
-            rows.append(
-                {**base, "variant": v.variant, "closed_exact": v.closed_value.render(),
-                 "match": v.match}
-            )
-    return rows
-
-
 def partition_payload(part: EdgePartition | None):
     if part is None:
         return None
     return {"alpha": part.alpha, "beta": part.beta, "gamma": part.gamma, "edges": part.total}
 
 
+def _case_record(c: CaseResult) -> dict:
+    """One case's JSON report record, the one case schema of every report."""
+    return {
+        "n": c.n,
+        "ring": c.ring,
+        "kind": c.kind,
+        "family": c.family,
+        "oracle_exact": c.oracle_value.render(),
+        "oracle_partition": partition_payload(c.oracle_partition),
+        "variants": [
+            {
+                "variant": v.variant,
+                "closed_exact": v.closed_value.render(),
+                "closed_partition": partition_payload(v.closed_partition),
+                "match": v.match,
+            }
+            for v in c.variants
+        ],
+        "micros": c.micros,
+    }
+
+
+# The one CSV row of a case with no closed form.
+_ORACLE_ONLY = {"variant": "oracle", "closed_exact": None, "match": "na"}
+
+
+def sweep_rows(cases) -> list[dict]:
+    """The case records spread into one row per variant, with the oracle
+    partition's fields as columns; an oracle-only case gets one row with
+    variant "oracle" and match "na"."""
+    rows = []
+    for record in map(_case_record, cases):
+        variants = record.pop("variants") or [_ORACLE_ONLY]
+        record.update(record.pop("oracle_partition"))
+        rows += [{**record, **v} for v in variants]
+    return rows
+
+
 def sweep_payload(result: SweepResult) -> dict:
-    cases = [
-        {
-            "n": c.n,
-            "ring": c.ring,
-            "kind": c.kind,
-            "family": c.family,
-            "oracle_exact": c.oracle_value.render(),
-            "oracle_partition": partition_payload(c.oracle_partition),
-            "variants": [
-                {
-                    "variant": v.variant,
-                    "closed_exact": v.closed_value.render(),
-                    "closed_partition": partition_payload(v.closed_partition),
-                    "match": v.match,
-                }
-                for v in c.variants
-            ],
-            "micros": c.micros,
-        }
-        for c in result.cases
-    ]
     return {
         "summary": result.summary(),
-        "cases": cases,
+        "cases": [_case_record(c) for c in result.cases],
         "errata": [asdict(e) for e in errata_report(result.cases)],
     }
 
 
 def write_sweep_csv(result: SweepResult, fh):
-    write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(result))
+    write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(result.cases))
 
 
 def write_sweep_json(result: SweepResult, fh):

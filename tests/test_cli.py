@@ -9,7 +9,10 @@ import pytest
 
 import ringsombor
 from ringsombor import cli
+from ringsombor import closed_forms as cf
+from ringsombor import verify as vf
 from ringsombor.cli import main
+from ringsombor.graphs import TOTAL, UNIT
 from ringsombor.rings import PSI_13
 from ringsombor.verify import canonical_csv_body
 
@@ -144,6 +147,71 @@ class TestCompute:
         assert not out_file.exists()
 
 
+    @pytest.mark.parametrize("flags, calls", [
+        (["--mode", "both"], (1, 1)),
+        (["--mode", "oracle"], (1, 1)),
+        (["--mode", "closed", "--variant", "printed"], (1, 1)),
+        (["--mode", "closed"], (0, 1)),
+        (["--mode", "closed", "--variant", "printed", "--ceiling", "10"], (0, 1)),
+    ])
+    def test_one_oracle_run_and_one_dispatch(self, monkeypatch, capsys, flags, calls):
+        # closed_forms is also the dispatch inside verify_case
+        cases = count_calls(monkeypatch, vf, "verify_case")
+        dispatches = count_calls(monkeypatch, vf, "closed_forms")
+        assert main(["compute", "--ring", "zn", "--n", "45", "--graph", "unit", *flags]) == 0
+        assert (len(cases), len(dispatches)) == calls
+
+
+@pytest.fixture
+def broken_total_pq(monkeypatch):
+    """so_total_pq off by one: every pq total-graph case must fail."""
+    real = cf.so_total_pq
+    monkeypatch.setattr(cf, "so_total_pq", lambda p, q: real(p, q) + 1)
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("flags", [
+        [], ["--mode", "oracle"], ["--format", "csv"], ["--format", "json"],
+        ["--variant", "printed"],
+    ])
+    def test_compute_exits_1_on_a_failed_unique_form(self, broken_total_pq, capsys, flags):
+        code = main(["compute", "--ring", "zn", "--n", "15", "--graph", "total", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: the unique form disagrees with the oracle on Z_15 (total)\n"
+        )
+        assert captured.out  # the result is still printed
+
+    def test_closed_mode_without_oracle_cannot_fail(self, broken_total_pq, capsys):
+        assert main(["compute", "--ring", "zn", "--n", "15", "--graph", "total",
+                     "--mode", "closed"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_verify_and_sweep_exit_1(self, broken_total_pq, capsys):
+        assert main(["verify", "--ring", "zn", "--n", "15", "--graph", "total"]) == 1
+        assert main(["sweep", "--family", "pq", "--max-n", "40"]) == 1
+
+    def test_failure_is_counted_and_is_no_erratum(self, broken_total_pq):
+        result = vf.sweep("pq", 40, kinds=(TOTAL, UNIT))
+        summary = result.summary()
+        assert summary["failed_rows"] == len(result.cases) // 2  # the total cases
+        assert summary["printed_mismatch_rows"] == 0
+        assert vf.errata_report(result.cases) == []
+
+    def test_printed_mismatch_still_exits_0_with_its_erratum(self, capsys):
+        code = main(["compute", "--ring", "zn", "--n", "9", "--graph", "unit",
+                     "--variant", "printed"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.startswith("warning: printed variant disagrees with the oracle on Z_9")
+        assert "error:" not in err
+        assert main(["verify", "--ring", "zn", "--n", "9", "--graph", "unit",
+                     "--format", "json"]) == 0
+        errata = json.loads(capsys.readouterr().out)["errata"]
+        assert [(e["formula"], e["ring"]) for e in errata] == [(vf.FORMULA_UNIT_PPOW, "Z_9")]
+
+
 def timed_closed(capsys, n, graph):
     """(exit code, seconds, stdout, stderr) of one closed-mode JSON query."""
     start = time.perf_counter()
@@ -255,6 +323,16 @@ class TestStructureCommand:
 
     def test_needs_target(self, capsys):
         assert main(["structure"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "7"], "error: --n needs --ring\n"),
+        (["--p", "3", "--k", "2"], "error: --p, --k need --ring\n"),
+    ])
+    def test_ring_flags_need_ring(self, capsys, flags, message):
+        assert main(["structure", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
 
     def test_max_n_refuses_ring_flags(self, tmp_path, capsys):
         out = tmp_path / "structure.csv"

@@ -96,6 +96,8 @@ def commands() -> list[list[str]]:
         ["sweep", "--family", "p2q", "--max-n", "10"],
         ["sweep", "--family", "even", "--max-n", "1"],
         ["structure"],
+        ["structure", "--n", "7"],
+        ["structure", "--p", "3", "--k", "2"],
         ["identity", "--max-n", "2"],
         ["compute", "--ring", "zn", "--graph", "total"],
         ["compute", "--ring", "zn", "--n", "1", "--graph", "total"],

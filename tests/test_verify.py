@@ -1,4 +1,5 @@
 import io
+import json
 import tracemalloc
 
 import pytest
@@ -16,8 +17,10 @@ from ringsombor.verify import (
     IDENTITY_MAX_N,
     MAX_WORKERS,
     STRUCTURE_COLUMNS,
+    SWEEP_COLUMNS,
     CeilingExceededError,
     EmptySweepError,
+    SweepResult,
     canonical_csv_body,
     canonical_json_body,
     check_structure,
@@ -31,6 +34,7 @@ from ringsombor.verify import (
     verify_case,
     write_report,
     write_sweep_csv,
+    write_sweep_json,
 )
 
 
@@ -406,6 +410,36 @@ class TestReports:
         assert payload["cases"][0]["ring"] == "Z_15"
         assert payload["cases"][0]["variants"][0]["match"] is True
         assert payload["errata"] == []
+
+    def test_csv_rows_are_the_json_records(self):
+        # unique and printed/corrected cases on both graphs, plus oracle-only Z_105
+        cases = sweep("ppow", 30, kinds=(TOTAL, UNIT)).cases + tuple(
+            verify_case(ZnRing(105), kind) for kind in (TOTAL, UNIT)
+        )
+        result = SweepResult("mixed", 105, (TOTAL, UNIT), cases)
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_sweep_csv(result, csv_buf)
+        write_sweep_json(result, json_buf)
+        header, *lines = csv_buf.getvalue().splitlines()[1:]
+        assert header == ",".join(SWEEP_COLUMNS)
+        csv_rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in lines]
+
+        def cell(value):  # "true"/"false" for booleans, as in JSON
+            if value is None:
+                return ""
+            return json.dumps(value) if isinstance(value, bool) else str(value)
+
+        expected = []
+        for record in json.loads(json_buf.getvalue())["cases"]:
+            variants = record["variants"] or [
+                {"variant": "oracle", "closed_exact": None, "match": "na"}
+            ]
+            for v in variants:
+                fields = {**record, **record["oracle_partition"], **v}
+                expected.append({col: cell(fields[col]) for col in SWEEP_COLUMNS})
+        assert csv_rows == expected
+        assert {row["variant"] for row in csv_rows} == {UNIQUE, PRINTED, CORRECTED, "oracle"}
+        assert sum(row["match"] == "false" for row in csv_rows) > 0
 
     def test_canonical_bodies_strip_volatile_fields(self):
         result = sweep("pq", 40, kinds=(TOTAL,))
