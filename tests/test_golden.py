@@ -5,7 +5,8 @@ code, stdout, stderr and the body of any file the command writes, after
 this file's own normalization (independent of the package's canonical_*
 helpers): the generated-at comment line, the sweep CSV micros column, and
 the JSON generated_at/micros keys are dropped, and a ceiling error keeps
-only its "above the ceiling N" part.
+only its "above the ceiling N" part.  An argparse usage block is joined
+into one line, since Python versions wrap it at different points.
 
 Re-record after an intended output change with
 
@@ -136,6 +137,9 @@ def _canonical(text: str) -> str:
 
 
 def _canonical_stderr(text: str) -> str:
+    # argparse wraps a usage block at points that differ between Python
+    # versions (3.13 moved them), so the block is joined into one line
+    text = re.sub(r"usage:.*(?:\n[ \t]+.*)*", lambda m: " ".join(m.group().split()), text)
     return re.sub(r"(above the ceiling \d+).*", r"\1", text)
 
 
