@@ -1,8 +1,10 @@
 """Command-line front end: compute, verify, sweep, structure, identity.
 
 Exit codes: 0 success (all unique/corrected variants matched where that
-applies), 1 verification mismatch, 2 usage error, 3 closed-form request for
-an off-family ring, 4 I/O failure.
+applies), 1 verification mismatch (VariantResult.failed; compute also prints
+one "error:" line per failed variant), 2 usage error, 3 closed-form request
+for an off-family ring, 4 I/O failure.  Every compute, verify and sweep
+output is read off the CaseResults of verify_case.
 """
 
 from __future__ import annotations
@@ -141,12 +143,9 @@ def cmd_compute(args) -> int:
             print(f"error: the {v.variant} form disagrees with the oracle on {ring.name} "
                   f"({args.graph})", file=sys.stderr)
         elif v.variant == variant == PRINTED and not v.match:
-            print(
-                f"warning: printed variant disagrees with the oracle on {ring.name} "
-                f"({args.graph}): printed {closed_value.render()}, "
-                f"oracle {case.oracle_value.render()}",
-                file=sys.stderr,
-            )
+            print(f"warning: printed variant disagrees with the oracle on {ring.name} "
+                  f"({args.graph}): printed {closed_value.render()}, "
+                  f"oracle {case.oracle_value.render()}", file=sys.stderr)
     code = EXIT_OK if case is None or case.ok else EXIT_MISMATCH
 
     if args.format == "csv":  # the sweep row shape for the oracle-backed case
@@ -198,12 +197,9 @@ def _write_report(args, header, rows, payload=None):
 
 def cmd_verify(args) -> int:
     ring, use_local = _build_ring(args)
-    cases = []
-    for kind in _kinds(args.graph):
-        cases.append(
-            vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
-        )
-    result = vf.SweepResult("single", ring.order, _kinds(args.graph), tuple(cases))
+    cases = tuple(vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
+                  for kind in _kinds(args.graph))
+    result = vf.SweepResult("single", ring.order, _kinds(args.graph), cases)
     _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(cases), vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 

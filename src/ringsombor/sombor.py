@@ -2,7 +2,8 @@
 
 This is the oracle side of every closed-form check: it reads degrees and
 edges straight off the adjacency rows and never consults ring theory.
-degree_pair_counts is the only reader of the rows; it counts edges by the
+degree_pair_counts is the oracle's only reader of the rows
+(check_structure and --dump-graph read them too); it counts edges by the
 (is_unit, degree) keys of their endpoints, and both the Sombor value
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
 that one table.  It reads any row source (a ring's graphs.row_source, or a
