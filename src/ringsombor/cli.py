@@ -175,7 +175,7 @@ def cmd_compute(args) -> int:
             else:
                 payload[f"{side}_exact"] = value.render()
     if closed_value is not None and oracle_value is not None:
-        payload["match"] = closed_value == oracle_value
+        payload["match"] = next(v.match for v in case.variants if v.variant == variant)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
