@@ -149,7 +149,7 @@ def cmd_compute(args) -> int:
     code = EXIT_OK if case is None or case.ok else EXIT_MISMATCH
 
     if args.format == "csv":  # the sweep row shape for the oracle-backed case
-        vf.write_csv_rows(sys.stdout, vf.SWEEP_COLUMNS, vf.sweep_rows([case]))
+        vf.write_csv_rows(sys.stdout, vf.SWEEP_COLUMNS, vf.sweep_rows([vf.case_record(case)]))
         return code
 
     d_zero, d_unit = predicted_degrees(ring, args.graph)
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     cases = tuple(vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
                   for kind in _kinds(args.graph))
     result = vf.SweepResult("single", ring.order, _kinds(args.graph), cases)
-    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(cases), vf.sweep_payload(result))
+    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result.records), vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         ceiling=args.ceiling,
     )
-    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result.cases),
+    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result.records),
                   vf.sweep_payload(result))
     return EXIT_OK if result.ok else EXIT_MISMATCH
 

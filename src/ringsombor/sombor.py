@@ -8,9 +8,12 @@ degree_pair_counts is the oracle's only reader of the rows
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
 that one table.  It reads any row source (a ring's graphs.row_source, or a
 held Graph) in chunks of graphs.CHUNK_ROWS rows, so a ring's graph is never
-held whole.  Edges between two keys are counted over the rows of the
-smaller class only; a key's edges among itself follow from the handshake
-identity, so a graph with one key reads each row once, for its degree.  The
+held whole.  A first pass makes every row and reads its degree and, on the
+smaller side of the unit split, its neighbours on the other side.  When each
+side's rows share one degree, as they do on every ring's sum graph, that
+pass gives the whole table and no row is made twice; otherwise the remaining
+pairs of distinct keys are counted over the rows of the smaller class in a
+second pass.  A key's edges among itself follow from the handshake identity.  The
 unit mask is input data, not a derived fact.
 """
 
@@ -32,32 +35,65 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
     lo <= hi, in ascending key order; keys with no edge between them are
     absent.  source is anything with n and rows_of(indices).
 
-    A first pass over the row chunks takes the degrees.  Each pair of
-    distinct keys is then counted once, as the bit counts of the larger
-    class's vertex mask ANDed with the rows of the smaller class; this second
-    pass starts from the chunk the first one ended on, still held, and makes
-    only the smaller classes' rows of the others.  A key k of degree d and
-    size s then has (d*s - edges from k to the other keys) / 2 edges among
-    itself (the handshake identity)."""
+    One pass over the row chunks takes every row's degree and, for each row
+    on the smaller side of the unit split (units or non-units), its
+    neighbours on the other side.  A side whose rows share one degree is one
+    key, whose mask is the side's; only a side with several degrees gets a
+    vertex mask per degree.  When the other side is one key, each pair
+    across the split is the sum of those first-pass counts over the smaller
+    side's key.  Every other pair of distinct keys is counted in a second
+    pass, as the bit counts of the larger class's vertex mask ANDed with the
+    rows of the smaller class; it starts from the chunk the first pass ended
+    on, still held, and makes only the smaller classes' rows of the others.
+    A key k of degree d and size s then has (d*s - edges from k to the other
+    keys) / 2 edges among itself (the handshake identity)."""
     n = source.n
-    chunks = row_chunks(n)
+    if not n:
+        return {}
+    full = (1 << n) - 1
+    sides = (full ^ (unit_mask & full), unit_mask & full)  # vertex masks by is_unit
+    few = int(2 * sides[1].bit_count() <= n)  # is_unit of the smaller side
+    side_flags = [vertex_flags(side, n) for side in sides]
+    few_flags, other = side_flags[few], sides[1 - few]
     degrees: list[int] = []
+    across: list[int] = []  # per vertex of the smaller side: its neighbours on the other
+
+    def read(rows, idx):
+        degrees.extend(map(int.bit_count, rows))
+        mine = compress(rows, few_flags[idx.start:idx.stop])
+        across.extend(map(int.bit_count, map(other.__and__, mine)))
+
+    chunks = row_chunks(n)
     for idx in chunks[:-1]:
-        degrees += map(int.bit_count, source.rows_of(idx))
-    held = source.rows_of(chunks[-1]) if chunks else []  # kept for the second pass
-    degrees += map(int.bit_count, held)
+        read(source.rows_of(idx), idx)
+    held = source.rows_of(chunks[-1])  # kept for the second pass
+    read(held, chunks[-1])
+
     classes: dict[Key, int] = {}  # key -> vertex mask
-    for d in set(degrees):
-        at_d = int(bytes(map(d.__eq__, degrees))[::-1].translate(_TO_DIGITS), 2)
-        for key, mask in (((0, d), at_d & ~unit_mask), ((1, d), at_d & unit_mask)):
-            if mask:
-                classes[key] = mask
+    for is_unit, (side, flags) in enumerate(zip(sides, side_flags)):
+        side_degrees = set(compress(degrees, flags))
+        if len(side_degrees) == 1:
+            classes[is_unit, side_degrees.pop()] = side
+            continue
+        for d in side_degrees:
+            at_d = int(bytes(map(d.__eq__, degrees))[::-1].translate(_TO_DIGITS), 2)
+            classes[is_unit, d] = at_d & side
     size = {k: m.bit_count() for k, m in classes.items()}
     ends = {k: k[1] * size[k] for k in classes}  # edge ends at the vertices of k
     counts: dict[tuple[Key, Key], int] = {}
+    others = [k for k in classes if k[0] != few]
+    if len(others) == 1:  # the pairs across the split, off the first pass
+        (o,) = others
+        for a in (k for k in classes if k[0] == few):
+            mine = across
+            if size[a] < len(across):  # one of several degrees on its side
+                mine = compress(across, map(a[1].__eq__, compress(degrees, few_flags)))
+            counts[min(a, o), max(a, o)] = sum(mine)
     pairs = []  # (key pair, smaller class's vertex flags, larger class's mask)
     needed = 0  # the vertices whose rows the second pass reads
     for a, b in combinations(sorted(classes), 2):
+        if (a, b) in counts:
+            continue
         small, large = (a, b) if size[a] <= size[b] else (b, a)
         pairs.append(((a, b), vertex_flags(classes[small], n), classes[large]))
         counts[a, b] = 0

@@ -15,6 +15,7 @@ import json
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import compress
 
 from . import closed_forms as cf
@@ -226,6 +227,12 @@ class SweepResult:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
+
+    @cached_property
+    def records(self) -> tuple[dict, ...]:
+        """The cases' report records (case_record), built once and shared by
+        the CSV rows and the JSON payload; readers must not change them."""
+        return tuple(map(case_record, self.cases))
 
     def summary(self) -> dict:
         variants = [v for c in self.cases for v in c.variants]
@@ -537,7 +544,7 @@ def partition_payload(part: EdgePartition | None):
     return {"alpha": part.alpha, "beta": part.beta, "gamma": part.gamma, "edges": part.total}
 
 
-def _case_record(c: CaseResult) -> dict:
+def case_record(c: CaseResult) -> dict:
     """One case's JSON report record, the one case schema of every report."""
     return {
         "n": c.n,
@@ -563,28 +570,28 @@ def _case_record(c: CaseResult) -> dict:
 _ORACLE_ONLY = {"variant": "oracle", "closed_exact": None, "match": "na"}
 
 
-def sweep_rows(cases) -> list[dict]:
+def sweep_rows(records) -> list[dict]:
     """The case records spread into one row per variant, with the oracle
     partition's fields as columns; an oracle-only case gets one row with
-    variant "oracle" and match "na"."""
+    variant "oracle" and match "na".  The records are left unchanged."""
     rows = []
-    for record in map(_case_record, cases):
-        variants = record.pop("variants") or [_ORACLE_ONLY]
-        record.update(record.pop("oracle_partition"))
-        rows += [{**record, **v} for v in variants]
+    for record in records:
+        base = {k: v for k, v in record.items() if k not in ("variants", "oracle_partition")}
+        base.update(record["oracle_partition"])
+        rows += [{**base, **v} for v in record["variants"] or [_ORACLE_ONLY]]
     return rows
 
 
 def sweep_payload(result: SweepResult) -> dict:
     return {
         "summary": result.summary(),
-        "cases": [_case_record(c) for c in result.cases],
+        "cases": list(result.records),
         "errata": [asdict(e) for e in errata_report(result.cases)],
     }
 
 
 def write_sweep_csv(result: SweepResult, fh):
-    write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(result.cases))
+    write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(result.records))
 
 
 def write_sweep_json(result: SweepResult, fh):

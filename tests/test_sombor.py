@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from ringsombor.graphs import (
     unit_graph,
 )
 from ringsombor.radicals import RadicalSum
-from ringsombor.rings import ZnRing
+from ringsombor.rings import TruncatedPolyRing, ZnRing
 from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 
@@ -247,6 +248,48 @@ class TestPairTable:
         source = row_source(ZnRing(n), kind)
         assert source.units == units
         assert degree_pair_counts(source, units) == table
+
+
+class CountingRows:
+    """A row source that passes every request on to source and counts, per
+    vertex, how often its row was asked for."""
+
+    def __init__(self, source):
+        self.n, self.source, self.requests = source.n, source, [0] * source.n
+
+    def rows_of(self, indices):
+        indices = list(indices)
+        for v in indices:
+            self.requests[v] += 1
+        return self.source.rows_of(indices)
+
+
+# Z_n with one and two unit-split sides of each size, and F_p[x]/(x^k)
+RING_SPECS = [(n,) for n in (2, 4, 45, 49, 77, 210, 1155)] + [(2, 3), (3, 2), (2, 5)]
+
+
+def ring_of(spec):
+    return ZnRing(*spec) if len(spec) == 1 else TruncatedPolyRing(*spec)
+
+
+@functools.cache
+def literal_ring_table(spec, kind):
+    g, units = (total_graph if kind == TOTAL else unit_graph)(ring_of(spec))
+    return units, literal_table(g, units)[0]
+
+
+class TestRingGraphRows:
+    # Each side of a ring graph's unit split holds one degree, so the first
+    # pass gives the whole table and no row is made a second time.
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 2048])
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT])
+    @pytest.mark.parametrize("spec", RING_SPECS, ids=lambda spec: ring_of(spec).name)
+    def test_each_row_is_made_once(self, spec, kind, chunk_rows, monkeypatch):
+        units, table = literal_ring_table(spec, kind)
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        source = CountingRows(row_source(ring_of(spec), kind))
+        assert degree_pair_counts(source, units) == table
+        assert source.requests == [1] * source.n
 
 
 class TestComplementSanity:

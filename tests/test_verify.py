@@ -441,6 +441,21 @@ class TestReports:
         assert {row["variant"] for row in csv_rows} == {UNIQUE, PRINTED, CORRECTED, "oracle"}
         assert sum(row["match"] == "false" for row in csv_rows) > 0
 
+    def test_csv_and_json_render_each_value_once(self, monkeypatch):
+        result = sweep("pq", 60, kinds=(TOTAL, UNIT))
+        rendered = []
+        render = RadicalSum.render
+        monkeypatch.setattr(RadicalSum, "render",
+                            lambda self: rendered.append(self) or render(self))
+        json_first, csv_buf, json_again = io.StringIO(), io.StringIO(), io.StringIO()
+        write_sweep_json(result, json_first)
+        write_sweep_csv(result, csv_buf)
+        write_sweep_json(result, json_again)
+        assert len(rendered) == sum(1 + len(c.variants) for c in result.cases)
+        # the CSV rows leave the shared records as the JSON report reads them
+        assert canonical_json_body(json_again.getvalue()) == canonical_json_body(
+            json_first.getvalue())
+
     def test_canonical_bodies_strip_volatile_fields(self):
         result = sweep("pq", 40, kinds=(TOTAL,))
         buf1, buf2 = io.StringIO(), io.StringIO()
