@@ -2,9 +2,10 @@
 
 Every element of a finite commutative ring with unity is either a unit or a
 zero-divisor, with 0 counted among the zero-divisors.  That partition is all
-the downstream graph constructions need, so rings here expose exactly:
-element addition, the unit test, and a couple of counts.  Elements are
-addressed by an integer index in 0..order-1 with index 0 the ring zero.
+the downstream graph constructions need, so rings here expose exactly: the
+unit mask, the unit count, whether 2 is a unit, whether the ring is local,
+and the parameters the row builders read.  Elements are addressed by an
+integer index in 0..order-1 with index 0 the ring zero.
 """
 
 from __future__ import annotations
@@ -306,8 +307,8 @@ class FiniteRing:
     """Base class of the two ring kinds, ZnRing and TruncatedPolyRing.
 
     Each fixes an element indexing 0..order-1 (index 0 is the ring zero) and
-    provides addition and the unit test on indices.  The graph builders
-    reject any other subclass with TypeError.
+    provides the unit mask on it (unit_mask, bit v set iff element v is a
+    unit).  The graph builders reject any other subclass with TypeError.
     """
 
     order: int
@@ -323,12 +324,6 @@ class ZnRing(FiniteRing):
         self.modulus = factorize(n)
         self.n = n
         self.order = n
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.n
-
-    def is_unit(self, x: int) -> bool:
-        return math.gcd(x, self.n) == 1
 
     @property
     def unit_count(self) -> int:
@@ -373,38 +368,6 @@ class TruncatedPolyRing(FiniteRing):
         self.k = k
         self.order = p**k
         self.lead = p ** (k - 1)  # index weight of the constant coefficient
-        self.one_index = self.lead
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        """Coefficient tuple (constant term first) of element x."""
-        digits = []
-        for _ in range(self.k):
-            x, d = divmod(x, self.p)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def from_coeffs(self, cs) -> int:
-        if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(cs)}")
-        x = 0
-        for c in cs:
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} out of range mod {self.p}")
-            x = x * self.p + c
-        return x
-
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        out, w = 0, 1
-        for _ in range(self.k):
-            out += ((x + y) % p) * w
-            x //= p
-            y //= p
-            w *= p
-        return out
-
-    def is_unit(self, x: int) -> bool:
-        return x >= self.lead
 
     @property
     def unit_count(self) -> int:

@@ -12,8 +12,8 @@ from ringsombor import cli
 from ringsombor import closed_forms as cf
 from ringsombor import verify as vf
 from ringsombor.cli import main
-from ringsombor.graphs import TOTAL, UNIT
-from ringsombor.rings import PSI_13
+from ringsombor.graphs import TOTAL, UNIT, EdgePartition, degree_pair
+from ringsombor.rings import PSI_13, ZnRing, euler_phi
 from ringsombor.verify import canonical_csv_body
 
 
@@ -169,7 +169,32 @@ def broken_total_pq(monkeypatch):
     monkeypatch.setattr(cf, "so_total_pq", lambda p, q: real(p, q) + 1)
 
 
+@pytest.fixture
+def shifted_total_pq(monkeypatch):
+    """total_pq_partition moved by (+d1, 0, -d0): a wrong partition with the
+    right value, since the sqrt(2) coefficient alpha*d0 + gamma*d1 is kept."""
+    real = cf.total_pq_partition
+
+    def shifted(p, q):
+        part = real(p, q)
+        d0, d1 = degree_pair(TOTAL, p * q, euler_phi(p * q), True)
+        return EdgePartition(part.alpha + d1, part.beta, part.gamma - d0)
+
+    monkeypatch.setattr(cf, "total_pq_partition", shifted)
+
+
 class TestVerdict:
+    def test_wrong_partition_with_the_right_value_fails(self, shifted_total_pq, capsys):
+        case = vf.verify_case(ZnRing(15), TOTAL)
+        (v,) = case.variants
+        assert v.closed_partition == EdgePartition(20, 16, 14)
+        assert v.value_match and v.partition_match is False
+        assert v.failed
+        assert main(["compute", "--ring", "zn", "--n", "15", "--graph", "total"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the unique form disagrees with the oracle on Z_15 (total)\n"
+        )
+
     @pytest.mark.parametrize("flags", [
         [], ["--mode", "oracle"], ["--format", "csv"], ["--format", "json"],
         ["--variant", "printed"],

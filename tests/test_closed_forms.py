@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import definitional as defn
 from ringsombor.closed_forms import (
     CORRECTED,
     PRINTED,
@@ -28,7 +29,7 @@ from ringsombor.closed_forms import (
 from ringsombor.graphs import TOTAL, UNIT, degree_pair, edge_partition_of, total_graph, unit_graph
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import LocalRingSpec, TruncatedPolyRing, ZnRing, euler_phi, primes_up_to
-from ringsombor.sombor import degree_pair_counts, sombor_bruteforce
+from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 
 def rt2(x):
@@ -214,6 +215,15 @@ class TestUnitP2Q:
         assert so_unit_p2q(3, 5, PRINTED) != so_unit_p2q(3, 5, CORRECTED)
 
 
+# GF(p^k) as Z_p[x] over an irreducible x^k + ... + monic[0]
+F4, F8, F9 = defn.field(2, (1, 1)), defn.field(2, (1, 1, 0)), defn.field(3, (1, 0))
+LOCAL_WITNESSES = [
+    F4, F8, F9, defn.field(2, (1, 1, 0, 0)),
+    defn.truncated(F4, 2), defn.truncated(F8, 2), defn.truncated(F4, 3), defn.truncated(F9, 2),
+    defn.truncated(defn.zn(4), 2), defn.square_zero(defn.zn(2)),
+]
+
+
 class TestLocalForms:
     def test_total_values(self):
         assert so_total_local(LocalRingSpec(8, 4, False)) == rt2(36)
@@ -239,6 +249,18 @@ class TestLocalForms:
                      TruncatedPolyRing(3, 2), TruncatedPolyRing(7, 1)):
             spec = LocalRingSpec(ring.order, ring.unit_count, ring.two_is_unit)
             assert so_unit_local(spec) == oracle(ring, UNIT)
+
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT])
+    @pytest.mark.parametrize("ring", LOCAL_WITNESSES, ids=lambda ring: ring.name)
+    def test_definitional_local_rings(self, ring, kind):
+        # over the even residue fields F_4, F_8 and F_16, 2 is not a unit and
+        # yet the unit and non-unit counts differ, so a form that swaps them
+        # shows; F_2[x,y]/(x,y)^2 is local with ideals that are not a chain
+        assert ring.is_local
+        spec = LocalRingSpec(ring.order, ring.unit_count, ring.two_is_unit)
+        table = degree_pair_counts(ring.graph(kind == UNIT), ring.unit_mask)
+        form = so_total_local if kind == TOTAL else so_unit_local
+        assert form(spec) == sombor_of(table)
 
     def test_printed_coincides_at_z3(self):
         # the one place the printed two-is-unit case happens to agree

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import definitional
 from ringsombor.graphs import (
     TOTAL,
     UNIT,
@@ -22,33 +23,26 @@ from ringsombor.rings import FiniteRing, TruncatedPolyRing, ZnRing, euler_phi
 from ringsombor.sombor import degree_pair_counts
 
 
-def naive_sum_graph(ring, want_unit):
-    # reference construction: literal pair loop over ring.add / ring.is_unit
-    n = ring.order
-    rows = [0] * n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if ring.is_unit(ring.add(x, y)) == want_unit:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    return Graph(n, rows)
-
-
 class OtherRing(FiniteRing):
-    # a ring kind with no row builder; records every method the builders call
+    # a ring kind with no row builder; records every ring method a builder calls
     order = 4
     name = "other_4"
 
     def __init__(self):
         self.calls = []
 
-    def add(self, x, y):
-        self.calls.append("add")
-        return (x + y) % 4
+    def unit_mask(self):
+        self.calls.append("unit_mask")
+        return 0b1010
 
-    def is_unit(self, x):
-        self.calls.append("is_unit")
-        return x % 2 == 1
+
+def assert_matches_definition(ring, witness):
+    # both builders against the witness's pair loop over its own tables
+    for want_unit, builder in ((False, total_graph), (True, unit_graph)):
+        g, units = builder(ring)
+        g.validate()
+        assert g == witness.graph(want_unit)
+        assert units == witness.unit_mask
 
 
 class TestBuilders:
@@ -93,19 +87,14 @@ class TestBuilders:
         "n", [2, 3, 4, 9, 12, 15, 16, 25, 45, 60, 63, 64, 65, 127, 128, 129, 256]
     )
     def test_zn_matches_naive(self, n):
-        ring = ZnRing(n)
-        for want_unit, builder in ((False, total_graph), (True, unit_graph)):
-            g, _ = builder(ring)
-            g.validate()
-            assert g == naive_sum_graph(ring, want_unit)
+        assert_matches_definition(ZnRing(n), definitional.zn(n))
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
     def test_poly_matches_naive(self, p, k):
-        ring = TruncatedPolyRing(p, k)
-        for want_unit, builder in ((False, total_graph), (True, unit_graph)):
-            g, _ = builder(ring)
-            g.validate()
-            assert g == naive_sum_graph(ring, want_unit)
+        # the witness lists coefficient tuples constant term first, the
+        # package's indexing of F_p[x]/(x^k)
+        witness = definitional.truncated(definitional.zn(p), k)
+        assert_matches_definition(TruncatedPolyRing(p, k), witness)
 
     @pytest.mark.parametrize("builder", [total_graph, unit_graph])
     def test_other_ring_kind_rejected(self, builder):

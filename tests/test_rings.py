@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import definitional
+from ringsombor.graphs import TOTAL, UNIT, predicted_degrees, row_source
 from ringsombor.rings import (
     EVEN,
     ODD_P2Q,
@@ -152,47 +154,52 @@ class TestClassify:
             assert fam == classify(n)
 
 
-def zn_inverse_exists(x, n):
-    # independent oracle: exhaustive search for a multiplicative inverse
-    return any((x * y) % n == 1 for y in range(n))
+def assert_ring_matches_witness(ring, witness):
+    # the ring facts that src reads besides the unit mask, against the
+    # witness's tables: 1+1 is read off the addition table, local means the
+    # non-units are closed under addition, and each vertex class of the
+    # witness's pair-loop graphs has its predicted degree
+    assert ring.order == witness.order
+    assert ring.unit_count == witness.unit_count
+    assert ring.two_is_unit == witness.two_is_unit
+    assert ring.is_local == witness.is_local
+    for kind in (TOTAL, UNIT):
+        d_zero, d_unit = predicted_degrees(ring, kind)
+        degrees = witness.graph(kind == UNIT).degrees
+        assert all(d == (d_unit if witness.units[v] else d_zero) for v, d in enumerate(degrees))
 
 
 class TestZnRing:
     def test_is_unit_examples(self):
-        r = ZnRing(15)
-        assert r.is_unit(4)  # gcd(4, 15) = 1
-        assert not r.is_unit(5)
+        # 4 * 4 = 1 mod 15, while 5 * 3 = 0, so 5 has no inverse
+        mask, witness = ZnRing(15).unit_mask(), definitional.zn(15)
+        assert (mask >> 4) & 1 and witness.mul[4][4] == witness.one
+        assert not (mask >> 5) & 1 and not witness.units[5]
 
     def test_is_unit_matches_inverse_search(self):
-        for n in range(2, 201):
-            r = ZnRing(n)
-            for x in range(n):
-                assert r.is_unit(x) == zn_inverse_exists(x, n)
+        for n in [*range(2, 201), 210]:
+            assert ZnRing(n).unit_mask() == definitional.zn(n).unit_mask
 
     def test_unit_count(self):
         assert ZnRing(9).unit_count == 6
         assert ZnRing(2).unit_count == 1
 
     def test_unit_zero_divisor_partition(self):
+        # every non-unit of the witness divides zero (0 included)
         for n in range(2, 120):
-            r = ZnRing(n)
-            zero_divisors = sum(1 for x in range(n) if not r.is_unit(x))
-            assert r.unit_count + zero_divisors == n
+            w = definitional.zn(n)
+            zero_divisors = [x for x in range(n) if any(
+                w.mul[x][y] == w.zero for y in range(n) if y != w.zero)]
+            assert ZnRing(n).unit_count + len(zero_divisors) == n
+            assert not any(w.units[x] for x in zero_divisors)
 
-    def test_unit_mask_agrees_with_is_unit(self):
-        for n in (2, 3, 12, 45, 97, 210):
-            r = ZnRing(n)
-            mask = r.unit_mask()
-            for x in range(n):
-                assert bool((mask >> x) & 1) == r.is_unit(x)
+    def test_matches_definition(self):
+        for n in range(2, 201):
+            assert_ring_matches_witness(ZnRing(n), definitional.zn(n))
 
     def test_two_is_unit(self):
         assert not ZnRing(8).two_is_unit
         assert ZnRing(9).two_is_unit
-
-    def test_add(self):
-        r = ZnRing(7)
-        assert r.add(5, 4) == 2
 
 
 class TestTruncatedPolyRing:
@@ -202,58 +209,39 @@ class TestTruncatedPolyRing:
         with pytest.raises(ValueError):
             TruncatedPolyRing(3, 0)
 
-    def test_coeff_round_trip(self):
-        r = TruncatedPolyRing(3, 2)
-        for x in range(r.order):
-            assert r.from_coeffs(r.coeffs(x)) == x
-        assert r.coeffs(r.one_index) == (1, 0)
-
     def test_lexicographic_index_order(self):
-        r = TruncatedPolyRing(5, 3)
-        tuples = [r.coeffs(x) for x in range(r.order)]
-        assert tuples == sorted(tuples)
-
-    def test_add_componentwise(self):
-        r = TruncatedPolyRing(3, 2)
-        for x in range(r.order):
-            for y in range(r.order):
-                cs = tuple((a + b) % 3 for a, b in zip(r.coeffs(x), r.coeffs(y)))
-                assert r.coeffs(r.add(x, y)) == cs
+        # the witness numbers coefficient tuples in product order, constant
+        # term first: unit masks and graphs agree only under that indexing
+        ring, witness = TruncatedPolyRing(5, 3), definitional.truncated(definitional.zn(5), 3)
+        assert ring.unit_mask() == witness.unit_mask
+        assert row_source(ring, UNIT).rows_of(range(ring.order)) == witness.graph(True).rows
 
     def test_unit_iff_inverse_exists(self):
-        # independent oracle: truncated polynomial multiplication
-        def mul(r, x, y):
-            a, b = r.coeffs(x), r.coeffs(y)
-            out = [0] * r.k
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    if i + j < r.k:
-                        out[i + j] = (out[i + j] + ai * bj) % r.p
-            return r.from_coeffs(out)
-
         for p, k in ((2, 2), (2, 3), (3, 2), (5, 1), (3, 3)):
-            r = TruncatedPolyRing(p, k)
-            for x in range(r.order):
-                has_inv = any(mul(r, x, y) == r.one_index for y in range(r.order))
-                assert r.is_unit(x) == has_inv
+            w = definitional.truncated(definitional.zn(p), k)
+            assert TruncatedPolyRing(p, k).unit_mask() == w.unit_mask
 
     def test_one_plus_x_is_unit(self):
-        r = TruncatedPolyRing(3, 2)
-        assert r.is_unit(r.from_coeffs((1, 1)))
+        # 1 + x is the tuple (1, 1), index 1*3 + 1 in F_3[x]/(x^2); 1 - x
+        # (index 1*3 + 2) is its inverse
+        w = definitional.truncated(definitional.zn(3), 2)
+        assert w.mul[4][5] == w.one == 3
+        assert (TruncatedPolyRing(3, 2).unit_mask() >> 4) & 1
 
     def test_unit_count(self):
         assert TruncatedPolyRing(3, 2).unit_count == 6
         assert TruncatedPolyRing(2, 3).unit_count == 4
 
     def test_nonunits_closed_under_addition(self):
-        for p, k in ((2, 2), (2, 3), (2, 9), (3, 2), (3, 5), (5, 3), (7, 3), (23, 2)):
-            r = TruncatedPolyRing(p, k)
-            if r.order > 512:
-                continue
-            nonunits = [x for x in range(r.order) if not r.is_unit(x)]
-            for x in nonunits:
-                for y in nonunits:
-                    assert not r.is_unit(r.add(x, y))
+        # F_2[x]/(x^9) is left out: its 512-element product table takes 2 s
+        for p, k in ((2, 2), (2, 3), (3, 2), (3, 5), (5, 3), (7, 3)):
+            assert definitional.truncated(definitional.zn(p), k).is_local
+            assert TruncatedPolyRing(p, k).is_local
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+    def test_matches_definition(self, p, k):
+        witness = definitional.truncated(definitional.zn(p), k)
+        assert_ring_matches_witness(TruncatedPolyRing(p, k), witness)
 
     def test_two_is_unit(self):
         assert not TruncatedPolyRing(2, 2).two_is_unit
