@@ -177,7 +177,7 @@ class TestZnRing:
         assert not (mask >> 5) & 1 and not witness.units[5]
 
     def test_is_unit_matches_inverse_search(self):
-        for n in [*range(2, 201), 210]:
+        for n in range(2, 201):
             assert ZnRing(n).unit_mask() == definitional.zn(n).unit_mask
 
     def test_unit_count(self):
@@ -196,6 +196,17 @@ class TestZnRing:
     def test_matches_definition(self):
         for n in range(2, 201):
             assert_ring_matches_witness(ZnRing(n), definitional.zn(n))
+
+    def test_unit_mask_agrees_with_is_unit(self):
+        # bit x of the mask is set exactly when the witness finds an inverse
+        # of x, and the mask's population is the ring's unit count
+        for n in (2, 3, 12, 45, 97, 210):
+            ring, witness = ZnRing(n), definitional.zn(n)
+            mask = ring.unit_mask()
+            for x in range(n):
+                assert bool((mask >> x) & 1) == witness.units[x]
+            assert mask >> n == 0
+            assert bin(mask).count("1") == ring.unit_count
 
     def test_two_is_unit(self):
         assert not ZnRing(8).two_is_unit
