@@ -22,7 +22,8 @@ def radical_normalize(m: int) -> tuple[int, int]:
 
     Read off the exact prime factorization m = prod p^e (rings._prime_factors):
     c = prod p^(e // 2) and s = prod p^(e % 2).  Raises ValueError when that
-    factorization needs a primality proof beyond rings.PSI_13.
+    factorization needs a primality proof beyond rings.PSI_13, or more than
+    rings.RHO_STEPS rho squarings on one cofactor.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")

@@ -116,13 +116,25 @@ def is_prime(n: int) -> bool:
     return n < _TRIAL_BOUND**2 or _passes_miller_rabin(n)
 
 
+# Squarings _rho_divisor may spend on one cofactor, over every c.  The
+# radicands of Z_1300000000529's unit graph take about 1.8 million.
+RHO_STEPS = 1 << 22
+
+
 def _rho_divisor(n: int) -> int:
     """A proper divisor of the odd composite n that is not a square: Brent's
     variant of Pollard rho on x -> x^2 + c, taking the gcd once per batch of
-    128 steps, with c = 1, 2, ... until a run does not end on n itself."""
+    128 steps, with c = 1, 2, ... until a run does not end on n itself.
+    Raises ValueError rather than start a round that could take the
+    squarings past RHO_STEPS."""
+    steps = 0  # the most squarings the rounds so far could take
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEPS:
+                raise ValueError(f"Pollard rho found no factor of {n} "
+                                 f"within {RHO_STEPS} squarings")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -150,7 +162,8 @@ def _prime_factors(m: int) -> dict[int, int]:
 
     Trial division by the primes below _TRIAL_BOUND, then each cofactor is
     split as an exact square, declared prime by is_prime's Miller-Rabin
-    test, or split by Pollard rho.  Raises ValueError where is_prime does.
+    test, or split by Pollard rho.  Raises ValueError where is_prime does,
+    or where rho does not split a cofactor within RHO_STEPS squarings.
     """
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:

@@ -10,8 +10,9 @@ name order with the slow acceptance file last, so a kill comes early.
 Exits 0 when the baseline passes and every mutant is killed, else 1.
 
 A mutant joins the list once a test kills it.  Equivalent mutants, which no
-test can kill because they change no behaviour, stay out: `left // 2` to
-`(left + 1) // 2` in the oracle's handshake is one, since left is even.
+test can kill because they change no behaviour, stay out: flipping the
+oracle's choice of the smaller unit side (`<= n` to `> n`) is one, since
+the edges across the split are the same counted from either side.
 """
 
 from __future__ import annotations
@@ -63,6 +64,21 @@ MUTANTS = {
         "rings.py",
         "if self.two_is_unit != (q % 2 == 1):",
         "if False:",
+    ),
+    "K degree_pair_counts, rule 1: the edges across added to a side's own": (
+        "sombor.py",
+        "- across) // 2",
+        "+ across) // 2",
+    ),
+    "L degree_pair_counts, first pass: the smaller side's neighbours on its own side": (
+        "sombor.py",
+        "sides[1 - few]",
+        "sides[few]",
+    ),
+    "M degree_pair_counts, rule 2: no edges within a key": (
+        "sombor.py",
+        "if a <= b:",
+        "if a < b:",
     ),
 }
 

@@ -10,6 +10,7 @@ import pytest
 import ringsombor
 from ringsombor import cli
 from ringsombor import closed_forms as cf
+from ringsombor import rings
 from ringsombor import verify as vf
 from ringsombor.cli import main
 from ringsombor.graphs import TOTAL, UNIT, EdgePartition, degree_pair
@@ -277,6 +278,15 @@ class TestClosedModeLargeModuli:
         assert code == 2
         assert str(PSI_13) in err
         assert out == ""
+
+    def test_rho_budget_exits_2(self, capsys, monkeypatch):
+        # 3^100's unit-graph radicands leave a composite cofactor that rho
+        # does not split within the budget (2^22 squarings takes about 4 s)
+        monkeypatch.setattr(rings, "RHO_STEPS", 1 << 12)
+        code, seconds, out, err = timed_closed(capsys, 3**100, "unit")
+        assert code == 2 and seconds < 1.0
+        assert out == ""
+        assert err.count("error:") == 1 and "within 4096 squarings" in err
 
 
 class TestVerifyCommand:

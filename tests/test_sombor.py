@@ -292,6 +292,40 @@ class TestRingGraphRows:
         assert source.requests == [1] * source.n
 
 
+@st.composite
+def circulants_with_units(draw):
+    """A circulant graph on 1 to 40 vertices, regular by construction, and
+    a random unit mask."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    offsets = draw(st.sets(st.integers(min_value=1, max_value=n // 2))) if n > 1 else ()
+    return circulant_graph(n, offsets), draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+
+
+class TestRowsRead:
+    # Rule 1 (one degree a side) reads each row once; rule 2 reads each
+    # row twice, whatever the keys.
+    @given(graph_units=circulants_with_units(), chunk_rows=st.sampled_from([1, 3, 7, 2048]))
+    @settings(max_examples=200, deadline=None)
+    def test_regular_graph_rows_made_once(self, graph_units, chunk_rows):
+        g, units = graph_units
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+            source = CountingRows(g)
+            assert degree_pair_counts(source, units) == literal_table(g, units)[0]
+        assert source.requests == [1] * g.n
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 2048])
+    @pytest.mark.parametrize("units", [0, 0b00011, 0b00100])
+    def test_two_degrees_on_a_side_make_each_row_twice(self, units, chunk_rows, monkeypatch):
+        # the path 0-1-2-3-4 has degrees 1, 2, 2, 2, 1
+        g = Graph(5, [0b10, 0b101, 0b1010, 0b10100, 0b1000])
+        g.validate()
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        source = CountingRows(g)
+        assert degree_pair_counts(source, units) == literal_table(g, units)[0]
+        assert source.requests == [2] * g.n
+
+
 class TestComplementSanity:
     def test_identity_fails_for_non_regular(self):
         # path 0-1-2 inside 3 vertices: degrees (1, 2, 1), not regular
