@@ -5,11 +5,12 @@ tests bit-parallel and makes popcount-style edge counting cheap up to the
 default vertex ceiling of 2**14.  A ring's graph comes as a row source
 (row_source): its unit mask and rows_of(indices), which makes the asked rows
 on demand, so the oracle and the structure checks read a graph in chunks of
-CHUNK_ROWS rows and never hold n rows of n bits.  A Graph holds every row;
-it is built (total_graph, unit_graph) only to dump an edge list, for the
-identity circulants and in tests, and offers the same rows_of.  Edge
-iteration order is lexicographic (u < v ascending), and report writers rely
-on that for reproducible output.
+about CHUNK_BITS bits of rows (row_chunks: CHUNK_BITS // n rows, at least
+one) and never hold n rows of n bits.  A Graph holds every row; it is built
+(total_graph, unit_graph) only to dump an edge list, for the identity
+circulants and in tests, and offers the same rows_of.  Edge iteration order
+is lexicographic (u < v ascending), and report writers rely on that for
+reproducible output.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ UNIT = "unit"
 # Largest ring order whose graphs are built explicitly (n rows of n bits).
 DEFAULT_CEILING = 1 << 14
 
-# Rows read at a time from a row source: 2048 rows of 2^14 bits are 4 MB, and
-# every graph of at most 2048 vertices is one chunk.
-CHUNK_ROWS = 2048
+# Row bits read at a time from a row source: 2^22 bits are 512 KB, so the
+# two chunks check_structure holds side by side fit a 2 MB per-core L2
+# cache, and every graph of at most 2048 vertices (2048 rows of 2048 bits)
+# is still one chunk.
+CHUNK_BITS = 1 << 22
 
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -40,8 +43,10 @@ def _full_mask(n: int) -> int:
 
 
 def row_chunks(n: int) -> list[range]:
-    """The vertices 0..n-1 in consecutive ranges of CHUNK_ROWS."""
-    return [range(s, min(s + CHUNK_ROWS, n)) for s in range(0, n, CHUNK_ROWS)]
+    """The vertices 0..n-1 in consecutive ranges of CHUNK_BITS // n rows (at
+    least one), so a chunk of n-bit rows holds at most CHUNK_BITS bits."""
+    step = max(1, CHUNK_BITS // max(n, 1))
+    return [range(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def vertex_flags(mask: int, n: int) -> bytes:

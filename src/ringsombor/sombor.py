@@ -7,13 +7,14 @@ degree_pair_counts is the oracle's only reader of the rows
 (is_unit, degree) keys of their endpoints, and both the Sombor value
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
 that one table.  It reads any row source (a ring's graphs.row_source, or a
-held Graph) in chunks of graphs.CHUNK_ROWS rows, so a ring's graph is never
-held whole.  A first pass makes every row and reads its degree and, on the
-smaller side of the unit split, its neighbours on the other side.  When each
-side's rows show at most one degree, as they do on every ring's graphs, the
-handshake identity gives the whole table from that pass and no row is made
-twice; otherwise a second pass recounts every edge by key.  The unit mask
-is input data, not a derived fact.
+held Graph) in the chunks of graphs.row_chunks, about graphs.CHUNK_BITS
+bits of rows each (a graph of at most 2048 vertices is one chunk), so a
+ring's graph is never held whole.  A first pass makes every row and reads
+its degree and, on the smaller side of the unit split, its neighbours on
+the other side.  When each side's rows show at most one degree, as they do
+on every ring's graphs, the handshake identity gives the whole table from
+that pass and no row is made twice; otherwise a second pass recounts every
+edge by key.  The unit mask is input data, not a derived fact.
 """
 
 from __future__ import annotations

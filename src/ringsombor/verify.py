@@ -313,7 +313,16 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     subgraph of the total graph complete, do both degree predictions hold,
     and is the unit graph exactly the complement of the total graph.  The
     two graphs' row sources are read side by side, one chunk of rows at a
-    time, and each fact is checked row by row."""
+    time, and each fact is checked row by row.
+
+    Each chunk first takes one partition test per row pair: the total and
+    unit rows of x are disjoint and together hold every vertex but x.  When
+    every pair in the chunk passes, duality holds there, each unit degree
+    is n - 1 minus the total degree, and a zero-divisor's total row holds
+    every other zero-divisor iff its unit row holds none, so a row needs one
+    popcount and, for a zero-divisor, one AND.  A chunk that fails the test
+    (an edge in both graphs or in neither, a self-loop, a stray bit) has
+    the three facts checked one by one on its rows instead."""
     total = row_source(ring, TOTAL, ceiling=ceiling)
     unit = row_source(ring, UNIT, ceiling=ceiling)
     n, units = total.n, total.units
@@ -325,23 +334,30 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     duality = degrees = zdiv_complete = True
     for idx in row_chunks(n):
         t_rows, u_rows = total.rows_of(idx), unit.rows_of(idx)
-        duality = duality and all(
-            u == t ^ full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)
-        )
+        t_degrees = list(map(int.bit_count, t_rows))
+        zeros = is_zero[idx.start:idx.stop]
+        if all(not t & u and t | u == full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)):
+            u_degrees = [n - 1 - d for d in t_degrees]
+            clique = not any(map(zm.__and__, compress(u_rows, zeros)))
+        else:
+            duality = duality and all(
+                u == t ^ full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)
+            )
+            u_degrees = list(map(int.bit_count, u_rows))
+            # each zero-divisor row holds every other zero-divisor and not itself
+            clique = all(
+                map(
+                    int.__eq__,
+                    map(zm.__and__, compress(t_rows, zeros)),
+                    map(zm.__xor__, map((1).__lshift__, compress(idx, zeros))),
+                )
+            )
         flags = is_unit[idx.start:idx.stop]
         degrees = degrees and all(
-            list(map(int.bit_count, rows)) == list(map(pair.__getitem__, flags))
-            for rows, pair in zip((t_rows, u_rows), predicted)
+            degs == list(map(pair.__getitem__, flags))
+            for degs, pair in zip((t_degrees, u_degrees), predicted)
         )
-        # each zero-divisor row holds every other zero-divisor and not itself
-        zeros = is_zero[idx.start:idx.stop]
-        zdiv_complete = zdiv_complete and all(
-            map(
-                int.__eq__,
-                map(zm.__and__, compress(t_rows, zeros)),
-                map(zm.__xor__, map((1).__lshift__, compress(idx, zeros))),
-            )
-        )
+        zdiv_complete = zdiv_complete and clique
         del t_rows, u_rows  # before the next chunk's rows are made
     return StructureResult(
         ring=ring.name,

@@ -80,6 +80,21 @@ MUTANTS = {
         "if a <= b:",
         "if a < b:",
     ),
+    "N check_structure, partition test: the rows need not be disjoint": (
+        "verify.py",
+        "not t & u and t | u == full ^ (1 << x)",
+        "t | u == full ^ (1 << x)",
+    ),
+    "O check_structure, partition: unit degree n - d, not n - 1 - d": (
+        "verify.py",
+        "[n - 1 - d for d in t_degrees]",
+        "[n - d for d in t_degrees]",
+    ),
+    "P check_structure, partition: the clique read off the total rows": (
+        "verify.py",
+        "compress(u_rows, zeros)",
+        "compress(t_rows, zeros)",
+    ),
 }
 
 

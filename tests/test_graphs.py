@@ -14,6 +14,7 @@ from ringsombor.graphs import (
     degree_pair,
     edge_partition_of,
     predicted_degrees,
+    row_chunks,
     row_source,
     total_graph,
     unit_graph,
@@ -271,3 +272,17 @@ class TestGraphBasics:
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == "p edge 4 2\ne 1 3\ne 2 4\n"
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("n", [1, 2, 27, 1155, 2047, 2048])
+    def test_graph_of_at_most_2048_vertices_is_one_chunk(self, n):
+        assert row_chunks(n) == [range(n)]
+
+    def test_ceiling_graph_takes_256_rows_a_chunk(self):
+        chunks = row_chunks(16384)
+        assert chunks == [range(s, s + 256) for s in range(0, 16384, 256)]
+        assert [v for chunk in chunks for v in chunk] == list(range(16384))
+
+    def test_no_vertices_no_chunks(self):
+        assert row_chunks(0) == []

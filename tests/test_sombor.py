@@ -25,6 +25,11 @@ from ringsombor.rings import TruncatedPolyRing, ZnRing
 from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 
+def force_chunk_rows(mp, rows, n):
+    """Make graphs.row_chunks(n) step by `rows` rows, through CHUNK_BITS."""
+    mp.setattr(graphs, "CHUNK_BITS", rows * n)
+
+
 def naive_sombor(g):
     # reference: literal edge loop, no degree grouping
     total = RadicalSum()
@@ -196,7 +201,7 @@ class TestPairTable:
     @settings(max_examples=100, deadline=None)
     def test_chunked_table_matches_literal_edge_loop(self, chunk_rows, graph_units):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+            force_chunk_rows(mp, chunk_rows, graph_units[0].n)
             check_table(*graph_units)
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -204,14 +209,14 @@ class TestPairTable:
     @settings(max_examples=50, deadline=None)
     def test_chunked_wide_table_matches_literal_edge_loop(self, chunk_rows, graph_units):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+            force_chunk_rows(mp, chunk_rows, graph_units[0].n)
             check_table(*graph_units)
 
     def test_regular_graph_reads_no_row(self, monkeypatch):
         # one key: the rows are read once, for the degrees, and the
         # handshake alone gives its d * n / 2 edges
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", 5)
         g = circulant_graph(12, [1, 2, 6])
+        force_chunk_rows(monkeypatch, 5, g.n)
         assert set(g.degrees) == {5}
         assert degree_pair_counts(ForgetfulRows(g, (1 << 12) - 1)) == {((0, 5), (0, 5)): 30}
 
@@ -235,7 +240,7 @@ class TestPairTable:
         check_table(g, units)
         table = degree_pair_counts(g, units)
         larger = ((1 << n) - 1) ^ units if smaller_is_units else units
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", 16)
+        force_chunk_rows(monkeypatch, 16, n)
         assert degree_pair_counts(ForgetfulRows(g, larger), units) == table
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -244,7 +249,7 @@ class TestPairTable:
     def test_ring_source_table_equals_held_graph(self, n, kind, chunk_rows, monkeypatch):
         g, units = (total_graph if kind == TOTAL else unit_graph)(ZnRing(n))
         table = degree_pair_counts(g, units)
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        force_chunk_rows(monkeypatch, chunk_rows, n)
         source = row_source(ZnRing(n), kind)
         assert source.units == units
         assert degree_pair_counts(source, units) == table
@@ -286,7 +291,7 @@ class TestRingGraphRows:
     @pytest.mark.parametrize("spec", RING_SPECS, ids=lambda spec: ring_of(spec).name)
     def test_each_row_is_made_once(self, spec, kind, chunk_rows, monkeypatch):
         units, table = literal_ring_table(spec, kind)
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        force_chunk_rows(monkeypatch, chunk_rows, ring_of(spec).order)
         source = CountingRows(row_source(ring_of(spec), kind))
         assert degree_pair_counts(source, units) == table
         assert source.requests == [1] * source.n
@@ -309,7 +314,7 @@ class TestRowsRead:
     def test_regular_graph_rows_made_once(self, graph_units, chunk_rows):
         g, units = graph_units
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+            force_chunk_rows(mp, chunk_rows, g.n)
             source = CountingRows(g)
             assert degree_pair_counts(source, units) == literal_table(g, units)[0]
         assert source.requests == [1] * g.n
@@ -320,7 +325,7 @@ class TestRowsRead:
         # the path 0-1-2-3-4 has degrees 1, 2, 2, 2, 1
         g = Graph(5, [0b10, 0b101, 0b1010, 0b10100, 0b1000])
         g.validate()
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        force_chunk_rows(monkeypatch, chunk_rows, g.n)
         source = CountingRows(g)
         assert degree_pair_counts(source, units) == literal_table(g, units)[0]
         assert source.requests == [2] * g.n

@@ -1,8 +1,11 @@
+import functools
 import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsombor import graphs, verify
 from ringsombor.cli import main
@@ -74,6 +77,11 @@ def edit_rows(monkeypatch, kind, edits):
         return EditedRows(source, edits) if k == kind else source
 
     monkeypatch.setattr(verify, "row_source", edited)
+
+
+def force_chunk_rows(mp, rows, n):
+    """Make graphs.row_chunks(n) step by `rows` rows, through CHUNK_BITS."""
+    mp.setattr(graphs, "CHUNK_BITS", rows * n)
 
 
 class TestVerifyCase:
@@ -261,8 +269,11 @@ def whole_chunk_structures():
 class TestStructureChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
     def test_verdicts_equal_whole_chunk(self, chunk_rows, whole_chunk_structures, monkeypatch):
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
-        assert [check_structure(ring) for ring in CHUNKED_RINGS] == whole_chunk_structures
+        results = []
+        for ring in CHUNKED_RINGS:
+            force_chunk_rows(monkeypatch, chunk_rows, ring.order)
+            results.append(check_structure(ring))
+        assert results == whole_chunk_structures
 
     # Z_27 is local: its zero-divisors 0, 3, ..., 24 form a clique.  Rows 0,
     # 12 and 24 sit in its first, a middle and (at 3 and 7 rows a chunk) its
@@ -270,7 +281,7 @@ class TestStructureChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
     @pytest.mark.parametrize("row", [0, 12, 26])
     def test_one_flipped_unit_bit_is_flagged(self, chunk_rows, row, monkeypatch):
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        force_chunk_rows(monkeypatch, chunk_rows, 27)
         edit_rows(monkeypatch, UNIT, {row: 1 << (row + 5) % 27})
         r = check_structure(ZnRing(27))
         assert not r.duality_ok and not r.degrees_ok
@@ -279,7 +290,7 @@ class TestStructureChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
     @pytest.mark.parametrize("row", [0, 12, 24])
     def test_one_missing_zero_divisor_pair_is_flagged(self, chunk_rows, row, monkeypatch):
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        force_chunk_rows(monkeypatch, chunk_rows, 27)
         edit_rows(monkeypatch, TOTAL, {row: 1 << (row + 9) % 27})
         r = check_structure(ZnRing(27))
         assert not r.zdiv_complete
@@ -289,22 +300,142 @@ class TestStructureChunks:
         edit_rows(monkeypatch, TOTAL, {3: 1 << 3})
         assert not check_structure(ZnRing(27)).zdiv_complete
 
+    # Vertex 1 of Z_27, a unit, gets a self-loop in both graphs, and its edge
+    # to 2 (1 + 2 = 3, a zero-divisor) moves from the total graph to the unit
+    # graph.  Each row is still the other's complement and the total degree
+    # is unchanged, but the unit row of 1 holds 19 vertices where 17 are
+    # predicted; only the disjointness half of the partition test sends the
+    # chunk to the checks that count them.
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, None])
+    def test_self_loop_in_both_graphs_is_flagged(self, chunk_rows, monkeypatch):
+        if chunk_rows is not None:
+            force_chunk_rows(monkeypatch, chunk_rows, 27)
+        edit = (1 << 1) | (1 << 2)
+        edit_rows(monkeypatch, TOTAL, {1: edit})
+        edit_rows(monkeypatch, UNIT, {1: edit})
+        r = check_structure(ZnRing(27))
+        assert r.duality_ok and not r.degrees_ok and r.zdiv_complete
+
+
+# Z_n up to 60 and every F_p[x]/(x^k) of at most 64 elements.
+SMALL_RINGS = [ZnRing(n) for n in range(2, 61)] + [
+    TruncatedPolyRing(p, k) for p, top in ((2, 6), (3, 3), (5, 2), (7, 2)) for k in range(1, top + 1)
+]
+
+
+@functools.cache
+def held_rows(ring, kind):
+    return tuple((graphs.total_graph if kind == TOTAL else graphs.unit_graph)(ring)[0].rows)
+
+
+def literal_structure(ring, total_edits, unit_edits):
+    """check_structure's three facts, read bit by bit off the ring's held
+    rows with the edits XORed in."""
+    n, units = ring.order, ring.unit_mask()
+    t_rows, u_rows = (
+        [row ^ edits.get(x, 0) for x, row in enumerate(held_rows(ring, kind))]
+        for kind, edits in ((TOTAL, total_edits), (UNIT, unit_edits))
+    )
+
+    def bit(mask, y):
+        return (mask >> y) & 1
+
+    zeros = [x for x in range(n) if not bit(units, x)]
+    predicted = graphs.predicted_degrees(ring, TOTAL), graphs.predicted_degrees(ring, UNIT)
+    return verify.StructureResult(
+        ring=ring.name,
+        n=n,
+        is_local=ring.is_local,
+        # every zero-divisor's total row holds every other zero-divisor and not itself
+        zdiv_complete=all(bit(t_rows[x], y) == (y != x) for x in zeros for y in zeros),
+        degrees_ok=all(
+            sum(bit(rows[x], y) for y in range(n)) == pair[bit(units, x)]
+            for rows, pair in zip((t_rows, u_rows), predicted)
+            for x in range(n)
+        ),
+        # y is in exactly one row of x when y != x, and in both or neither when y == x
+        duality_ok=all(
+            bit(u_rows[x], y) == bit(t_rows[x], y) ^ (y != x) for x in range(n) for y in range(n)
+        ),
+    )
+
+
+@st.composite
+def ring_edits(draw):
+    """A ring from SMALL_RINGS and XOR edits, inside its n bits, to its total
+    and unit rows.  The edit mask of row x is a random mask, one random bit
+    or the bit of one of x's neighbours in the total graph, with x's own
+    self bit flipped or not.  A paired edit XORs one mask into both rows of
+    a vertex: each row stays the other's complement, and the rows stay a
+    partition of the other vertices unless the mask holds the self bit.
+    Half the cases have paired edits alone, so that duality holds."""
+    ring = draw(st.sampled_from(SMALL_RINGS))
+    n = ring.order
+    total_rows = held_rows(ring, TOTAL)
+
+    def mask(x):
+        neighbours = [y for y in range(n) if (total_rows[x] >> y) & 1]
+        one = st.integers(0, n - 1) | (st.sampled_from(neighbours) if neighbours else st.nothing())
+        return st.integers(0, (1 << n) - 1) | one.map((1).__lshift__)
+
+    def edits():
+        vertices = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        return {x: draw(mask(x)) ^ (draw(st.booleans()) << x) for x in vertices}
+
+    total, unit = (edits(), edits()) if draw(st.booleans()) else ({}, {})
+    paired = edits()
+    for x, edit in paired.items():
+        total[x] = total.get(x, 0) ^ edit
+        unit[x] = unit.get(x, 0) ^ edit
+    return ring, total, unit
+
+
+class TestStructureReference:
+    # check_structure against literal_structure, with chunk boundaries inside
+    # the graphs or (None) the default single chunk
+    @given(case=ring_edits(), chunk_rows=st.sampled_from([1, 3, 7, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_edited_rows_match_literal_reference(self, case, chunk_rows):
+        ring, total_edits, unit_edits = case
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_rows is not None:
+                force_chunk_rows(mp, chunk_rows, ring.order)
+            edit_rows(mp, TOTAL, total_edits)
+            edit_rows(mp, UNIT, unit_edits)
+            result = check_structure(ring)
+        assert result == literal_structure(ring, total_edits, unit_edits)
+
+
+# Z_16384 is at the default ceiling: one graph there is 32 MB of rows.
+CEILING_RUNS = {
+    "verify_case": lambda ring: verify_case(ring, TOTAL),
+    "check_structure": check_structure,
+}
+
+
+@functools.cache
+def ceiling_peak(run):
+    """The tracemalloc peak, in bytes, of CEILING_RUNS[run] on Z_16384."""
+    tracemalloc.start()
+    try:
+        CEILING_RUNS[run](ZnRing(16384))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
 
 class TestMemory:
     # n^2/16 bytes is half of one graph of n rows of n bits held in memory
-    @pytest.mark.parametrize("run", [
-        lambda ring: verify_case(ring, TOTAL),
-        lambda ring: check_structure(ring),
-    ], ids=["verify_case", "check_structure"])
+    @pytest.mark.parametrize("run", CEILING_RUNS)
     def test_ceiling_ring_holds_no_graph(self, run):
-        ring = ZnRing(16384)
-        tracemalloc.start()
-        try:
-            run(ring)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < ring.order**2 // 16
+        assert ceiling_peak(run) < 16384**2 // 16
+
+    # At 2^14 a chunk of rows is 2^22 bits (512 KB) and check_structure holds
+    # two side by side; 2 MB is a per-core L2 cache.
+    @pytest.mark.parametrize("run", CEILING_RUNS)
+    def test_ceiling_ring_peak_below_two_megabytes(self, run):
+        assert ceiling_peak(run) < 2 << 20
 
 
 class TestIdentity:
