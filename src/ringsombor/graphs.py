@@ -6,11 +6,17 @@ default vertex ceiling of 2**14.  A ring's graph comes as a row source
 (row_source): its unit mask and rows_of(indices), which makes the asked rows
 on demand, so the oracle and the structure checks read a graph in chunks of
 about CHUNK_BITS bits of rows (row_chunks: CHUNK_BITS // n rows, at least
-one) and never hold n rows of n bits.  A Graph holds every row; it is built
-(total_graph, unit_graph) only to dump an edge list, for the identity
-circulants and in tests, and offers the same rows_of.  Edge iteration order
-is lexicographic (u < v ascending), and report writers rely on that for
-reproducible output.
+one) and never hold n rows of n bits.  A Z_n row is D >> x cut to n bits,
+where D is the target mask doubled; a chunk's rows are cut from one window
+of D, and only the rows that would hold their own vertex get a self-bit
+mask.  A whole-graph read (every graph of at most 2048 vertices is one
+chunk) shifts D itself with no per-row flag test, which at those sizes
+costs more than it saves.  An F_p[x]/(x^k) row is one of p block rows,
+shared as is by every row of a block that does not hold itself.  A Graph
+holds every row; it is built (total_graph, unit_graph) only to dump an
+edge list, for the identity circulants and in tests, and offers the same
+rows_of.  Edge iteration order is lexicographic (u < v ascending), and
+report writers rely on that for reproducible output.
 """
 
 from __future__ import annotations
@@ -142,35 +148,69 @@ class _ZnSumRows:
     # Row x collects every y with (x+y) mod n in the target set T: bit y of
     # row x is bit (x+y) mod n of T.  The doubled mask D = T | (T << n) holds
     # that bit at x+y for every x, y < n, so row x is D >> x cut to n bits,
-    # minus the self bit.
-    __slots__ = ("n", "units", "_doubled", "_full")
+    # minus the self bit, which is set iff x+x is in T: bit 2x of D, read for
+    # every row by one format of D at the first chunk.  A chunk (a step-1
+    # range shorter than the graph) first cuts D to one window of its
+    # n + len bits, so each row shifts about n bits, not 2n - x, and a row
+    # without its self bit needs no mask of its own.  A whole-graph read (a
+    # range over every row, a list or an iterator) shifts D itself, with no
+    # flags and no per-row test: on graphs of at most 2048 vertices, always
+    # read whole, those cost more than the window saves.
+    __slots__ = ("n", "units", "_doubled", "_full", "_self_flags")
 
     def __init__(self, n: int, units: int, target_mask: int):
         self.n, self.units = n, units
         self._doubled = target_mask | (target_mask << n)
         self._full = _full_mask(n)
+        self._self_flags = None  # made by the first chunk read
 
     def rows_of(self, indices) -> list[int]:
-        doubled, full = self._doubled, self._full
-        return [(doubled >> x) & (full ^ (1 << x)) for x in indices]
+        doubled, full, n = self._doubled, self._full, self.n
+        if type(indices) is not range or indices.step != 1 or len(indices) >= n:
+            return [(doubled >> x) & (full ^ (1 << x)) for x in indices]
+        start, size = indices.start, len(indices)
+        # the last row reads bits up to start + n + size - 2 of D
+        window = (doubled >> start) & _full_mask(n + size)
+        flags = self._self_flags
+        if flags is None:
+            # byte x is bit 2x of D: every other bit, from the lowest up
+            flags = format(doubled, f"0{2 * n}b")[::-2].encode().translate(_TO_FLAGS)
+            self._self_flags = flags
+        flagged = flags.count(1, start, indices.stop)
+        if not flagged:
+            return [(window >> j) & full for j in range(size)]
+        if flagged == size:
+            return [((window >> j) & full) ^ (1 << x) for j, x in enumerate(indices)]
+        return [
+            ((window >> j) & full) ^ (1 << x) if flags[x] else (window >> j) & full
+            for j, x in enumerate(indices)
+        ]
 
 
 class _PolySumRows:
     # x+y is a unit iff the constant coefficients do not cancel mod p, and
     # the index blocks of size p^(k-1) group elements by constant coefficient:
-    # row x is the row of its block, minus the self bit.
-    __slots__ = ("n", "units", "_lead", "_block_rows")
+    # row x is the row of its block, minus the self bit.  A block row holds
+    # either all of its own block or none of it, so a row of a block that
+    # does not hold itself is the block row itself, with no new int.
+    __slots__ = ("n", "units", "_lead", "_blocks")
 
     def __init__(self, ring: TruncatedPolyRing, units: int, want_unit: bool):
         p, lead, n = ring.p, ring.lead, ring.order
         self.n, self.units, self._lead = n, units, lead
         full, block = _full_mask(n), _full_mask(lead)
         cancels = [block << ((-c) % p * lead) for c in range(p)]
-        self._block_rows = [full ^ m for m in cancels] if want_unit else cancels
+        block_rows = [full ^ m for m in cancels] if want_unit else cancels
+        # (row, whether it holds its own block), by constant coefficient
+        self._blocks = [(row, bool((row >> (c * lead)) & 1)) for c, row in enumerate(block_rows)]
 
     def rows_of(self, indices) -> list[int]:
-        lead, block_rows = self._lead, self._block_rows
-        return [block_rows[x // lead] & ~(1 << x) for x in indices]
+        lead, blocks = self._lead, self._blocks
+        return [
+            row ^ (1 << x) if own else row
+            for x in indices
+            for row, own in (blocks[x // lead],)
+        ]
 
 
 def check_ceiling(ring: FiniteRing, ceiling: int):

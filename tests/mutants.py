@@ -12,7 +12,9 @@ Exits 0 when the baseline passes and every mutant is killed, else 1.
 A mutant joins the list once a test kills it.  Equivalent mutants, which no
 test can kill because they change no behaviour, stay out: flipping the
 oracle's choice of the smaller unit side (`<= n` to `> n`) is one, since
-the edges across the split are the same counted from either side.
+the edges across the split are the same counted from either side.  So is
+cutting a chunk's Z_n window to n + len - 1 bits instead of n + len, since
+the chunk's last row reads at most bit n + len - 2 of it.
 """
 
 from __future__ import annotations
@@ -94,6 +96,21 @@ MUTANTS = {
         "verify.py",
         "compress(u_rows, zeros)",
         "compress(t_rows, zeros)",
+    ),
+    "Q _ZnSumRows, windowed chunk: the window cut to n + len - 2 bits": (
+        "graphs.py",
+        "_full_mask(n + size)",
+        "_full_mask(n + size - 2)",
+    ),
+    "R _ZnSumRows: the self-bit flags read from the odd bits of D": (
+        "graphs.py",
+        "[::-2]",
+        "[-2::-2]",
+    ),
+    "S _PolySumRows: a block's own-block flag inverted": (
+        "graphs.py",
+        "bool((row >> (c * lead)) & 1)",
+        "not (row >> (c * lead)) & 1",
     ),
 }
 

@@ -1,8 +1,10 @@
+import functools
 import io
 
 import pytest
 
 import definitional
+from ringsombor import graphs
 from ringsombor.graphs import (
     TOTAL,
     UNIT,
@@ -286,3 +288,84 @@ class TestRowChunks:
 
     def test_no_vertices_no_chunks(self):
         assert row_chunks(0) == []
+
+
+# Rings whose rows are read against the witness chunk by chunk: Z_n for n
+# across the 30-bit digit boundaries at 30, 60 and 120 bits and the 64- and
+# 128-bit ones, and F_p[x]/(x^k) for p = 2, 3 and 5, given as (n,) or (p, k).
+WINDOW_SPECS = [(n,) for n in (29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129)] + [
+    (2, 6),
+    (3, 4),
+    (5, 3),
+]
+
+
+def spec_id(spec) -> str:
+    return f"n{spec[0]}" if len(spec) == 1 else "p{}k{}".format(*spec)
+
+
+def ring_of(spec):
+    return ZnRing(*spec) if len(spec) == 1 else TruncatedPolyRing(*spec)
+
+
+@functools.cache
+def witness_of(spec):
+    if len(spec) == 1:
+        return definitional.zn(*spec)
+    p, k = spec
+    return definitional.truncated(definitional.zn(p), k)
+
+
+@functools.cache
+def witness_rows(spec, kind) -> list[int]:
+    return witness_of(spec).graph(kind == UNIT).rows
+
+
+def index_forms(n):
+    """(name, indices, the vertices they give) for each way rows are asked."""
+    return [
+        ("list with repeats", [n - 1, 0, 7, 7, n // 2, 0], [n - 1, 0, 7, 7, n // 2, 0]),
+        ("one-shot iterator", iter(range(n)), list(range(n))),
+        ("stepped range", range(1, n, 3), list(range(1, n, 3))),
+        ("reversed range", range(n - 1, -1, -1), list(range(n - 1, -1, -1))),
+        ("reversed iterator", reversed(range(n)), list(range(n - 1, -1, -1))),
+        ("empty range", range(n // 2, n // 2), []),
+        ("range from mid-graph to the end", range(n // 2, n), list(range(n // 2, n))),
+        ("range inside the graph", range(n // 3, n // 3 + 5), list(range(n // 3, n // 3 + 5))),
+    ]
+
+
+class TestRowsAgainstDefinition:
+    # A chunk shorter than the graph takes the windowed Z_n rows; a graph of
+    # at most 2048 vertices is one chunk by default, a whole-graph read.
+
+    def test_rings_cover_every_self_bit_pattern(self):
+        # row x would hold x iff x + x is in the graph's target set: even n
+        # has every row so (total) or none (unit), odd n has both kinds
+        patterns = set()
+        for spec in WINDOW_SPECS:
+            w = witness_of(spec)
+            for want_unit in (False, True):
+                patterns.add(frozenset(w.units[w.add[x][x]] == want_unit for x in range(w.order)))
+        assert patterns == {frozenset({True}), frozenset({False}), frozenset({True, False})}
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 29, 31, None])
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=spec_id)
+    def test_chunked_rows_match_definition(self, monkeypatch, spec, rows):
+        ring = ring_of(spec)
+        n = ring.order
+        if rows is not None:  # None: the default CHUNK_BITS
+            monkeypatch.setattr(graphs, "CHUNK_BITS", rows * n)
+        chunks = row_chunks(n)
+        assert len(chunks) == -(-n // (rows or n))
+        for kind in (TOTAL, UNIT):
+            source = row_source(ring, kind)
+            assert [row for idx in chunks for row in source.rows_of(idx)] == witness_rows(spec, kind)
+
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=spec_id)
+    def test_every_index_form_matches_definition(self, spec):
+        ring = ring_of(spec)
+        for kind in (TOTAL, UNIT):
+            want, source = witness_rows(spec, kind), row_source(ring, kind)
+            for name, indices, vertices in index_forms(ring.order):
+                assert source.rows_of(indices) == [want[v] for v in vertices], name

@@ -406,19 +406,26 @@ class TestStructureReference:
         assert result == literal_structure(ring, total_edits, unit_edits)
 
 
-# Z_16384 is at the default ceiling: one graph there is 32 MB of rows.
+# Runs on rings at or near the default ceiling, where one graph is up to
+# 32 MB of rows.  Z_16384's unit graph has no row holding its own bit,
+# Z_15015's graphs mix rows that do and rows that do not, and
+# F_2[x]/(x^14)'s unit rows are its block rows themselves.
 CEILING_RUNS = {
-    "verify_case": lambda ring: verify_case(ring, TOTAL),
-    "check_structure": check_structure,
+    "verify_case": lambda: verify_case(ZnRing(16384), TOTAL),
+    "check_structure": lambda: check_structure(ZnRing(16384)),
+    "verify_case_unit_z16384": lambda: verify_case(ZnRing(16384), UNIT),
+    "verify_case_total_z15015": lambda: verify_case(ZnRing(15015), TOTAL),
+    "verify_case_unit_z15015": lambda: verify_case(ZnRing(15015), UNIT),
+    "check_structure_f2_x14": lambda: check_structure(TruncatedPolyRing(2, 14)),
 }
 
 
 @functools.cache
 def ceiling_peak(run):
-    """The tracemalloc peak, in bytes, of CEILING_RUNS[run] on Z_16384."""
+    """The tracemalloc peak, in bytes, of CEILING_RUNS[run]."""
     tracemalloc.start()
     try:
-        CEILING_RUNS[run](ZnRing(16384))
+        CEILING_RUNS[run]()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -426,7 +433,8 @@ def ceiling_peak(run):
 
 
 class TestMemory:
-    # n^2/16 bytes is half of one graph of n rows of n bits held in memory
+    # 2^28 / 16 bytes is half of one graph of 2^14 rows of 2^14 bits held
+    # in memory
     @pytest.mark.parametrize("run", CEILING_RUNS)
     def test_ceiling_ring_holds_no_graph(self, run):
         assert ceiling_peak(run) < 16384**2 // 16
