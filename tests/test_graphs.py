@@ -291,8 +291,8 @@ class TestRowChunks:
 
 
 # Rings whose rows are read against the witness chunk by chunk: Z_n for n
-# across the 30-bit digit boundaries at 30, 60 and 120 bits and the 64- and
-# 128-bit ones, and F_p[x]/(x^k) for p = 2, 3 and 5, given as (n,) or (p, k).
+# across the 30- and 60-bit digit boundaries and the 64- and 128-bit ones,
+# and F_p[x]/(x^k) for p = 2, 3 and 5, given as (n,) or (p, k).
 WINDOW_SPECS = [(n,) for n in (29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129)] + [
     (2, 6),
     (3, 4),
