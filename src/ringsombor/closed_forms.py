@@ -45,8 +45,9 @@ def _distinct_odd_primes(p: int, q: int, ordered: bool):
 
 
 def _over_sqrt2(x) -> RadicalSum:
-    """x / sqrt(2) in canonical form, (x/2)*sqrt(2)."""
-    return RadicalSum({2: Fraction(x, 2)})
+    """x / sqrt(2) in canonical form, (x/2)*sqrt(2), for an integer x."""
+    half, odd = divmod(x, 2)
+    return RadicalSum({2: Fraction(x, 2) if odd else half})
 
 
 def sombor_edge_term(count: int, d1: int, d2: int) -> RadicalSum:

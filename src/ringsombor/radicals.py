@@ -4,7 +4,9 @@ A value is a finite map {square-free radicand s: rational coefficient c}
 denoting sum(c * sqrt(s)).  Square roots of distinct square-free integers are
 linearly independent over the rationals, so the canonical map makes equality
 testing exact: two values are equal iff their term maps are identical.  The
-rational part of a value lives under radicand 1.
+rational part of a value lives under radicand 1.  Each coefficient has one
+canonical type: an int when it is integral, a Fraction otherwise, so the
+closed forms, whose coefficients lie in (1/2)Z, run on ints.
 """
 
 from __future__ import annotations
@@ -13,26 +15,46 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import _prime_factors
+from .rings import _TRIAL_BOUND, _factor_cofactor, _trial_divide
+
+# A cofactor of _trial_divide below this, when not a square, is 1, a prime or
+# two distinct primes: it has no prime factor below _TRIAL_BOUND, so three of
+# them would make at least _TRIAL_BOUND**3.
+_SQUARE_FREE_BELOW = _TRIAL_BOUND**3
 
 
 @lru_cache(maxsize=None)
 def radical_normalize(m: int) -> tuple[int, int]:
     """Write sqrt(m) = c*sqrt(s) with s square-free; returns (c, s).
 
-    Read off the exact prime factorization m = prod p^e (rings._prime_factors):
-    c = prod p^(e // 2) and s = prod p^(e % 2).  Raises ValueError when that
-    factorization needs a primality proof beyond rings.PSI_13, or more than
-    rings.RHO_STEPS rho squarings on one cofactor.
+    c = prod p^(e // 2) and s = prod p^(e % 2) over the primes p^e that
+    rings._trial_divide takes out of m.  The cofactor r it leaves goes into
+    c as isqrt(r) when r is a square, into s whole when it is below
+    _SQUARE_FREE_BELOW, and otherwise is factored (rings._factor_cofactor).
+    Raises ValueError when that factoring needs a primality proof beyond
+    rings.PSI_13, or more than rings.RHO_STEPS rho squarings on one cofactor.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")
+    factors, r = _trial_divide(m)
     c, s = 1, 1
-    for p, e in _prime_factors(m).items():
+    root = math.isqrt(r)
+    if root * root == r:
+        c *= root
+    elif r < _SQUARE_FREE_BELOW:
+        s *= r
+    else:
+        _factor_cofactor(r, factors)
+    for p, e in factors.items():
         c *= p ** (e // 2)
         if e & 1:
             s *= p
     return c, s
+
+
+def _canon(c):
+    """The canonical type of a rational c: an int when integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class RadicalSum:
@@ -40,27 +62,30 @@ class RadicalSum:
 
     The constructor accepts any {radicand: coefficient} mapping: radicands
     are normalized to square-free form, like terms merged, zero coefficients
-    dropped.  The empty sum is zero.
+    dropped.  The empty sum is zero.  A coefficient is stored as an int
+    when integral and as a Fraction otherwise, so values built from
+    Fraction(4, 2) and from 2 are the same value, hash and text.
     """
 
     def __init__(self, terms=None):
-        tidy: dict[int, Fraction] = {}
+        tidy: dict[int, int | Fraction] = {}
         if terms:
             for s, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
                 if not c:
                     continue
                 cc, ss = radical_normalize(s)
-                acc = tidy.get(ss, _ZERO) + c * cc
+                acc = tidy.get(ss, 0) + c * cc
                 if acc:
-                    tidy[ss] = acc
+                    tidy[ss] = _canon(acc)
                 elif ss in tidy:
                     del tidy[ss]
         self._terms = tidy
 
     @classmethod
     def from_rational(cls, value) -> "RadicalSum":
-        return cls({1: Fraction(value)})
+        return cls({1: value})
 
     @classmethod
     def sqrt(cls, m: int) -> "RadicalSum":
@@ -71,8 +96,9 @@ class RadicalSum:
             return cls()
         return cls({m: 1})
 
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """(radicand, coefficient) pairs, radicands ascending."""
+    def terms(self) -> tuple[tuple[int, int | Fraction], ...]:
+        """(radicand, coefficient) pairs, radicands ascending; each
+        coefficient an int when integral, else a Fraction."""
         return tuple((s, self._terms[s]) for s in sorted(self._terms))
 
     @property
@@ -87,7 +113,7 @@ class RadicalSum:
         extra = [s for s in self._terms if s != 1]
         if extra:
             raise ValueError(f"irrational radicands {extra} present")
-        return self._terms.get(1, _ZERO)
+        return Fraction(self._terms.get(1, 0))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -95,9 +121,9 @@ class RadicalSum:
             return NotImplemented
         out = dict(self._terms)
         for s, c in other._terms.items():
-            acc = out.get(s, _ZERO) + c
+            acc = out.get(s, 0) + c
             if acc:
-                out[s] = acc
+                out[s] = _canon(acc)
             elif s in out:
                 del out[s]
         return _wrap(out)
@@ -123,16 +149,16 @@ class RadicalSum:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RadicalSum()
-            return _wrap({s: c * other for s, c in self._terms.items()})
+            return _wrap({s: _canon(c * other) for s, c in self._terms.items()})
         if isinstance(other, RadicalSum):
-            out: dict[int, Fraction] = {}
+            out: dict[int, int | Fraction] = {}
             for s1, c1 in self._terms.items():
                 for s2, c2 in other._terms.items():
                     g = math.gcd(s1, s2)
                     s = (s1 // g) * (s2 // g)
-                    acc = out.get(s, _ZERO) + c1 * c2 * g
+                    acc = out.get(s, 0) + c1 * c2 * g
                     if acc:
-                        out[s] = acc
+                        out[s] = _canon(acc)
                     elif s in out:
                         del out[s]
             return _wrap(out)
@@ -199,9 +225,6 @@ class RadicalSum:
         return f"RadicalSum({self.render()!r})"
 
 
-_ZERO = Fraction(0)
-
-
 def _coerce(value):
     if isinstance(value, RadicalSum):
         return value
@@ -210,7 +233,7 @@ def _coerce(value):
     return None
 
 
-def _wrap(terms: dict[int, Fraction]) -> RadicalSum:
+def _wrap(terms: dict[int, int | Fraction]) -> RadicalSum:
     # Internal fast path: terms already canonical.
     out = RadicalSum.__new__(RadicalSum)
     out._terms = terms

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,19 +65,30 @@ class Modulus:
 
 
 # Primes below this bound are divided out by trial division.  A cofactor left
-# below its square has no factor below the bound, so it is 1 or a prime.
+# below its square has no factor below the bound, so it is 1 or a prime.  From
+# that square on, one gcd with their product finds the primes that divide m.
 _TRIAL_BOUND = 1000
+_TRIAL_SQUARE = _TRIAL_BOUND**2
 _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
-# Miller-Rabin on the first 13 prime bases is proven exact below PSI_13, the
-# least composite that is a strong probable prime to all of them (Sorenson and
-# Webster, 2017).  The first 12 bases stop at 318665857834031151167461.
+# Miller-Rabin on the first k prime bases is proven exact below psi_k, the
+# least odd composite that is a strong probable prime to all of them (OEIS
+# A014233; psi_12 and psi_13 from Sorenson and Webster, 2017).  _PSI lists
+# psi_1 .. psi_13, and an m takes the first k bases for the least psi_k > m.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321,
+    3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, PSI_13,
+)
 
 
 def _passes_miller_rabin(m: int) -> bool:
-    """Strong probable-prime test of an odd m > 41 on every base in _MR_BASES.
+    """Strong probable-prime test of an odd m > 41 on the first k bases of
+    _MR_BASES, for the least psi_k above m (all 13 from PSI_13 on).
 
     False is a proof that m is composite.  True is a proof that m is prime
     below PSI_13; at or above it no primality is claimed and ValueError is
@@ -84,7 +96,7 @@ def _passes_miller_rabin(m: int) -> bool:
     """
     s = ((m - 1) & (1 - m)).bit_length() - 1
     d = (m - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_PSI, m) + 1]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -103,17 +115,13 @@ def _passes_miller_rabin(m: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: trial division by the primes below 1000, then
-    deterministic Miller-Rabin.  Raises ValueError for an n >= PSI_13 that
-    no base proves composite."""
+    """Exact primality: trial division by the primes below 1000
+    (_trial_divide), then deterministic Miller-Rabin.  Raises ValueError for
+    an n >= PSI_13 that no base proves composite."""
     if n < 2:
         return False
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
-    return n < _TRIAL_BOUND**2 or _passes_miller_rabin(n)
+    factors, r = _trial_divide(n)
+    return not factors and (r < _TRIAL_SQUARE or _passes_miller_rabin(r))
 
 
 # Squarings _rho_divisor may spend on one cofactor, over every c.  The
@@ -157,16 +165,29 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def _prime_factors(m: int) -> dict[int, int]:
-    """Exact prime factorization {prime: exponent} of m >= 1.
-
-    Trial division by the primes below _TRIAL_BOUND, then each cofactor is
-    split as an exact square, declared prime by is_prime's Miller-Rabin
-    test, or split by Pollard rho.  Raises ValueError where is_prime does,
-    or where rho does not split a cofactor within RHO_STEPS squarings.
-    """
-    factors: dict[int, int] = {}
+def _primes_dividing(g: int) -> Iterator[int]:
+    """The primes below _TRIAL_BOUND that divide g, a divisor of
+    _TRIAL_PRODUCT, ascending."""
     for p in _TRIAL_PRIMES:
+        if g == 1:
+            return
+        if g % p == 0:
+            g //= p
+            yield p
+
+
+def _trial_divide(m: int) -> tuple[dict[int, int], int]:
+    """The primes below _TRIAL_BOUND that divide m >= 1, as {prime:
+    exponent}, and the cofactor r they leave.  r is 1, a prime, or has no
+    prime factor below _TRIAL_BOUND.  From _TRIAL_SQUARE on, one gcd with
+    _TRIAL_PRODUCT picks the primes to divide by; the division stops once
+    p * p > r either way."""
+    factors: dict[int, int] = {}
+    if m < _TRIAL_SQUARE:
+        primes = _TRIAL_PRIMES
+    else:
+        primes = _primes_dividing(math.gcd(m, _TRIAL_PRODUCT))
+    for p in primes:
         if p * p > m:
             break
         if m % p == 0:
@@ -175,7 +196,16 @@ def _prime_factors(m: int) -> dict[int, int]:
                 m //= p
                 e += 1
             factors[p] = e
-    pending = [(m, 1)]  # (cofactor, multiplicity)
+    return factors, m
+
+
+def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
+    """factors with the prime factorization of a _trial_divide cofactor r
+    added.  r is split as an exact square, declared prime by is_prime's
+    Miller-Rabin test, or split by Pollard rho.  Raises ValueError where
+    is_prime does, or where rho does not split a cofactor within RHO_STEPS
+    squarings."""
+    pending = [(r, 1)]  # (cofactor, multiplicity)
     while pending:
         r, mult = pending.pop()
         if r == 1:
@@ -183,11 +213,23 @@ def _prime_factors(m: int) -> dict[int, int]:
         root = math.isqrt(r)
         if root * root == r:
             pending.append((root, 2 * mult))
-        elif r < _TRIAL_BOUND**2 or _passes_miller_rabin(r):
+        elif r < _TRIAL_SQUARE or _passes_miller_rabin(r):
             factors[r] = factors.get(r, 0) + mult
         else:
             d = _rho_divisor(r)
             pending += [(d, mult), (r // d, mult)]
+    return factors
+
+
+def _prime_factors(m: int) -> dict[int, int]:
+    """Exact prime factorization {prime: exponent} of m >= 1: _trial_divide,
+    then _factor_cofactor on a cofactor it leaves at or above _TRIAL_SQUARE
+    (a smaller one is 1 or a prime)."""
+    factors, r = _trial_divide(m)
+    if r >= _TRIAL_SQUARE:
+        return _factor_cofactor(r, factors)
+    if r > 1:  # no prime factor up to its square root
+        factors[r] = 1
     return factors
 
 

@@ -19,7 +19,6 @@ edge by key.  The unit mask is input data, not a derived fact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 
 from .graphs import Graph, row_chunks, vertex_flags
@@ -85,10 +84,10 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
 def sombor_of(table: dict[tuple[Key, Key], int]) -> RadicalSum:
     """Exact sum over edges of sqrt(d_u^2 + d_v^2), read off a
     degree_pair_counts table."""
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int] = {}
     for ((_, a), (_, b)), count in table.items():
         c, s = radical_normalize(a * a + b * b)
-        terms[s] = terms.get(s, Fraction(0)) + count * c
+        terms[s] = terms.get(s, 0) + count * c
     return RadicalSum(terms)
 
 

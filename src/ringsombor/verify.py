@@ -550,8 +550,8 @@ def write_report(fh, fmt: str, header, rows, payload: dict | None = None):
         write_csv_rows(fh, header, rows)
     else:
         body = {"cases": rows} if payload is None else payload
-        json.dump({"generated_at": _timestamp(), **body}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps({"generated_at": _timestamp(), **body}, indent=2, sort_keys=True)
+                 + "\n")
 
 
 def partition_payload(part: EdgePartition | None):

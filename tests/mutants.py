@@ -112,6 +112,21 @@ MUTANTS = {
         "bool((row >> (c * lead)) & 1)",
         "not (row >> (c * lead)) & 1",
     ),
+    "T _passes_miller_rabin: psi_10 and psi_11 read as psi_12": (
+        "rings.py",
+        "3825123056546413051, 3825123056546413051, 3825123056546413051,",
+        "3825123056546413051, 318665857834031151167461, 318665857834031151167461,",
+    ),
+    "U radical_normalize: the square-free cofactor bound raised to 10**12": (
+        "radicals.py",
+        "_SQUARE_FREE_BELOW = _TRIAL_BOUND**3",
+        "_SQUARE_FREE_BELOW = 10**12",
+    ),
+    "V radical_normalize: a square cofactor's root put into s": (
+        "radicals.py",
+        "c *= root",
+        "s *= root",
+    ),
 }
 
 

@@ -315,3 +315,26 @@ class TestAssemblyPattern:
                     assert part.alpha + part.beta + part.gamma == part.total
             part = total_pq_partition(p, q)
             assert part.alpha + part.beta + part.gamma == part.total
+
+
+class TestIntegerCoefficients:
+    # every closed form is a sum of count * sqrt(d1^2 + d2^2) with counts in
+    # (1/2)Z, so its coefficients are ints or halves of odd ints
+    def test_closed_forms_lie_in_half_integers(self):
+        values = [so_total_even(12), so_unit_even(30), so_total_prime_power(3, 3),
+                  so_total_pq(5, 7), so_total_p2q(3, 7), so_unit_pq(3, 11),
+                  so_unit_p2q(5, 3), so_total_local(LocalRingSpec(25, 20, True)),
+                  so_unit_local(LocalRingSpec(16, 8, False)), so_regular(7, 3)]
+        values += [so_unit_prime_power(7, 2, v) for v in (PRINTED, CORRECTED)]
+        halves = 0
+        for v in values:
+            for _, c in v.terms():
+                assert type(c) is int or (type(c) is Fraction and c.denominator == 2)
+                halves += type(c) is Fraction
+        assert halves > 0
+
+    def test_oracle_value_has_int_coefficients(self):
+        for ring in (ZnRing(45), TruncatedPolyRing(3, 3)):
+            for kind in (TOTAL, UNIT):
+                v = oracle(ring, kind)
+                assert v.terms() and all(type(c) is int for _, c in v.terms())

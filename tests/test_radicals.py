@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringsombor import rings
 from ringsombor.radicals import RadicalSum, radical_normalize, rational_sqrt
+from ringsombor.rings import PSI_13, factorize, primes_up_to
 
 
 def squarefree_by_trial(s):
@@ -85,6 +87,66 @@ class TestNormalize:
         assert radical_normalize(2 * k * k) == (k, 2)
 
 
+# primes above the trial-division bound of 1000, read off a sieve
+BIG_PRIMES = [p for p in primes_up_to(40000) if p > 1000]
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    """Make Miller-Rabin and Pollard rho raise, so a radicand that reaches
+    them fails; radical_normalize's cache is bypassed through __wrapped__."""
+    def refuse(m):
+        raise AssertionError(f"factoring reached for {m}")
+    monkeypatch.setattr(rings, "_passes_miller_rabin", refuse)
+    monkeypatch.setattr(rings, "_rho_divisor", refuse)
+    return radical_normalize.__wrapped__
+
+
+class TestSquarePart:
+    # radical_normalize reads the trial-division cofactor r without
+    # factoring it when r is a square, or when r < 1000^3 is not one
+
+    @pytest.mark.parametrize("p, q", [
+        (1009, 1013), (10007, 39989), (999983, 1000003), (10**9 + 7, 10**9 + 9),
+        (2**89 - 1, 10**12 + 39),
+    ])
+    @pytest.mark.parametrize("k, c_k, s_k", [
+        (1, 1, 1), (2, 1, 2), (3 * 5, 1, 15), (2 * 7**2 * 11, 7, 22),
+    ])
+    def test_square_cofactor_is_not_factored(self, no_factoring, p, q, k, c_k, s_k):
+        t = p * q
+        assert no_factoring(t * t * k) == (t * c_k, s_k)
+
+    def test_square_free_cofactor_below_cube_is_not_factored(self, no_factoring):
+        rng = random.Random(1000)
+        for _ in range(200):
+            p, q = sorted(rng.sample(BIG_PRIMES, 2))
+            if p * q < 10**9:
+                assert no_factoring(p * q) == (1, p * q)
+                assert no_factoring(12 * p * q) == (2, 3 * p * q)
+        assert no_factoring(999999937 * 98) == (7, 2 * 999999937)  # a prime cofactor
+
+    def test_p2q_cofactor_above_cube_is_factored(self):
+        # p^2 q in (10^9, 10^12) with p, q above 1000: not square, not below
+        # the cube bound, so the square part comes from factoring it
+        rng = random.Random(10**12)
+        cases = [(1009, 1013), (1013, 1009), (39989, 1009), (9973, 10007)]
+        cases += [tuple(rng.sample(BIG_PRIMES, 2)) for _ in range(40)]
+        for p, q in cases:
+            if 10**9 < p * p * q < 10**12:
+                assert radical_normalize.__wrapped__(p * p * q) == (p, q)
+                assert radical_normalize.__wrapped__(6 * p * p * q) == (p, 6 * q)
+
+    def test_square_cofactor_past_psi_13_is_exact(self):
+        # the root of a square cofactor goes into c unfactored, so one at or
+        # above PSI_13 is answered; factorize still needs its primes and
+        # raises on the probable prime PSI_13
+        assert radical_normalize((2**89 - 1) ** 2 * 3) == (2**89 - 1, 3)
+        assert radical_normalize(PSI_13**2 * 12) == (2 * PSI_13, 3)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            factorize(PSI_13**2)
+
+
 def rsums(max_terms=4):
     radicand = st.integers(min_value=1, max_value=400)
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -153,6 +215,56 @@ class TestArithmetic:
     def test_pickle_round_trip(self):
         v = RadicalSum({2: Fraction(33, 2), 1: 20})
         assert pickle.loads(pickle.dumps(v)) == v
+
+
+def canonical_types(v):
+    # every coefficient an int when integral, a Fraction otherwise
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for _, c in v.terms())
+
+
+class TestCoefficientType:
+    def test_integral_coefficients_are_ints(self):
+        half = RadicalSum({2: Fraction(1, 2)})
+        values = [
+            RadicalSum({2: Fraction(4, 2), 3: Fraction(3, 2), 1: Fraction(-6, 3)}),
+            half + half, half * 2, half * Fraction(4, 3) * 3, half - half * 3,
+            half * RadicalSum({2: 4, 6: Fraction(1, 3)}), RadicalSum.sqrt(8) * Fraction(1, 2),
+            RadicalSum.from_rational(Fraction(6, 3)), rational_sqrt(Fraction(9, 4)),
+            rational_sqrt(8), RadicalSum.parse("-3/2 + 4*sqrt(2)"), RadicalSum({5: True}),
+        ]
+        for v in values:
+            assert canonical_types(v), v.terms()
+        assert (half + half).terms() == ((2, 1),)
+        assert type((half + half).terms()[0][1]) is int
+        assert type(RadicalSum({3: Fraction(3, 2)}).terms()[0][1]) is Fraction
+
+    def test_as_rational_is_a_fraction(self):
+        for v in (RadicalSum(), RadicalSum.from_rational(2), RadicalSum.from_rational(Fraction(7, 2))):
+            assert type(v.as_rational()) is Fraction
+        assert RadicalSum.from_rational(Fraction(4, 2)).as_rational() == Fraction(2)
+
+    def test_fraction_and_int_built_values_coincide(self):
+        a = RadicalSum({2: Fraction(4, 2), 1: Fraction(10, 5)})
+        b = RadicalSum({2: 2, 1: 2})
+        assert a == b and hash(a) == hash(b)
+        assert a.render() == b.render() == "2 + 2*sqrt(2)"
+        assert a.terms() == b.terms()
+        assert [type(c) for _, c in a.terms()] == [int, int]
+
+    @given(st.dictionaries(st.integers(min_value=1, max_value=400),
+                           st.fractions(min_value=-50, max_value=50, max_denominator=6),
+                           max_size=5))
+    @settings(max_examples=300)
+    def test_fraction_or_int_terms_give_one_value(self, terms):
+        as_fractions = RadicalSum({s: Fraction(c) for s, c in terms.items()})
+        as_ints = RadicalSum({s: c.numerator if c.denominator == 1 else c
+                              for s, c in terms.items()})
+        assert as_fractions == as_ints
+        assert hash(as_fractions) == hash(as_ints)
+        assert as_fractions.render() == as_ints.render()
+        assert canonical_types(as_fractions) and canonical_types(as_ints)
+        assert canonical_types(as_fractions * as_ints + as_ints)
 
 
 class TestToFloat:

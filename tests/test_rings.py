@@ -27,6 +27,39 @@ from ringsombor.rings import (
     to_local_spec,
     z_prime_power,
 )
+from ringsombor.rings import _passes_miller_rabin
+
+
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_k, the least odd composite that is a strong probable prime to each of
+# the first k prime bases (OEIS A014233; Sorenson and Webster, 2017)
+PSI = {
+    1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+    6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+    9: 3825123056546413051, 10: 3825123056546413051, 11: 3825123056546413051,
+    12: 318665857834031151167461, 13: 3317044064679887385961981,
+}
+
+
+def strong_probable_prime(m, bases=FIRST_13_PRIMES):
+    # independent reference: the textbook strong test, every base tried;
+    # with all 13 bases it is exact for odd m below psi_13
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def phi_by_counting(n):
@@ -331,3 +364,50 @@ class TestPrimes:
         assert not is_prime(2000000000003 * 2000000000123)
         with pytest.raises(ValueError, match=str(PSI_13)):
             is_prime(2**89 - 1)
+
+
+class TestMillerRabinBases:
+    # an m takes the first k prime bases for the least psi_k above it
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_each_psi_is_composite(self, k):
+        # psi_k passes the first k bases, so only the bases chosen for its
+        # size beyond those can show it composite
+        psi = PSI[k]
+        assert psi >= 10**6
+        assert strong_probable_prime(psi, FIRST_13_PRIMES[:k])
+        assert not _passes_miller_rabin(psi)
+        assert not is_prime(psi)
+
+    def test_psi_13_still_raises(self):
+        assert PSI[13] == PSI_13
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            _passes_miller_rabin(PSI_13)
+
+    def test_primes_in_each_band_pass(self):
+        # the first, the last and one random prime of each band between
+        # consecutive distinct psi's above 10^6
+        rng = random.Random(13)
+        edges = sorted({10**6, *(psi for psi in PSI.values() if psi > 10**6)})
+        for lo, hi in zip(edges, edges[1:]):
+            starts = (lo + 1, rng.randrange(lo, hi))
+            found = [next(m for m in range(s | 1, hi, 2) if strong_probable_prime(m))
+                     for s in starts]
+            found.append(next(m for m in range((hi - 2) | 1, lo, -2)
+                              if strong_probable_prime(m)))
+            for p in found:
+                assert lo < p < hi
+                assert _passes_miller_rabin(p), (lo, hi, p)
+                assert is_prime(p)
+
+    def test_size_chosen_bases_agree_with_all_13(self):
+        # odd m from 10^6 to 10^24, every decade equally often
+        rng = random.Random(2017)
+        primes = 0
+        for _ in range(2000):
+            e = rng.randrange(6, 24)
+            m = rng.randrange(10**e, 10 ** (e + 1)) | 1
+            expected = strong_probable_prime(m)
+            assert _passes_miller_rabin(m) == expected, m
+            primes += expected
+        assert primes > 50

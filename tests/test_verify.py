@@ -606,6 +606,21 @@ class TestReports:
         p1 = json.dumps(sweep_payload(result))
         assert "generated_at" not in canonical_json_body(p1)
 
+    def test_json_report_is_one_write(self):
+        class Writes(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                return super().write(text)
+
+        result = sweep("pq", 60, kinds=(TOTAL, UNIT))
+        buf = Writes()
+        write_sweep_json(result, buf)
+        assert buf.calls == 1
+        assert buf.getvalue().endswith("}\n")
+        assert json.loads(buf.getvalue())["cases"] == sweep_payload(result)["cases"]
+
     def test_canonical_csv_keeps_structure_columns(self):
         buf = io.StringIO()
         write_report(buf, "csv", STRUCTURE_COLUMNS, structure_rows(structure_sweep(4)))
