@@ -53,10 +53,8 @@ from .rings import (
     ODD_PRIME_POWER,
     OTHER_ODD,
     FiniteRing,
-    LocalRingSpec,
     Modulus,
     ModulusFamily,
-    NonLocalRingError,
     TruncatedPolyRing,
     ZnRing,
     classify,
@@ -64,7 +62,6 @@ from .rings import (
     factorize,
     is_prime,
     primes_up_to,
-    to_local_spec,
     z_prime_power,
 )
 from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .graphs import TOTAL, UNIT, EdgePartition, degree_pair
 from .radicals import RadicalSum, rational_sqrt
-from .rings import LocalRingSpec, euler_phi, is_prime
+from .rings import euler_phi, factorize, is_prime
 
 PRINTED = "printed"
 CORRECTED = "corrected"
@@ -207,27 +207,41 @@ def so_unit_p2q(p: int, q: int, variant: str = CORRECTED) -> RadicalSum:
 # Any finite local ring
 
 
-def so_total_local(spec: LocalRingSpec) -> RadicalSum:
-    """Total graph of a finite local ring with n elements and u units."""
-    n, u = spec.order, spec.unit_count
-    nz = n - u
-    if not spec.two_is_unit:
+def _check_local_factor(q: int, s: int):
+    """Reject (q, s) unless q is a prime power and s a power of q: the
+    residue field size and maximal ideal size of a finite local ring."""
+    if q < 2 or s < 1:
+        raise NotInFamilyError(f"need q >= 2 and s >= 1, got q={q}, s={s}")
+    rest = s
+    while rest % q == 0:
+        rest //= q
+    if rest != 1 or not factorize(q).is_prime_power:
+        raise NotInFamilyError(f"need a prime power q and a power s of q, got q={q}, s={s}")
+
+
+def so_total_local(q: int, s: int) -> RadicalSum:
+    """Total graph of a finite local ring with residue field F_q and a
+    maximal ideal of s elements: n = q*s elements, u = (q-1)*s units."""
+    _check_local_factor(q, s)
+    n, u, nz = q * s, (q - 1) * s, s
+    if q % 2 == 0:
         return _over_sqrt2(n * (nz - 1) ** 2)
     return _over_sqrt2(nz * (nz - 1) ** 2) + _over_sqrt2(u * nz * nz)
 
 
-def so_unit_local(spec: LocalRingSpec, variant: str = CORRECTED) -> RadicalSum:
-    """Unit graph of a finite local ring.
+def so_unit_local(q: int, s: int, variant: str = CORRECTED) -> RadicalSum:
+    """Unit graph of a finite local ring with residue field F_q and a
+    maximal ideal of s elements.
 
-    The 2-not-a-unit case has a single agreed statement.  In the 2-is-a-unit
-    case the printed expression pairs degree u with n-u under the root; the
-    corrected form uses degrees u and u-1 plus the unit-unit clique count,
-    mirroring the prime-power correction.
+    The 2-not-a-unit case (q even) has a single agreed statement.  In the
+    2-is-a-unit case the printed expression pairs degree u with n-u under
+    the root; the corrected form uses degrees u and u-1 plus the unit-unit
+    clique count, mirroring the prime-power correction.
     """
     _check_variant(variant)
-    n, u = spec.order, spec.unit_count
-    nz = n - u
-    if not spec.two_is_unit:
+    _check_local_factor(q, s)
+    n, u, nz = q * s, (q - 1) * s, s
+    if q % 2 == 0:
         return _over_sqrt2(n * u * u)
     if variant == PRINTED:
         return RadicalSum.sqrt(u * u + nz * nz) * (u * nz)

@@ -302,10 +302,10 @@ def degree_pair(kind: str, order: int, unit_count: int, two_is_unit: bool):
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def predicted_degrees(ring_or_spec, kind: str):
-    """degree_pair applied to anything carrying order/unit_count/two_is_unit."""
-    r = ring_or_spec
-    return degree_pair(kind, r.order, r.unit_count, r.two_is_unit)
+def predicted_degrees(ring, kind: str):
+    """degree_pair applied to the ring's order, unit count and whether 2 is
+    a unit."""
+    return degree_pair(kind, ring.order, ring.unit_count, ring.two_is_unit)
 
 
 def edge_partition_of(table: dict) -> EdgePartition:

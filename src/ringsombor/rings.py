@@ -3,9 +3,10 @@
 Every element of a finite commutative ring with unity is either a unit or a
 zero-divisor, with 0 counted among the zero-divisors.  That partition is all
 the downstream graph constructions need, so rings here expose exactly: the
-unit mask, the unit count, whether 2 is a unit, whether the ring is local,
-and the parameters the row builders read.  Elements are addressed by an
-integer index in 0..order-1 with index 0 the ring zero.
+unit mask, the local factors (and the unit count, whether 2 is a unit and
+whether the ring is local, all read off them), and the parameters the row
+builders read.  Elements are addressed by an integer index in 0..order-1
+with index 0 the ring zero.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-
-
-class NonLocalRingError(ValueError):
-    """A local-ring-only operation was applied to a ring with more than one
-    maximal ideal."""
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -316,45 +312,6 @@ def classify(n: int | Modulus) -> ModulusFamily:
     return ModulusFamily(OTHER_ODD)
 
 
-@dataclass(frozen=True)
-class LocalRingSpec:
-    """The three parameters of a finite local ring that the local closed
-    forms consume: order, number of units, and whether 1+1 is a unit.
-
-    The non-units form the maximal ideal, so q = order / (order - units) is
-    the size of the residue field.  A finite local ring exists only when q
-    is a prime power, the order is a power of q, and 2 is a unit exactly
-    when q is odd."""
-
-    order: int
-    unit_count: int
-    two_is_unit: bool
-
-    def __post_init__(self):
-        if not 1 <= self.unit_count < self.order:
-            raise ValueError(
-                f"unit count {self.unit_count} out of range for order {self.order}"
-            )
-        ideal = self.order - self.unit_count
-        if self.order % ideal != 0:
-            raise ValueError(
-                f"non-unit count {ideal} does not divide order {self.order}"
-            )
-        q = self.order // ideal
-        rest = self.order
-        while rest % q == 0:
-            rest //= q
-        if rest != 1 or not factorize(q).is_prime_power:
-            raise ValueError(
-                f"order {self.order} is not a power of a prime-power residue field size {q}"
-            )
-        if self.two_is_unit != (q % 2 == 1):
-            raise ValueError(
-                f"two_is_unit={self.two_is_unit}, but 2 is a unit exactly when "
-                f"the residue field size {q} is odd"
-            )
-
-
 _ZD_TO_BITS = bytes.maketrans(b"\x00\x01", b"10")
 
 
@@ -364,9 +321,26 @@ class FiniteRing:
     Each fixes an element indexing 0..order-1 (index 0 is the ring zero) and
     provides the unit mask on it (unit_mask, bit v set iff element v is a
     unit).  The graph builders reject any other subclass with TypeError.
+
+    local_factors holds one (q, s) pair per local factor of the ring: the
+    size q of its residue field and the size s of its maximal ideal, a power
+    of q.  An element is a unit iff its residue in each field is nonzero.
     """
 
     order: int
+    local_factors: tuple[tuple[int, int], ...]
+
+    @property
+    def unit_count(self) -> int:
+        return math.prod((q - 1) * s for q, s in self.local_factors)
+
+    @property
+    def two_is_unit(self) -> bool:
+        return all(q % 2 for q, _ in self.local_factors)
+
+    @property
+    def is_local(self) -> bool:
+        return len(self.local_factors) == 1
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -379,18 +353,7 @@ class ZnRing(FiniteRing):
         self.modulus = factorize(n)
         self.n = n
         self.order = n
-
-    @property
-    def unit_count(self) -> int:
-        return euler_phi(self.n)
-
-    @property
-    def two_is_unit(self) -> bool:
-        return self.n % 2 == 1
-
-    @property
-    def is_local(self) -> bool:
-        return self.modulus.is_prime_power
+        self.local_factors = tuple((p, p ** (e - 1)) for p, e in self.modulus.factors)
 
     @property
     def name(self) -> str:
@@ -423,18 +386,7 @@ class TruncatedPolyRing(FiniteRing):
         self.k = k
         self.order = p**k
         self.lead = p ** (k - 1)  # index weight of the constant coefficient
-
-    @property
-    def unit_count(self) -> int:
-        return self.order - self.lead
-
-    @property
-    def two_is_unit(self) -> bool:
-        return self.p != 2
-
-    @property
-    def is_local(self) -> bool:
-        return True
+        self.local_factors = ((p, self.lead),)
 
     @property
     def name(self) -> str:
@@ -452,10 +404,3 @@ def z_prime_power(p: int, alpha: int) -> ZnRing:
         raise ValueError(f"exponent must be >= 1, got {alpha}")
     return ZnRing(p**alpha)
 
-
-def to_local_spec(ring: FiniteRing) -> LocalRingSpec:
-    """Abstract a concrete local ring to the parameters the local closed
-    forms need.  Rejects rings with more than one maximal ideal."""
-    if not ring.is_local:
-        raise NonLocalRingError(f"{ring.name} is not local")
-    return LocalRingSpec(ring.order, ring.unit_count, ring.two_is_unit)

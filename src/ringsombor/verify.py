@@ -46,7 +46,6 @@ from .rings import (
     ZnRing,
     classify,
     moduli,
-    to_local_spec,
 )
 from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
@@ -120,12 +119,14 @@ def closed_forms(
     corrected/printed pair."""
     pair = (cf.CORRECTED, cf.PRINTED)
     if use_local_forms or isinstance(ring, TruncatedPolyRing):
-        spec = to_local_spec(ring)
+        if not ring.is_local:
+            raise cf.NotInFamilyError(f"{ring.name} is not local")
+        [(q, s)] = ring.local_factors
         if kind == TOTAL:
-            return LOCAL, [(cf.UNIQUE, cf.so_total_local(spec), None)]
-        if not spec.two_is_unit:
-            return LOCAL, [(cf.UNIQUE, cf.so_unit_local(spec), None)]
-        return LOCAL, [(v, cf.so_unit_local(spec, v), None) for v in pair]
+            return LOCAL, [(cf.UNIQUE, cf.so_total_local(q, s), None)]
+        if not ring.two_is_unit:
+            return LOCAL, [(cf.UNIQUE, cf.so_unit_local(q, s), None)]
+        return LOCAL, [(v, cf.so_unit_local(q, s, v), None) for v in pair]
     fam = classify(ring.order)
     tag = fam.kind if fam.in_hypothesis else fam.kind + PGTQ
     p, q, unit = fam.p, fam.q, kind == UNIT

@@ -3,10 +3,14 @@
     python tests/mutants.py
 
 Each mutant is one exact-string replacement that must match exactly once in
-its file under src/ringsombor.  The unmutated suite runs first and must
-pass; then each mutant is applied to a fresh copy of src/ and tests/ in a
-temporary directory, where `pytest -x -q` must fail.  The test files run in
-name order with the slow acceptance file last, so a kill comes early.
+its file under src/ringsombor, and names the tests that kill it.  The
+unmutated suite runs first and must pass.  Then each mutant is applied to a
+fresh copy of src/ and tests/ in a temporary directory, where `pytest -x -q`
+runs its named tests first; if they fail, the mutant is killed.  If they
+pass, the whole suite runs as well, its test files in name order with the
+slow acceptance file last, so a kill comes early.  A kill there flags the
+mutant's test list as stale, and only a whole suite that passes makes the
+mutant a survivor, so naming tests never weakens the gate.
 Exits 0 when the baseline passes and every mutant is killed, else 1.
 
 A mutant joins the list once a test kills it.  Equivalent mutants, which no
@@ -30,119 +34,167 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ringsombor"
 
-# name: (file in src/ringsombor, original, mutant)
+# name: (file in src/ringsombor, original, mutant, node ids of tests that kill
+# it, relative to tests/)
 MUTANTS = {
     "A so_total_local, 2 not a unit: (nz-1)^2 read as (u-1)^2": (
         "closed_forms.py",
         "_over_sqrt2(n * (nz - 1) ** 2)",
         "_over_sqrt2(n * (u - 1) ** 2)",
+        ("test_closed_forms.py::TestLocalForms::test_definitional_local_rings[F_4-total]",),
     ),
     "B so_unit_local, 2 not a unit: u*u read as nz*nz": (
         "closed_forms.py",
         "_over_sqrt2(n * u * u)",
         "_over_sqrt2(n * nz * nz)",
+        ("test_closed_forms.py::TestLocalForms::test_definitional_local_rings[F_4-unit]",),
     ),
     "C degree_pair: the total graph's degrees swapped": (
         "graphs.py",
         "return (d, d + 1) if two_is_unit else (d, d)",
         "return (d + 1, d) if two_is_unit else (d, d)",
+        ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
     ),
     "E VariantResult.match ignores partition_match": (
         "verify.py",
         "if self.partition_match is False:",
         "if False:",
+        ("test_cli.py::TestVerdict::test_wrong_partition_with_the_right_value_fails",),
     ),
-    "G TruncatedPolyRing.two_is_unit always true": (
+    "G FiniteRing.two_is_unit: 2 a unit when any residue field is odd": (
         "rings.py",
-        "return self.p != 2",
-        "return True",
+        "return all(q % 2 for q, _ in self.local_factors)",
+        "return any(q % 2 for q, _ in self.local_factors)",
+        ("test_rings.py::TestZnRing::test_matches_definition",),
     ),
     "I errata_report counts failed variants as errata": (
         "verify.py",
         "if v.match or v.failed:",
         "if v.match:",
+        ("test_cli.py::TestVerdict::test_verify_and_sweep_exit_1",),
     ),
-    "J LocalRingSpec accepts any two_is_unit": (
-        "rings.py",
-        "if self.two_is_unit != (q % 2 == 1):",
-        "if False:",
+    "J local forms: an ideal size s = q^k * r let through": (
+        "closed_forms.py",
+        "if rest != 1 or not factorize(q).is_prime_power:",
+        "if not factorize(q).is_prime_power:",
+        ("test_closed_forms.py::TestLocalForms::test_rejects_impossible_factors",),
     ),
     "K degree_pair_counts, rule 1: the edges across added to a side's own": (
         "sombor.py",
         "- across) // 2",
         "+ across) // 2",
+        ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
     ),
     "L degree_pair_counts, first pass: the smaller side's neighbours on its own side": (
         "sombor.py",
         "sides[1 - few]",
         "sides[few]",
+        ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
     ),
     "M degree_pair_counts, rule 2: no edges within a key": (
         "sombor.py",
         "if a <= b:",
         "if a < b:",
+        ("test_closed_forms.py::TestTotalPrimePower::test_degenerate_primes_match_oracle",),
     ),
     "N check_structure, partition test: the rows need not be disjoint": (
         "verify.py",
         "not t & u and t | u == full ^ (1 << x)",
         "t | u == full ^ (1 << x)",
+        ("test_verify.py::TestStructureChunks::test_one_flipped_unit_bit_is_flagged[26-1]",),
     ),
     "O check_structure, partition: unit degree n - d, not n - 1 - d": (
         "verify.py",
         "[n - 1 - d for d in t_degrees]",
         "[n - d for d in t_degrees]",
+        ("test_cli.py::TestStructureCommand::test_range_sweep",),
     ),
     "P check_structure, partition: the clique read off the total rows": (
         "verify.py",
         "compress(u_rows, zeros)",
         "compress(t_rows, zeros)",
+        ("test_cli.py::TestStructureCommand::test_range_sweep",),
     ),
     "Q _ZnSumRows, windowed chunk: the window cut to n + len - 2 bits": (
         "graphs.py",
         "_full_mask(n + size)",
         "_full_mask(n + size - 2)",
+        ("test_graphs.py::TestRowsAgainstDefinition::test_chunked_rows_match_definition[n29-1]",),
     ),
     "R _ZnSumRows: the self-bit flags read from the odd bits of D": (
         "graphs.py",
         "[::-2]",
         "[-2::-2]",
+        ("test_graphs.py::TestRowsAgainstDefinition::test_chunked_rows_match_definition[n29-1]",),
     ),
     "S _PolySumRows: a block's own-block flag inverted": (
         "graphs.py",
         "bool((row >> (c * lead)) & 1)",
         "not (row >> (c * lead)) & 1",
+        ("test_cli.py::TestCompute::test_json_format",),
     ),
     "T _passes_miller_rabin: psi_10 and psi_11 read as psi_12": (
         "rings.py",
         "3825123056546413051, 3825123056546413051, 3825123056546413051,",
         "3825123056546413051, 318665857834031151167461, 318665857834031151167461,",
+        ("test_rings.py::TestPrimes::test_strong_pseudoprimes_are_composite[3825123056546413051]",),
     ),
     "U radical_normalize: the square-free cofactor bound raised to 10**12": (
         "radicals.py",
         "_SQUARE_FREE_BELOW = _TRIAL_BOUND**3",
         "_SQUARE_FREE_BELOW = 10**12",
+        ("test_radicals.py::TestSquarePart::test_p2q_cofactor_above_cube_is_factored",),
     ),
     "V radical_normalize: a square cofactor's root put into s": (
         "radicals.py",
         "c *= root",
         "s *= root",
+        ("test_radicals.py::TestSquarePart::test_square_cofactor_is_not_factored[1-1-1-1009-1013]",),
+    ),
+    "W FiniteRing.unit_count: every element of a local factor counted a unit": (
+        "rings.py",
+        "(q - 1) * s for q, s in self.local_factors",
+        "q * s for q, s in self.local_factors",
+        ("test_rings.py::TestZnRing::test_matches_definition",),
+    ),
+    "X total_pq_partition: alpha with p + 1 for p - 1": (
+        "closed_forms.py",
+        "alpha = (p * (p - 1) + q * (q - 1)) // 2",
+        "alpha = (p * (p + 1) + q * (q - 1)) // 2",
+        ("test_closed_forms.py::TestTotalPQ::test_partition_3_5",),
+    ),
+    "Y classify: a p^2 q modulus with p > q left out of its family": (
+        "rings.py",
+        "if sorted((e1, e2)) == [1, 2]:",
+        "if (e1, e2) == (2, 1):",
+        ("test_rings.py::TestClassify::test_p2q_out_of_hypothesis",),
+    ),
+    "Z ZnRing.unit_mask: 0 not marked a zero-divisor": (
+        "rings.py",
+        "marks[0::p]",
+        "marks[p::p]",
+        ("test_rings.py::TestZnRing::test_is_unit_matches_inverse_search",),
     ),
 }
 
 
 def check_mutants() -> list[str]:
-    """A line per mutant whose original does not match exactly once."""
+    """A line per mutant whose original does not match exactly once, or
+    that names no test."""
     bad = []
-    for name, (file, original, _) in MUTANTS.items():
+    for name, (file, original, _, tests) in MUTANTS.items():
         count = (PACKAGE / file).read_text().count(original)
         if count != 1:
             bad.append(f"{name}: {original!r} matches {count} times in {file}")
+        if not tests:
+            bad.append(f"{name}: names no test that kills it")
     return bad
 
 
-def run_suite(mutant: tuple[str, str, str] | None = None) -> bool:
-    """Whether `pytest -x -q` passes on a copy of src/ and tests/, with the
-    mutant applied if one is given."""
+def run_suite(mutant: tuple[str, str, str] | None = None, tests: tuple[str, ...] = ()) -> int:
+    """The exit code of `pytest -x -q` on a copy of src/ and tests/, with the
+    mutant applied if one is given: on the given test node ids (relative to
+    tests/), or on every test file if there are none."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
@@ -153,15 +205,24 @@ def run_suite(mutant: tuple[str, str, str] | None = None) -> bool:
             file, original, replacement = mutant
             path = tmp / "src" / "ringsombor" / file
             path.write_text(path.read_text().replace(original, replacement))
-        files = sorted((tmp / "tests").glob("test_*.py"),
-                       key=lambda p: (p.name == "test_acceptance.py", p.name))
+        if tests:
+            selection = [f"tests/{node}" for node in tests]
+        else:
+            files = sorted((tmp / "tests").glob("test_*.py"),
+                           key=lambda p: (p.name == "test_acceptance.py", p.name))
+            selection = [str(f.relative_to(tmp)) for f in files]
         env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *map(str, files)],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        return done.returncode == 0
+        return done.returncode
+
+
+# pytest's exit codes for failed tests and for an error while collecting
+# them.  A stale node id gives 4 (usage error) or 5 (no tests) instead,
+# which does not count as a kill.
+FAILED_CODES = (1, 2)
 
 
 def main() -> int:
@@ -170,19 +231,25 @@ def main() -> int:
         print(f"error: {line}")
     if bad:
         return 1
-    start = time.perf_counter()
-    if not run_suite():
+    gate_start = start = time.perf_counter()
+    if run_suite() != 0:
         print("error: the unmutated suite fails")
         return 1
     print(f"baseline passes ({time.perf_counter() - start:.1f} s)")
-    survivors = 0
-    for name, mutant in MUTANTS.items():
+    survivors = stale = 0
+    for name, (file, original, replacement, tests) in MUTANTS.items():
         start = time.perf_counter()
-        survived = run_suite(mutant)
-        survivors += survived
-        verdict = "SURVIVED" if survived else "killed"
+        mutant = (file, original, replacement)
+        if run_suite(mutant, tests) in FAILED_CODES:
+            verdict = "killed"
+        elif run_suite(mutant) != 0:
+            verdict, stale = "killed", stale + 1
+            name += " [stale: its named tests did not fail]"
+        else:
+            verdict, survivors = "SURVIVED", survivors + 1
         print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)")
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed, "
+          f"{stale} test lists stale ({time.perf_counter() - gate_start:.1f} s)")
     return 1 if survivors else 0
 
 

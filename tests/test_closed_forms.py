@@ -28,7 +28,7 @@ from ringsombor.closed_forms import (
 )
 from ringsombor.graphs import TOTAL, UNIT, degree_pair, edge_partition_of, total_graph, unit_graph
 from ringsombor.radicals import RadicalSum
-from ringsombor.rings import LocalRingSpec, TruncatedPolyRing, ZnRing, euler_phi, primes_up_to
+from ringsombor.rings import TruncatedPolyRing, ZnRing, euler_phi, primes_up_to
 from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 
@@ -226,46 +226,54 @@ LOCAL_WITNESSES = [
 
 class TestLocalForms:
     def test_total_values(self):
-        assert so_total_local(LocalRingSpec(8, 4, False)) == rt2(36)
-        assert so_total_local(LocalRingSpec(9, 6, True)) == rt2(33)
-        assert so_total_local(LocalRingSpec(4, 2, False)) == rt2(2)
+        assert so_total_local(2, 4) == rt2(36)
+        assert so_total_local(3, 3) == rt2(33)
+        assert so_total_local(2, 2) == rt2(2)
 
     def test_total_oracle_agreement(self):
         for ring in (ZnRing(8), ZnRing(9), ZnRing(27), TruncatedPolyRing(2, 2),
                      TruncatedPolyRing(3, 2), TruncatedPolyRing(5, 2)):
-            spec = LocalRingSpec(ring.order, ring.unit_count, ring.two_is_unit)
-            assert so_total_local(spec) == oracle(ring, TOTAL)
+            [(q, s)] = ring.local_factors
+            assert so_total_local(q, s) == oracle(ring, TOTAL)
 
     def test_unit_values(self):
-        assert so_unit_local(LocalRingSpec(8, 4, False)) == rt2(64)
-        assert so_unit_local(LocalRingSpec(9, 6, True)) == RadicalSum({61: 18, 2: 30})
-        assert so_unit_local(LocalRingSpec(9, 6, True), PRINTED) == RadicalSum({5: 54})
+        assert so_unit_local(2, 4) == rt2(64)
+        assert so_unit_local(3, 3) == RadicalSum({61: 18, 2: 30})
+        assert so_unit_local(3, 3, PRINTED) == RadicalSum({5: 54})
 
     def test_unit_corrected_equals_prime_power_form(self):
-        assert so_unit_local(LocalRingSpec(9, 6, True)) == so_unit_prime_power(3, 2)
+        assert so_unit_local(3, 3) == so_unit_prime_power(3, 2)
 
     def test_unit_oracle_agreement(self):
         for ring in (ZnRing(8), ZnRing(9), ZnRing(25), TruncatedPolyRing(2, 3),
                      TruncatedPolyRing(3, 2), TruncatedPolyRing(7, 1)):
-            spec = LocalRingSpec(ring.order, ring.unit_count, ring.two_is_unit)
-            assert so_unit_local(spec) == oracle(ring, UNIT)
+            [(q, s)] = ring.local_factors
+            assert so_unit_local(q, s) == oracle(ring, UNIT)
 
     @pytest.mark.parametrize("kind", [TOTAL, UNIT])
     @pytest.mark.parametrize("ring", LOCAL_WITNESSES, ids=lambda ring: ring.name)
     def test_definitional_local_rings(self, ring, kind):
         # over the even residue fields F_4, F_8 and F_16, 2 is not a unit and
         # yet the unit and non-unit counts differ, so a form that swaps them
-        # shows; F_2[x,y]/(x,y)^2 is local with ideals that are not a chain
+        # shows; F_2[x,y]/(x,y)^2 is local with ideals that are not a chain.
+        # The non-units are the maximal ideal: s of them, and q = order // s
         assert ring.is_local
-        spec = LocalRingSpec(ring.order, ring.unit_count, ring.two_is_unit)
+        s = ring.order - ring.unit_count
         table = degree_pair_counts(ring.graph(kind == UNIT), ring.unit_mask)
         form = so_total_local if kind == TOTAL else so_unit_local
-        assert form(spec) == sombor_of(table)
+        assert form(ring.order // s, s) == sombor_of(table)
 
     def test_printed_coincides_at_z3(self):
         # the one place the printed two-is-unit case happens to agree
-        spec = LocalRingSpec(3, 2, True)
-        assert so_unit_local(spec, PRINTED) == so_unit_local(spec, CORRECTED)
+        assert so_unit_local(3, 1, PRINTED) == so_unit_local(3, 1, CORRECTED)
+
+    def test_rejects_impossible_factors(self):
+        # q must be a prime power >= 2 and s a power of q, s >= 1
+        for q, s in ((6, 1), (1, 1), (25, 5), (4, 2), (3, 0)):
+            with pytest.raises(NotInFamilyError):
+                so_total_local(q, s)
+            with pytest.raises(NotInFamilyError):
+                so_unit_local(q, s)
 
 
 class TestRegularAndIdentity:
@@ -323,8 +331,8 @@ class TestIntegerCoefficients:
     def test_closed_forms_lie_in_half_integers(self):
         values = [so_total_even(12), so_unit_even(30), so_total_prime_power(3, 3),
                   so_total_pq(5, 7), so_total_p2q(3, 7), so_unit_pq(3, 11),
-                  so_unit_p2q(5, 3), so_total_local(LocalRingSpec(25, 20, True)),
-                  so_unit_local(LocalRingSpec(16, 8, False)), so_regular(7, 3)]
+                  so_unit_p2q(5, 3), so_total_local(5, 5),
+                  so_unit_local(2, 8), so_regular(7, 3)]
         values += [so_unit_prime_power(7, 2, v) for v in (PRINTED, CORRECTED)]
         halves = 0
         for v in values:

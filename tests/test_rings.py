@@ -15,8 +15,6 @@ from ringsombor.rings import (
     ODD_PRIME_POWER,
     OTHER_ODD,
     PSI_13,
-    LocalRingSpec,
-    NonLocalRingError,
     TruncatedPolyRing,
     ZnRing,
     classify,
@@ -24,7 +22,6 @@ from ringsombor.rings import (
     factorize,
     is_prime,
     primes_up_to,
-    to_local_spec,
     z_prime_power,
 )
 from ringsombor.rings import _passes_miller_rabin
@@ -191,8 +188,14 @@ def assert_ring_matches_witness(ring, witness):
     # the ring facts that src reads besides the unit mask, against the
     # witness's tables: 1+1 is read off the addition table, local means the
     # non-units are closed under addition, and each vertex class of the
-    # witness's pair-loop graphs has its predicted degree
+    # witness's pair-loop graphs has its predicted degree.  The local
+    # factors multiply out to the order; a local witness's non-units are its
+    # maximal ideal, so they give s and order // s gives q
     assert ring.order == witness.order
+    assert math.prod(q * s for q, s in ring.local_factors) == witness.order
+    if witness.is_local:
+        nonunits = witness.order - witness.unit_count
+        assert ring.local_factors == ((witness.order // nonunits, nonunits),)
     assert ring.unit_count == witness.unit_count
     assert ring.two_is_unit == witness.two_is_unit
     assert ring.is_local == witness.is_local
@@ -292,29 +295,11 @@ class TestTruncatedPolyRing:
         assert TruncatedPolyRing(3, 2).two_is_unit
 
 
-class TestLocalSpec:
+class TestLocalFactors:
     def test_examples(self):
-        assert to_local_spec(ZnRing(8)) == LocalRingSpec(8, 4, False)
-        assert to_local_spec(ZnRing(9)) == LocalRingSpec(9, 6, True)
-        assert to_local_spec(TruncatedPolyRing(2, 2)) == LocalRingSpec(4, 2, False)
-
-    def test_rejects_non_local(self):
-        with pytest.raises(NonLocalRingError):
-            to_local_spec(ZnRing(15))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            LocalRingSpec(8, 8, False)
-        with pytest.raises(ValueError):
-            LocalRingSpec(8, 0, False)
-        with pytest.raises(ValueError):
-            LocalRingSpec(15, 8, True)  # 7 non-units cannot divide 15
-        # residue field size q = order / non-units: the order must be a power
-        # of a prime power q, and 2 a unit exactly when q is odd
-        for order, units, two_is_unit in ((6, 3, True), (27, 24, True), (9, 6, False),
-                                          (8, 4, True)):
-            with pytest.raises(ValueError):
-                LocalRingSpec(order, units, two_is_unit)
+        assert ZnRing(8).local_factors == ((2, 4),)
+        assert ZnRing(360).local_factors == ((2, 4), (3, 3), (5, 1))
+        assert TruncatedPolyRing(3, 2).local_factors == ((3, 3),)
 
     def test_z_prime_power(self):
         assert z_prime_power(3, 2).n == 9

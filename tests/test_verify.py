@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ringsombor import graphs, verify
 from ringsombor.cli import main
-from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE
+from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE, NotInFamilyError
 from ringsombor.graphs import TOTAL, UNIT
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing, factorize
@@ -121,6 +121,10 @@ class TestVerifyCase:
         by_variant = {v.variant: v for v in case.variants}
         assert by_variant[CORRECTED].match
         assert not by_variant[PRINTED].match
+
+    def test_local_forms_refuse_non_local_ring(self):
+        with pytest.raises(NotInFamilyError):
+            verify_case(ZnRing(15), TOTAL, use_local_forms=True)
 
     def test_poly_ring_uses_local_forms(self):
         case = verify_case(TruncatedPolyRing(3, 2), UNIT)
