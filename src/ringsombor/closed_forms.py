@@ -9,6 +9,7 @@ free-invented.  Inputs outside a family are rejected rather than computed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .graphs import TOTAL, UNIT, EdgePartition, degree_pair
@@ -51,8 +52,12 @@ def _over_sqrt2(x) -> RadicalSum:
 
 
 def sombor_edge_term(count: int, d1: int, d2: int) -> RadicalSum:
-    """Contribution of `count` edges whose endpoints have degrees d1, d2."""
-    return RadicalSum.sqrt(d1 * d1 + d2 * d2) * count
+    """Contribution of `count` edges whose endpoints have degrees d1, d2.
+    g = gcd(d1, d2) leaves the root whole, sqrt(d1^2 + d2^2) =
+    g*sqrt(a^2 + b^2), so equal degrees normalize only the radicand 2."""
+    g = math.gcd(d1, d2) or 1
+    a, b = d1 // g, d2 // g
+    return RadicalSum.sqrt(a * a + b * b) * (count * g)
 
 
 def assemble_partition_sum(part: EdgePartition, d_zero: int, d_unit: int) -> RadicalSum:
@@ -154,7 +159,7 @@ def so_unit_prime_power(p: int, alpha: int, variant: str = CORRECTED) -> Radical
     n = p**alpha
     phi = n - n // p
     nz = n - phi
-    head = RadicalSum.sqrt(phi * phi + (phi - 1) ** 2) * (phi * nz)
+    head = sombor_edge_term(phi * nz, phi, phi - 1)
     if variant == PRINTED:
         bracket = phi * (phi - 1) - nz
     else:
@@ -244,8 +249,8 @@ def so_unit_local(q: int, s: int, variant: str = CORRECTED) -> RadicalSum:
     if q % 2 == 0:
         return _over_sqrt2(n * u * u)
     if variant == PRINTED:
-        return RadicalSum.sqrt(u * u + nz * nz) * (u * nz)
-    head = RadicalSum.sqrt(u * u + (u - 1) ** 2) * (u * nz)
+        return sombor_edge_term(u * nz, u, nz)
+    head = sombor_edge_term(u * nz, u, u - 1)
     bracket = u * (u - 1) - nz * u
     return head + _over_sqrt2(bracket * (u - 1))
 

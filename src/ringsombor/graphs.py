@@ -21,7 +21,7 @@ report writers rely on that for reproducible output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rings import FiniteRing, TruncatedPolyRing, ZnRing
 
@@ -126,18 +126,17 @@ class Graph:
         return f"<Graph n={self.n} m={self.edge_count}>"
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(namedtuple("EdgePartition", "alpha beta gamma")):
     """Edge counts by endpoint class: alpha zero-zero, beta zero-unit,
     gamma unit-unit."""
 
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
+    def __new__(cls, alpha: int, beta: int, gamma: int):
+        self = tuple.__new__(cls, (alpha, beta, gamma))
+        if min(alpha, beta, gamma) < 0:
             raise ValueError(f"negative edge count in {self}")
+        return self
 
     @property
     def total(self) -> int:

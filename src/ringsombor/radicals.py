@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rings import _TRIAL_BOUND, _factor_cofactor, _trial_divide
+from .rings import _TRIAL_BOUND, CACHE_SIZE, _factor_cofactor, _trial_divide
 
 # A cofactor of _trial_divide below this, when not a square, is 1, a prime or
 # two distinct primes: it has no prime factor below _TRIAL_BOUND, so three of
@@ -23,7 +23,7 @@ from .rings import _TRIAL_BOUND, _factor_cofactor, _trial_divide
 _SQUARE_FREE_BELOW = _TRIAL_BOUND**3
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def radical_normalize(m: int) -> tuple[int, int]:
     """Write sqrt(m) = c*sqrt(s) with s square-free; returns (c, s).
 

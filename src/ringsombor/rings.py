@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -31,29 +31,28 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(namedtuple("Modulus", "n factors")):
     """A positive integer n >= 2 with its prime factorization attached.
 
     factors is a tuple of (prime, exponent) pairs with primes strictly
     ascending and every exponent >= 1; the product reconstructs n.
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
+        if n < 2:
+            raise ValueError(f"modulus must be >= 2, got {n}")
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
-                raise ValueError(f"bad factorization for {self.n}: {self.factors}")
+                raise ValueError(f"bad factorization for {n}: {factors}")
             last = p
             prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factorization of {self.n} multiplies to {prod}")
+        if prod != n:
+            raise ValueError(f"factorization of {n} multiplies to {prod}")
+        return tuple.__new__(cls, (n, factors))
 
     @property
     def is_prime_power(self) -> bool:
@@ -235,7 +234,13 @@ def _modulus(n: int) -> Modulus:
     return Modulus(n, tuple(sorted(_prime_factors(n).items())))
 
 
-@lru_cache(maxsize=None)
+# Entries each of the lru caches (factorize, euler_phi and
+# radicals.radical_normalize) keeps: far more than one sweep or batch of
+# closed queries looks up, so a long-lived process stays bounded.
+CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> Modulus:
     """Full prime factorization, primes ascending (see _prime_factors)."""
     return _modulus(n)
@@ -248,7 +253,7 @@ def moduli(max_n: int) -> Iterator[Modulus]:
     return map(_modulus, range(2, max_n + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def euler_phi(n: int) -> int:
     """Euler totient via the multiplicative formula over the factorization."""
     if n < 1:
@@ -271,8 +276,7 @@ ODD_P2Q = "p2q"
 OTHER_ODD = "other"
 
 
-@dataclass(frozen=True)
-class ModulusFamily:
+class ModulusFamily(namedtuple("ModulusFamily", "kind p q alpha", defaults=(0, 0, 0))):
     """Which closed-form family a modulus n falls into.
 
     For ODD_PRIME_POWER, p and alpha are set (n = p**alpha).  For ODD_PQ,
@@ -281,10 +285,7 @@ class ModulusFamily:
     in_hypothesis turns False.
     """
 
-    kind: str
-    p: int = 0
-    q: int = 0
-    alpha: int = 0
+    __slots__ = ()
 
     @property
     def in_hypothesis(self) -> bool:

@@ -19,6 +19,7 @@ edge by key.  The unit mask is input data, not a derived fact.
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 
 from .graphs import Graph, row_chunks, vertex_flags
@@ -83,11 +84,13 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
 
 def sombor_of(table: dict[tuple[Key, Key], int]) -> RadicalSum:
     """Exact sum over edges of sqrt(d_u^2 + d_v^2), read off a
-    degree_pair_counts table."""
+    degree_pair_counts table.  g = gcd(d_u, d_v) leaves the root whole,
+    so equal degrees normalize only the radicand 2."""
     terms: dict[int, int] = {}
     for ((_, a), (_, b)), count in table.items():
-        c, s = radical_normalize(a * a + b * b)
-        terms[s] = terms.get(s, 0) + count * c
+        g = math.gcd(a, b)  # >= 1: a key with an edge has a positive degree
+        c, s = radical_normalize((a // g) ** 2 + (b // g) ** 2)
+        terms[s] = terms.get(s, 0) + count * c * g
     return RadicalSum(terms)
 
 

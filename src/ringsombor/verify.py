@@ -10,11 +10,10 @@ compared.
 
 from __future__ import annotations
 
-import datetime
 import json
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -70,13 +69,14 @@ class EmptySweepError(ValueError):
     """The requested family/bound combination contains no cases."""
 
 
-@dataclass(frozen=True)
-class VariantResult:
-    variant: str  # unique | printed | corrected
-    closed_value: RadicalSum
-    closed_partition: EdgePartition | None
-    value_match: bool
-    partition_match: bool | None
+class VariantResult(namedtuple(
+    "VariantResult", "variant closed_value closed_partition value_match partition_match"
+)):
+    """One closed-form variant (unique, printed or corrected) against the
+    oracle: its RadicalSum value, its EdgePartition or None, and whether
+    each matched (partition_match None when the form gives no partition)."""
+
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
@@ -91,16 +91,13 @@ class VariantResult:
         return not self.match and self.variant != cf.PRINTED
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    ring: str
-    n: int
-    kind: str
-    family: str
-    oracle_value: RadicalSum
-    oracle_partition: EdgePartition
-    variants: tuple[VariantResult, ...]
-    micros: int
+class CaseResult(namedtuple(
+    "CaseResult", "ring n kind family oracle_value oracle_partition variants micros"
+)):
+    """One ring and graph kind: the oracle's RadicalSum and EdgePartition,
+    a VariantResult per applicable closed form, and the case's time."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -218,12 +215,9 @@ def _run_case_spec(case_spec: tuple) -> CaseResult:
     return verify_case(ring, kind, use_local_forms=use_local, ceiling=ceiling)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    family: str
-    max_n: int
-    kinds: tuple[str, ...]
-    cases: tuple[CaseResult, ...]
+class SweepResult(namedtuple("SweepResult", "family max_n kinds cases")):
+    """A sweep's CaseResults, sorted by (n, ring, kind).  It has a
+    __dict__, unlike the other result types, to hold records."""
 
     @property
     def ok(self) -> bool:
@@ -293,14 +287,10 @@ def sweep(
 # ----------------------------------------------------------------------
 # Structural checks
 
-@dataclass(frozen=True)
-class StructureResult:
-    ring: str
-    n: int
-    is_local: bool
-    zdiv_complete: bool
-    degrees_ok: bool
-    duality_ok: bool
+class StructureResult(namedtuple(
+    "StructureResult", "ring n is_local zdiv_complete degrees_ok duality_ok"
+)):
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:
@@ -389,13 +379,10 @@ def structure_sweep(max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[Struc
 IDENTITY_MAX_N = 400
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    n: int
-    k: int
-    residual_zero: bool
-    circulant_checked: bool
-    circulant_match: bool | None
+class IdentityCase(namedtuple(
+    "IdentityCase", "n k residual_zero circulant_checked circulant_match"
+)):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -475,15 +462,9 @@ ERRATA = {
 }
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
-    formula: str
-    printed_expression: str
-    ring: str
-    n: int
-    kind: str
-    printed_value: str
-    oracle_value: str
+ErrataEntry = namedtuple(
+    "ErrataEntry", "formula printed_expression ring n kind printed_value oracle_value"
+)
 
 
 def errata_report(cases) -> list[ErrataEntry]:
@@ -524,6 +505,8 @@ IDENTITY_COLUMNS = ("n", "k", "residual_zero", "circulant_checked", "circulant_m
 
 
 def _timestamp() -> str:
+    import datetime  # here, so that importing the package does not load it
+
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -603,7 +586,7 @@ def sweep_payload(result: SweepResult) -> dict:
     return {
         "summary": result.summary(),
         "cases": list(result.records),
-        "errata": [asdict(e) for e in errata_report(result.cases)],
+        "errata": [e._asdict() for e in errata_report(result.cases)],
     }
 
 
@@ -624,7 +607,7 @@ def structure_rows(results) -> list[dict]:
 
 
 def identity_rows(results) -> list[dict]:
-    return [asdict(r) for r in results]
+    return [r._asdict() for r in results]
 
 
 def canonical_csv_body(text: str) -> str:

@@ -175,6 +175,36 @@ MUTANTS = {
         "marks[p::p]",
         ("test_rings.py::TestZnRing::test_is_unit_matches_inverse_search",),
     ),
+    "AA Modulus: n = 1 let through": (
+        "rings.py",
+        "if n < 2:\n            raise ValueError(f\"modulus must be >= 2",
+        "if n < 1:\n            raise ValueError(f\"modulus must be >= 2",
+        ("test_rings.py::TestModulus::test_rejects_n_below_two",),
+    ),
+    "AB Modulus: a repeated prime let through": (
+        "rings.py",
+        "if p <= last or e < 1:",
+        "if p < last or e < 1:",
+        ("test_rings.py::TestModulus::test_rejects_a_bad_factorization[repeated-prime]",),
+    ),
+    "AC Modulus: an exponent of 0 let through": (
+        "rings.py",
+        "if p <= last or e < 1:",
+        "if p <= last or e < 0:",
+        ("test_rings.py::TestModulus::test_rejects_a_bad_factorization[zero-exponent]",),
+    ),
+    "AD Modulus: a product short of n let through": (
+        "rings.py",
+        "if prod != n:",
+        "if prod > n:",
+        ("test_rings.py::TestModulus::test_rejects_a_bad_factorization[short-product]",),
+    ),
+    "AE EdgePartition: a count of -1 let through": (
+        "graphs.py",
+        "if min(alpha, beta, gamma) < 0:",
+        "if min(alpha, beta, gamma) < -1:",
+        ("test_graphs.py::TestEdgePartition::test_rejects_negative",),
+    ),
 }
 
 

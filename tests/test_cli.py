@@ -450,12 +450,14 @@ class TestParserReuse:
         assert "oracle_float" in reused[3][1] and "oracle = " in reused[4][1]
 
 
-def test_import_loads_no_pool_machinery():
+def test_import_loads_no_costly_stdlib_modules():
+    # the pool machinery loads only for workers > 1 and datetime only when a
+    # report is stamped; dataclasses, which pulls in inspect, is not used
     script = (
         "import sys\n"
         "import ringsombor, ringsombor.cli\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in"
+        " ('dataclasses', 'inspect', 'datetime', 'concurrent', 'multiprocessing')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ringsombor.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,

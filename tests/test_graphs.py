@@ -239,8 +239,17 @@ class TestEdgePartition:
                 assert edge_partition_of(degree_pair_counts(g, units)).total == g.edge_count
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EdgePartition(-1, 0, 0)
+        for counts in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError, match=r"negative edge count in EdgePartition\("):
+                EdgePartition(*counts)
+
+    def test_immutable_namedtuple(self):
+        part = EdgePartition(8, 40, 8)
+        assert repr(part) == "EdgePartition(alpha=8, beta=40, gamma=8)"
+        assert part._asdict() == {"alpha": 8, "beta": 40, "gamma": 8}
+        assert part == EdgePartition(alpha=8, beta=40, gamma=8) and part.total == 56
+        with pytest.raises(AttributeError):
+            part.alpha = 0
 
 
 class TestGraphBasics:

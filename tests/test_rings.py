@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 import definitional
 from ringsombor.graphs import TOTAL, UNIT, predicted_degrees, row_source
+from ringsombor.radicals import radical_normalize
 from ringsombor.rings import (
+    CACHE_SIZE,
     EVEN,
     ODD_P2Q,
     ODD_PQ,
     ODD_PRIME_POWER,
     OTHER_ODD,
     PSI_13,
+    Modulus,
+    ModulusFamily,
     TruncatedPolyRing,
     ZnRing,
     classify,
@@ -143,6 +147,53 @@ class TestFactorize:
         p, q = 998244353, 1000000007
         assert factorize(p**2 * q).factors == ((p, 2), (q, 1))
         assert factorize(p**3 * q**2 * 3**5).factors == ((3, 5), (p, 3), (q, 2))
+
+
+class TestModulus:
+    def test_rejects_n_below_two(self):
+        for n in (1, 0, -4):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                Modulus(n, ())
+
+    @pytest.mark.parametrize("n,factors", [
+        (12, ((2, 1), (3, 1))),
+        (9, ((3, 1), (3, 1))),
+        (15, ((5, 1), (3, 1))),
+        (2, ((2, 1), (3, 0))),
+    ], ids=["short-product", "repeated-prime", "descending", "zero-exponent"])
+    def test_rejects_a_bad_factorization(self, n, factors):
+        with pytest.raises(ValueError):
+            Modulus(n, factors)
+
+    def test_fields_are_read_only(self):
+        mod = factorize(45)
+        with pytest.raises(AttributeError):
+            mod.n = 46
+        with pytest.raises(AttributeError):
+            classify(45).kind = EVEN
+
+    def test_repr_and_asdict(self):
+        assert repr(factorize(45)) == "Modulus(n=45, factors=((3, 2), (5, 1)))"
+        assert factorize(45)._asdict() == {"n": 45, "factors": ((3, 2), (5, 1))}
+        assert repr(classify(45)) == "ModulusFamily(kind='p2q', p=3, q=5, alpha=0)"
+        assert ModulusFamily(EVEN) == ModulusFamily(EVEN, 0, 0, 0)
+
+
+class TestCaches:
+    @pytest.mark.parametrize("fn", [factorize, euler_phi, radical_normalize],
+                             ids=lambda fn: fn.__name__)
+    def test_bounded(self, fn):
+        fn.cache_clear()
+        try:
+            for m in range(2, CACHE_SIZE + 100):
+                fn(m)
+            info = fn.cache_info()
+            assert info.maxsize == CACHE_SIZE
+            assert info.currsize == CACHE_SIZE
+            assert fn(CACHE_SIZE + 99) == fn.__wrapped__(CACHE_SIZE + 99)
+        finally:
+            for cached in (factorize, euler_phi, radical_normalize):
+                cached.cache_clear()
 
 
 class TestClassify:

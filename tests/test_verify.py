@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import pickle
 import tracemalloc
 
 import pytest
@@ -21,9 +22,11 @@ from ringsombor.verify import (
     MAX_WORKERS,
     STRUCTURE_COLUMNS,
     SWEEP_COLUMNS,
+    CaseResult,
     CeilingExceededError,
     EmptySweepError,
     SweepResult,
+    VariantResult,
     canonical_csv_body,
     canonical_json_body,
     check_structure,
@@ -519,6 +522,48 @@ class TestErrata:
     def test_no_entries_when_printed_matches(self):
         # the even family has no printed/corrected split at all
         assert errata_report(sweep("even", 20, kinds=(TOTAL, UNIT)).cases) == []
+
+
+class TestResultTypes:
+    """The result types are immutable namedtuples whose reprs the benchmark
+    digests hold."""
+
+    def test_structure_repr(self):
+        assert repr(check_structure(ZnRing(12))) == (
+            "StructureResult(ring='Z_12', n=12, is_local=False, zdiv_complete=False,"
+            " degrees_ok=True, duality_ok=True)"
+        )
+
+    def test_errata_repr_and_asdict(self):
+        [entry] = errata_report(sweep("p2q", 50, kinds=(UNIT,)).cases)
+        fields = dict(
+            formula=FORMULA_UNIT_P2Q_EDGES,
+            printed_expression="|E| = p^2*(p-1)*(q-1)*(p^2*q - 1)/2",
+            ring="Z_45",
+            n=45,
+            kind="unit",
+            printed_value="28224*sqrt(2) + 360*sqrt(1105)",
+            oracle_value="3936*sqrt(2) + 360*sqrt(1105)",
+        )
+        assert entry._asdict() == fields
+        assert repr(entry) == "ErrataEntry(" + ", ".join(
+            f"{k}={v!r}" for k, v in fields.items()) + ")"
+
+    def test_case_result_pickle_round_trip(self):
+        case = verify_case(ZnRing(45), UNIT)
+        back = pickle.loads(pickle.dumps(case))
+        assert type(back) is CaseResult and back == case
+        assert [type(v) for v in back.variants] == [VariantResult, VariantResult]
+        assert back.ok == case.ok and repr(back) == repr(case)
+
+    def test_fields_are_read_only(self):
+        result = sweep("pq", 40)
+        case = result.cases[0]
+        for obj, name in ((result, "cases"), (case, "micros"), (case.variants[0], "variant"),
+                          (check_structure(ZnRing(9)), "n"), (identity_sweep(4)[0], "k")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        assert result.records is result.records  # cached in the instance __dict__
 
 
 class TestReports:
