@@ -41,8 +41,6 @@ from .graphs import (
     degree_pair,
     edge_partition_of,
     predicted_degrees,
-    total_graph,
-    unit_graph,
     write_edge_list,
 )
 from .radicals import RadicalSum, radical_normalize, rational_sqrt

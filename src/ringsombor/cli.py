@@ -21,8 +21,7 @@ from .graphs import (
     TOTAL,
     UNIT,
     predicted_degrees,
-    total_graph,
-    unit_graph,
+    row_source,
     write_edge_list,
 )
 from .rings import TruncatedPolyRing, ZnRing, z_prime_power
@@ -133,10 +132,9 @@ def cmd_compute(args) -> int:
         raise ValueError("--format csv needs the oracle; use --mode both or oracle")
 
     if args.dump_graph:
-        build = total_graph if args.graph == TOTAL else unit_graph
-        g, _ = build(ring, ceiling=args.ceiling)
+        source = row_source(ring, args.graph, ceiling=args.ceiling)
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
-            write_edge_list(g, fh)
+            write_edge_list(source, fh)
 
     for v in case.variants if case is not None else ():
         if v.failed:

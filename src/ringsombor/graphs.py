@@ -4,19 +4,19 @@ Adjacency is one Python-int bitmask per vertex, which keeps the pairwise sum
 tests bit-parallel and makes popcount-style edge counting cheap up to the
 default vertex ceiling of 2**14.  A ring's graph comes as a row source
 (row_source): its unit mask and rows_of(indices), which makes the asked rows
-on demand, so the oracle and the structure checks read a graph in chunks of
-about CHUNK_BITS bits of rows (row_chunks: CHUNK_BITS // n rows, at least
-one) and never hold n rows of n bits.  A Z_n row is D >> x cut to n bits,
+on demand, so the oracle, the structure checks and the edge list writer
+read a graph in chunks of about CHUNK_BITS bits of rows (row_chunks:
+CHUNK_BITS // n rows, at least one) and never hold n rows of n bits.  A Z_n row is D >> x cut to n bits,
 where D is the target mask doubled; a chunk's rows are cut from one window
 of D, and only the rows that would hold their own vertex get a self-bit
 mask.  A whole-graph read (every graph of at most 2048 vertices is one
 chunk) shifts D itself with no per-row flag test, which at those sizes
 costs more than it saves.  An F_p[x]/(x^k) row is one of p block rows,
 shared as is by every row of a block that does not hold itself.  A Graph
-holds every row; it is built (total_graph, unit_graph) only to dump an
-edge list, for the identity circulants and in tests, and offers the same
-rows_of.  Edge iteration order is lexicographic (u < v ascending), and
-report writers rely on that for reproducible output.
+holds every row, for the identity circulants and in tests, and offers the
+same rows_of, so anything that reads a row source reads a Graph too.
+Edges come in lexicographic order (u < v ascending), from Graph.edges and
+in the edge list alike, so the output is reproducible.
 """
 
 from __future__ import annotations
@@ -91,13 +91,9 @@ class Graph:
 
     def edges(self):
         """Yield edges (u, v) with u < v, ascending in u then v."""
-        for u in range(self.n):
-            rest = self.rows[u] >> (u + 1)
-            base = u + 1
-            while rest:
-                low = rest & -rest
-                yield (u, base + low.bit_length() - 1)
-                rest ^= low
+        for u, row in enumerate(self.rows):
+            for v in _neighbours_above(u, row):
+                yield (u, v)
 
     def validate(self):
         """Check simplicity and symmetry; meant for tests."""
@@ -212,12 +208,11 @@ class _PolySumRows:
         ]
 
 
-def check_ceiling(ring: FiniteRing, ceiling: int):
-    """Raise CeilingExceededError if the ring has more than `ceiling` elements."""
-    if ring.order > ceiling:
-        raise CeilingExceededError(
-            f"{ring.name} has {ring.order} elements, above the ceiling {ceiling}"
-        )
+def check_ceiling(order: int, name: str, ceiling: int):
+    """Raise CeilingExceededError, naming the ring `name`, if `order` is
+    above `ceiling` elements."""
+    if order > ceiling:
+        raise CeilingExceededError(f"{name} has {order} elements, above the ceiling {ceiling}")
 
 
 def row_source(ring: FiniteRing, kind: str, *, ceiling: int = DEFAULT_CEILING):
@@ -229,28 +224,11 @@ def row_source(ring: FiniteRing, kind: str, *, ceiling: int = DEFAULT_CEILING):
         raise TypeError(f"no graph builder for rings of type {type(ring).__name__}")
     if kind not in (TOTAL, UNIT):
         raise ValueError(f"unknown graph kind {kind!r}")
-    check_ceiling(ring, ceiling)
+    check_ceiling(ring.order, ring.name, ceiling)
     n, units = ring.order, ring.unit_mask()
     if isinstance(ring, ZnRing):
         return _ZnSumRows(n, units, units if kind == UNIT else _full_mask(n) ^ units)
     return _PolySumRows(ring, units, kind == UNIT)
-
-
-def _held(source) -> tuple[Graph, int]:
-    return Graph(source.n, source.rows_of(range(source.n))), source.units
-
-
-def total_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, int]:
-    """Graph on the ring elements with x ~ y iff x + y is a zero-divisor
-    (0 included), and the ring's unit mask (bit v set iff v is a unit).
-    Raises CeilingExceededError above `ceiling` elements."""
-    return _held(row_source(ring, TOTAL, ceiling=ceiling))
-
-
-def unit_graph(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> tuple[Graph, int]:
-    """Graph on the ring elements with x ~ y iff x + y is a unit, and the
-    ring's unit mask.  Raises CeilingExceededError above `ceiling` elements."""
-    return _held(row_source(ring, UNIT, ceiling=ceiling))
 
 
 def complement(g: Graph) -> Graph:
@@ -317,8 +295,26 @@ def edge_partition_of(table: dict) -> EdgePartition:
     return EdgePartition(*by_units)
 
 
-def write_edge_list(g: Graph, fh):
-    """DIMACS-like edge list: 'p edge n m' then 'e u v' lines, 1-indexed."""
-    fh.write(f"p edge {g.n} {g.edge_count}\n")
-    for u, v in g.edges():
-        fh.write(f"e {u + 1} {v + 1}\n")
+def _neighbours_above(u: int, row: int) -> list[int]:
+    """The neighbours v > u in vertex u's row, ascending."""
+    rest = row >> (u + 1)
+    out = []
+    while rest:
+        low = rest & -rest
+        out.append(u + low.bit_length())
+        rest ^= low
+    return out
+
+
+def write_edge_list(source, fh):
+    """DIMACS-like edge list of a row source (n and rows_of; a Graph is
+    one): 'p edge n m' then 'e u v' lines, 1-indexed.  The rows are read
+    twice, a chunk at a time, so no more than a chunk is ever held: once to
+    count the edges for the header, once to write them."""
+    n = source.n
+    degree_sum = sum(sum(map(int.bit_count, source.rows_of(chunk))) for chunk in row_chunks(n))
+    fh.write(f"p edge {n} {degree_sum // 2}\n")
+    for chunk in row_chunks(n):
+        for u, row in zip(chunk, source.rows_of(chunk)):
+            head = f"e {u + 1} "
+            fh.write("".join([f"{head}{v + 1}\n" for v in _neighbours_above(u, row)]))

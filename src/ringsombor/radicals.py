@@ -32,7 +32,8 @@ def radical_normalize(m: int) -> tuple[int, int]:
     c as isqrt(r) when r is a square, into s whole when it is below
     _SQUARE_FREE_BELOW, and otherwise is factored (rings._factor_cofactor).
     Raises ValueError when that factoring needs a primality proof beyond
-    rings.PSI_13, or more than rings.RHO_STEPS rho squarings on one cofactor.
+    rings.PSI_13, more than rings.RHO_STEPS rho squarings on one cofactor,
+    or a non-square cofactor of more than rings.FACTOR_BITS bits.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")

@@ -123,6 +123,13 @@ def is_prime(n: int) -> bool:
 # radicands of Z_1300000000529's unit graph take about 1.8 million.
 RHO_STEPS = 1 << 22
 
+# Bits of the largest non-square cofactor _factor_cofactor tests and splits.
+# A Miller-Rabin base or a rho squaring costs more the longer the cofactor,
+# so RHO_STEPS alone does not bound the time.  The bound sits just above the
+# 307-bit cofactor of Z_{3^100}'s unit-graph radicands, which still runs rho
+# to the end of its budget.
+FACTOR_BITS = 320
+
 
 def _rho_divisor(n: int) -> int:
     """A proper divisor of the odd composite n that is not a square: Brent's
@@ -197,7 +204,8 @@ def _trial_divide(m: int) -> tuple[dict[int, int], int]:
 def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
     """factors with the prime factorization of a _trial_divide cofactor r
     added.  r is split as an exact square, declared prime by is_prime's
-    Miller-Rabin test, or split by Pollard rho.  Raises ValueError where
+    Miller-Rabin test, or split by Pollard rho.  Raises ValueError for a
+    cofactor that is not a square and has more than FACTOR_BITS bits, where
     is_prime does, or where rho does not split a cofactor within RHO_STEPS
     squarings."""
     pending = [(r, 1)]  # (cofactor, multiplicity)
@@ -208,6 +216,9 @@ def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
         root = math.isqrt(r)
         if root * root == r:
             pending.append((root, 2 * mult))
+        elif r.bit_length() > FACTOR_BITS:
+            raise ValueError(f"a {r.bit_length()}-bit cofactor is left to factor, "
+                             f"above the {FACTOR_BITS}-bit bound")
         elif r < _TRIAL_SQUARE or _passes_miller_rabin(r):
             factors[r] = factors.get(r, 0) + mult
         else:
@@ -315,6 +326,24 @@ def classify(n: int | Modulus) -> ModulusFamily:
 
 _ZD_TO_BITS = bytes.maketrans(b"\x00\x01", b"10")
 
+# Most decimal digits a ring order may have: reports write the order, and
+# Python converts an int of at most 4300 digits to text
+# (sys.int_info.default_max_str_digits).
+MAX_ORDER_DIGITS = 4300
+_MAX_ORDER = 10**MAX_ORDER_DIGITS - 1
+
+
+def _bounded_order(p: int, e: int = 1) -> int:
+    """p**e, or ValueError if that has more than MAX_ORDER_DIGITS digits,
+    raised before the power is computed when p's bit length and e alone
+    show it."""
+    # p**e >= 2**((p.bit_length() - 1) * e), and past that test it has
+    # fewer than twice _MAX_ORDER's bits
+    if (p.bit_length() - 1) * e < _MAX_ORDER.bit_length() and (order := p**e) <= _MAX_ORDER:
+        return order
+    raise ValueError(f"a ring order has at most {MAX_ORDER_DIGITS} digits; this one has "
+                     f"about {math.floor(e * math.log10(p)) + 1}")
+
 
 class FiniteRing:
     """Base class of the two ring kinds, ZnRing and TruncatedPolyRing.
@@ -351,7 +380,7 @@ class ZnRing(FiniteRing):
     """Integers modulo n; the element index is the residue."""
 
     def __init__(self, n: int):
-        self.modulus = factorize(n)
+        self.modulus = factorize(_bounded_order(n))
         self.n = n
         self.order = n
         self.local_factors = tuple((p, p ** (e - 1)) for p, e in self.modulus.factors)
@@ -385,7 +414,7 @@ class TruncatedPolyRing(FiniteRing):
             raise ValueError(f"truncation degree must be >= 1, got {k}")
         self.p = p
         self.k = k
-        self.order = p**k
+        self.order = _bounded_order(p, k)
         self.lead = p ** (k - 1)  # index weight of the constant coefficient
         self.local_factors = ((p, self.lead),)
 
@@ -403,5 +432,5 @@ def z_prime_power(p: int, alpha: int) -> ZnRing:
         raise ValueError(f"expected a prime, got {p}")
     if alpha < 1:
         raise ValueError(f"exponent must be >= 1, got {alpha}")
-    return ZnRing(p**alpha)
+    return ZnRing(_bounded_order(p, alpha))
 

@@ -267,7 +267,7 @@ def sweep(
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     case_specs = []
     for ring, use_local in _family_rings(family, max_n):
-        check_ceiling(ring, ceiling)
+        check_ceiling(ring.order, ring.name, ceiling)
         case_specs += [(ring, use_local, kind, ceiling) for kind in kinds]
     if not case_specs:
         raise EmptySweepError(f"no {family} cases with n <= {max_n}")
@@ -366,7 +366,9 @@ def structure_sweep(max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[Struc
     if max_n < 2:
         raise EmptySweepError(f"no rings with n <= {max_n}")
     if max_n > ceiling:
-        check_ceiling(ZnRing(max(ceiling + 1, 2)), ceiling)
+        # named, not built: building a ring factors its order
+        first = max(ceiling + 1, 2)
+        check_ceiling(first, f"Z_{first}", ceiling)
     return [check_structure(ZnRing(n), ceiling=ceiling) for n in range(2, max_n + 1)]
 
 
@@ -404,16 +406,13 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     """For every n <= max_n and feasible k, check that the complement
     identity residual is exactly zero; for n up to circulant_max also build
     an explicit k-regular circulant and confirm both regular closed forms
-    against brute force.  Before any case runs, the largest circulant, on
-    min(circulant_max, max_n) vertices, is checked against DEFAULT_CEILING,
-    and then max_n against IDENTITY_MAX_N (ValueError above it)."""
+    against brute force.  Before any case runs, max_n is checked against
+    IDENTITY_MAX_N (ValueError above it), which also keeps every circulant
+    far below DEFAULT_CEILING."""
     if max_n < 3:
         raise EmptySweepError(f"identity sweep needs max_n >= 3, got {max_n}")
     if circulant_max is None:
         circulant_max = min(max_n, 100)
-    largest = min(circulant_max, max_n)
-    if largest > DEFAULT_CEILING:
-        check_ceiling(ZnRing(largest), DEFAULT_CEILING)
     if max_n > IDENTITY_MAX_N:
         raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")
     out = []

@@ -205,6 +205,36 @@ MUTANTS = {
         "if min(alpha, beta, gamma) < -1:",
         ("test_graphs.py::TestEdgePartition::test_rejects_negative",),
     ),
+    "AF write_edge_list: the header counts edge ends, not edges": (
+        "graphs.py",
+        "{degree_sum // 2}",
+        "{degree_sum}",
+        ("test_graphs.py::TestEdgeListWriter::test_streamed_dump_matches_definition[n29-1]",),
+    ),
+    "AG _neighbours_above: a row read from its own bit, not the next": (
+        "graphs.py",
+        "rest = row >> (u + 1)",
+        "rest = row >> u",
+        ("test_cli.py::TestCompute::test_dump_graph",),
+    ),
+    "AH _bounded_order: a huge exponent's power computed before the bound": (
+        "rings.py",
+        "if (p.bit_length() - 1) * e < _MAX_ORDER.bit_length() and (order := p**e)",
+        "if (order := p**e)",
+        ("test_rings.py::TestOrderBound::test_huge_exponent_refused_before_the_power[z_prime_power]",),
+    ),
+    "AI _bounded_order: an order of 4301 digits let through": (
+        "rings.py",
+        "(order := p**e) <= _MAX_ORDER",
+        "(order := p**e) <= 10 * _MAX_ORDER",
+        ("test_rings.py::TestOrderBound::test_order_one_digit_longer_refused[TruncatedPolyRing]",),
+    ),
+    "AJ _factor_cofactor: a cofactor one bit above FACTOR_BITS tested and split": (
+        "rings.py",
+        "elif r.bit_length() > FACTOR_BITS:",
+        "elif r.bit_length() > FACTOR_BITS + 1:",
+        ("test_rings.py::TestFactorBound::test_cofactor_above_the_bound_refused",),
+    ),
 }
 
 

@@ -289,6 +289,35 @@ class TestClosedModeLargeModuli:
         assert err.count("error:") == 1 and "within 4096 squarings" in err
 
 
+class TestHugeInputs:
+    # Unbounded, these would factor cofactors of hundreds of bits, or build an
+    # order too large to name; rings.FACTOR_BITS and rings.MAX_ORDER_DIGITS
+    # refuse them at once
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "--ring", "zppow", "--p", "3", "--alpha", "200", "--graph", "unit",
+          "--mode", "closed"], "a 632-bit cofactor is left to factor"),
+        (["compute", "--ring", "zppow", "--p", "3", "--alpha", "300", "--graph", "unit",
+          "--mode", "closed"], "a 949-bit cofactor is left to factor"),
+        (["compute", "--ring", "zppow", "--p", "3", "--alpha", "1000", "--graph", "unit",
+          "--mode", "closed"], "a 3147-bit cofactor is left to factor"),
+        (["compute", "--ring", "fpxk", "--p", "3", "--k", "100000", "--graph", "unit",
+          "--mode", "closed"], "a ring order has at most 4300 digits; this one has about 47713"),
+        (["verify", "--ring", "zppow", "--p", "3", "--alpha", "100000"],
+         "a ring order has at most 4300 digits; this one has about 47713"),
+        (["compute", "--ring", "zppow", "--p", "3", "--alpha", "1000000000", "--graph", "unit",
+          "--mode", "closed"], "a ring order has at most 4300 digits; this one has about 477121255"),
+    ], ids=["zppow-200", "zppow-300", "zppow-1000", "fpxk-100000", "verify-zppow-100000",
+            "zppow-1000000000"])
+    def test_exits_2_quickly(self, capsys, argv, message):
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and seconds < 5.0
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+
 class TestVerifyCommand:
     def test_corrected_mismatch_does_not_fail(self, tmp_path):
         out = tmp_path / "z45.csv"
@@ -398,9 +427,10 @@ class TestIdentityCommand:
         assert captured.out == ""
 
     def test_circulants_above_ceiling_refused(self, capsys):
+        # by the max-n bound, which keeps every circulant below the ceiling
         assert main(["identity", "--max-n", "20000", "--circulant-max-n", "20000"]) == 2
         captured = capsys.readouterr()
-        assert "Z_20000 has 20000 elements, above the ceiling 16384" in captured.err
+        assert captured.err == "error: identity sweep takes max_n <= 400, got 20000\n"
         assert captured.out == ""
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import definitional as defn
+from held import held_graph
 from ringsombor.closed_forms import (
     CORRECTED,
     PRINTED,
@@ -26,7 +27,7 @@ from ringsombor.closed_forms import (
     unit_p2q_partition,
     unit_pq_partition,
 )
-from ringsombor.graphs import TOTAL, UNIT, degree_pair, edge_partition_of, total_graph, unit_graph
+from ringsombor.graphs import TOTAL, UNIT, degree_pair, edge_partition_of
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing, euler_phi, primes_up_to
 from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
@@ -37,7 +38,7 @@ def rt2(x):
 
 
 def oracle(ring, kind):
-    g, _ = total_graph(ring) if kind == TOTAL else unit_graph(ring)
+    g, _ = held_graph(ring, kind)
     return sombor_bruteforce(g)
 
 
@@ -97,7 +98,7 @@ class TestTotalPQ:
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (3, 11), (5, 7), (5, 11), (7, 11)):
             ring = ZnRing(p * q)
-            g, units = total_graph(ring)
+            g, units = held_graph(ring, TOTAL)
             assert total_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_total_pq(p, q) == sombor_bruteforce(g)
 
@@ -121,7 +122,7 @@ class TestTotalP2Q:
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (5, 3), (3, 11)):
             ring = ZnRing(p * p * q)
-            g, units = total_graph(ring)
+            g, units = held_graph(ring, TOTAL)
             assert total_p2q_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_total_p2q(p, q) == sombor_bruteforce(g)
 
@@ -189,7 +190,7 @@ class TestUnitPQ:
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (5, 7), (3, 11)):
             ring = ZnRing(p * q)
-            g, units = unit_graph(ring)
+            g, units = held_graph(ring, UNIT)
             assert unit_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_unit_pq(p, q) == sombor_bruteforce(g)
 
@@ -207,7 +208,7 @@ class TestUnitP2Q:
     def test_corrected_matches_oracle(self):
         for p, q in ((3, 5), (3, 7), (5, 3)):
             ring = ZnRing(p * p * q)
-            g, units = unit_graph(ring)
+            g, units = held_graph(ring, UNIT)
             assert unit_p2q_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert so_unit_p2q(p, q) == sombor_bruteforce(g)
 

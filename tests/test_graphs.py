@@ -4,6 +4,7 @@ import io
 import pytest
 
 import definitional
+from held import held_graph
 from ringsombor import graphs
 from ringsombor.graphs import (
     TOTAL,
@@ -18,8 +19,6 @@ from ringsombor.graphs import (
     predicted_degrees,
     row_chunks,
     row_source,
-    total_graph,
-    unit_graph,
     write_edge_list,
 )
 from ringsombor.rings import FiniteRing, TruncatedPolyRing, ZnRing, euler_phi
@@ -40,9 +39,9 @@ class OtherRing(FiniteRing):
 
 
 def assert_matches_definition(ring, witness):
-    # both builders against the witness's pair loop over its own tables
-    for want_unit, builder in ((False, total_graph), (True, unit_graph)):
-        g, units = builder(ring)
+    # both graphs against the witness's pair loop over its own tables
+    for want_unit, kind in ((False, TOTAL), (True, UNIT)):
+        g, units = held_graph(ring, kind)
         g.validate()
         assert g == witness.graph(want_unit)
         assert units == witness.unit_mask
@@ -50,16 +49,16 @@ def assert_matches_definition(ring, witness):
 
 class TestBuilders:
     def test_total_z2_has_no_edges(self):
-        g, _ = total_graph(ZnRing(2))
+        g, _ = held_graph(ZnRing(2), TOTAL)
         assert g.edge_count == 0
 
     def test_total_z4(self):
-        g, _ = total_graph(ZnRing(4))
+        g, _ = held_graph(ZnRing(4), TOTAL)
         assert sorted(g.edges()) == [(0, 2), (1, 3)]
         assert g.degrees == (1, 1, 1, 1)
 
     def test_total_z9(self):
-        g, units = total_graph(ZnRing(9))
+        g, units = held_graph(ZnRing(9), TOTAL)
         zset = [v for v in range(9) if not (units >> v) & 1]
         assert zset == [0, 3, 6]
         for u in zset:
@@ -71,17 +70,17 @@ class TestBuilders:
                 assert g.degrees[v] == 3
 
     def test_unit_z2_single_edge(self):
-        g, _ = unit_graph(ZnRing(2))
+        g, _ = held_graph(ZnRing(2), UNIT)
         assert list(g.edges()) == [(0, 1)]
 
     def test_unit_z5(self):
-        g, _ = unit_graph(ZnRing(5))
+        g, _ = held_graph(ZnRing(5), UNIT)
         assert g.edge_count == 8
         assert g.degrees[0] == 4
         assert all(g.degrees[v] == 3 for v in range(1, 5))
 
     def test_unit_z4_is_four_cycle(self):
-        g, _ = unit_graph(ZnRing(4))
+        g, _ = held_graph(ZnRing(4), UNIT)
         assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     # 63..65, 127..129 and 256 straddle 64- and 128-bit boundaries, where
@@ -99,18 +98,18 @@ class TestBuilders:
         witness = definitional.truncated(definitional.zn(p), k)
         assert_matches_definition(TruncatedPolyRing(p, k), witness)
 
-    @pytest.mark.parametrize("builder", [total_graph, unit_graph])
-    def test_other_ring_kind_rejected(self, builder):
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT], ids=["total_graph", "unit_graph"])
+    def test_other_ring_kind_rejected(self, kind):
         ring = OtherRing()
         with pytest.raises(TypeError, match="OtherRing"):
-            builder(ring)
+            row_source(ring, kind)
         assert ring.calls == []
 
     @pytest.mark.parametrize("ring", [ZnRing(45), ZnRing(64), TruncatedPolyRing(3, 2)])
-    @pytest.mark.parametrize("kind,builder", [(TOTAL, total_graph), (UNIT, unit_graph)])
-    def test_row_source_makes_the_held_rows(self, ring, kind, builder):
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT], ids=["total_graph", "unit_graph"])
+    def test_row_source_makes_the_held_rows(self, ring, kind):
         # rows come in the order asked, from a list or a one-shot iterator
-        g, units = builder(ring)
+        g, units = held_graph(ring, kind)
         source = row_source(ring, kind)
         assert (source.n, source.units) == (ring.order, units)
         picks = [ring.order - 1, 0, 7, 7, 3]
@@ -123,7 +122,7 @@ class TestBuilders:
 
     def test_classes_match_ring(self):
         ring = ZnRing(45)
-        _, units = total_graph(ring)
+        _, units = held_graph(ring, TOTAL)
         assert units.bit_count() == euler_phi(45)
         assert units == ring.unit_mask()
 
@@ -141,12 +140,12 @@ class TestComplement:
     def test_unit_total_duality(self):
         for n in range(2, 80):
             ring = ZnRing(n)
-            tg, _ = total_graph(ring)
-            ug, _ = unit_graph(ring)
+            tg, _ = held_graph(ring, TOTAL)
+            ug, _ = held_graph(ring, UNIT)
             assert complement(tg) == ug
 
     def test_degrees_flip(self):
-        g, _ = total_graph(ZnRing(15))
+        g, _ = held_graph(ZnRing(15), TOTAL)
         gc = complement(g)
         assert all(a + b == 14 for a, b in zip(g.degrees, gc.degrees))
 
@@ -202,8 +201,8 @@ class TestDegreePredictions:
     @pytest.mark.parametrize("n", range(2, 101))
     def test_predictions_hold_on_zn(self, n):
         ring = ZnRing(n)
-        for kind, builder in ((TOTAL, total_graph), (UNIT, unit_graph)):
-            g, units = builder(ring)
+        for kind in (TOTAL, UNIT):
+            g, units = held_graph(ring, kind)
             d_zero, d_unit = predicted_degrees(ring, kind)
             for v in range(n):
                 assert g.degrees[v] == (d_unit if (units >> v) & 1 else d_zero)
@@ -211,8 +210,8 @@ class TestDegreePredictions:
     @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (7, 1)])
     def test_predictions_hold_on_poly(self, p, k):
         ring = TruncatedPolyRing(p, k)
-        for kind, builder in ((TOTAL, total_graph), (UNIT, unit_graph)):
-            g, units = builder(ring)
+        for kind in (TOTAL, UNIT):
+            g, units = held_graph(ring, kind)
             d_zero, d_unit = predicted_degrees(ring, kind)
             for v in range(ring.order):
                 assert g.degrees[v] == (d_unit if (units >> v) & 1 else d_zero)
@@ -220,22 +219,22 @@ class TestDegreePredictions:
 
 class TestEdgePartition:
     def test_total_z15(self):
-        g, units = total_graph(ZnRing(15))
+        g, units = held_graph(ZnRing(15), TOTAL)
         assert edge_partition_of(degree_pair_counts(g, units)) == EdgePartition(13, 16, 20)
 
     def test_unit_z5(self):
-        g, units = unit_graph(ZnRing(5))
+        g, units = held_graph(ZnRing(5), UNIT)
         assert edge_partition_of(degree_pair_counts(g, units)) == EdgePartition(0, 4, 4)
 
     def test_total_z2_empty(self):
-        g, units = total_graph(ZnRing(2))
+        g, units = held_graph(ZnRing(2), TOTAL)
         assert edge_partition_of(degree_pair_counts(g, units)) == EdgePartition(0, 0, 0)
 
     def test_partition_totals_match_edge_count(self):
         for n in (12, 15, 45, 64, 77):
             ring = ZnRing(n)
-            for builder in (total_graph, unit_graph):
-                g, units = builder(ring)
+            for kind in (TOTAL, UNIT):
+                g, units = held_graph(ring, kind)
                 assert edge_partition_of(degree_pair_counts(g, units)).total == g.edge_count
 
     def test_rejects_negative(self):
@@ -255,14 +254,15 @@ class TestEdgePartition:
 class TestGraphBasics:
     def test_handshake(self):
         for n in (2, 9, 15, 45):
-            g, _ = total_graph(ZnRing(n))
+            g, _ = held_graph(ZnRing(n), TOTAL)
             assert sum(g.degrees) == 2 * g.edge_count
 
     def test_edges_lexicographic(self):
-        g, _ = unit_graph(ZnRing(9))
+        g, _ = held_graph(ZnRing(9), UNIT)
         es = list(g.edges())
         assert es == sorted(es)
         assert all(u < v for u, v in es)
+        assert [f"e {u + 1} {v + 1}" for u, v in es] == literal_edge_list(g).splitlines()[1:]
 
     def test_row_count_checked(self):
         with pytest.raises(ValueError):
@@ -279,7 +279,7 @@ class TestGraphBasics:
             g.validate()
 
     def test_edge_list_export(self):
-        g, _ = total_graph(ZnRing(4))
+        g, _ = held_graph(ZnRing(4), TOTAL)
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == "p edge 4 2\ne 1 3\ne 2 4\n"
@@ -378,3 +378,26 @@ class TestRowsAgainstDefinition:
             want, source = witness_rows(spec, kind), row_source(ring, kind)
             for name, indices, vertices in index_forms(ring.order):
                 assert source.rows_of(indices) == [want[v] for v in vertices], name
+
+
+def literal_edge_list(g) -> str:
+    """The edge list of a held graph, read bit by bit."""
+    lines = [f"e {u + 1} {v + 1}\n" for u in range(g.n) for v in range(u + 1, g.n)
+             if (g.rows[u] >> v) & 1]
+    return f"p edge {g.n} {len(lines)}\n" + "".join(lines)
+
+
+class TestEdgeListWriter:
+    # The writer reads a row source in chunks, twice; each chunk size must
+    # give the witness's edge list byte for byte.
+    @pytest.mark.parametrize("rows", [1, 7, 31, None])
+    @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=spec_id)
+    def test_streamed_dump_matches_definition(self, monkeypatch, spec, rows):
+        ring = ring_of(spec)
+        if rows is not None:  # None: the default CHUNK_BITS
+            monkeypatch.setattr(graphs, "CHUNK_BITS", rows * ring.order)
+        for kind in (TOTAL, UNIT):
+            buf = io.StringIO()
+            write_edge_list(row_source(ring, kind), buf)
+            assert buf.getvalue() == literal_edge_list(witness_of(spec).graph(kind == UNIT))
+

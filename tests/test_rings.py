@@ -12,6 +12,8 @@ from ringsombor.radicals import radical_normalize
 from ringsombor.rings import (
     CACHE_SIZE,
     EVEN,
+    FACTOR_BITS,
+    MAX_ORDER_DIGITS,
     ODD_P2Q,
     ODD_PQ,
     ODD_PRIME_POWER,
@@ -28,7 +30,8 @@ from ringsombor.rings import (
     primes_up_to,
     z_prime_power,
 )
-from ringsombor.rings import _passes_miller_rabin
+from ringsombor import rings
+from ringsombor.rings import _factor_cofactor, _passes_miller_rabin
 
 
 FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -147,6 +150,71 @@ class TestFactorize:
         p, q = 998244353, 1000000007
         assert factorize(p**2 * q).factors == ((p, 2), (q, 1))
         assert factorize(p**3 * q**2 * 3**5).factors == ((3, 5), (p, 3), (q, 2))
+
+
+class TestFactorBound:
+    @pytest.fixture
+    def primality_calls(self, monkeypatch):
+        """Record each cofactor given to Miller-Rabin, which declares it
+        prime, and make rho raise."""
+        calls = []
+
+        def rho(m):
+            raise AssertionError(f"rho reached on {m}")
+
+        monkeypatch.setattr(rings, "_passes_miller_rabin", lambda m: calls.append(m) or True)
+        monkeypatch.setattr(rings, "_rho_divisor", rho)
+        return calls
+
+    def test_cofactor_above_the_bound_refused(self, primality_calls):
+        assert FACTOR_BITS == 320
+        r = (1 << FACTOR_BITS) + 1
+        with pytest.raises(ValueError, match=f"a {FACTOR_BITS + 1}-bit cofactor"):
+            _factor_cofactor(r, {})
+        assert primality_calls == []
+
+    def test_cofactor_at_the_bound_tested(self, primality_calls):
+        r = (1 << FACTOR_BITS) - 1
+        assert _factor_cofactor(r, {}) == {r: 1}
+        assert primality_calls == [r]
+
+    def test_square_above_the_bound_read_by_its_root(self, primality_calls):
+        root = (1 << FACTOR_BITS) - 1
+        assert _factor_cofactor(root * root, {}) == {root: 2}
+        assert primality_calls == [root]
+
+
+class Exponent(int):
+    """An exponent that fails the test if any power is raised to it."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"{base} ** {int(self)} computed")
+
+
+class TestOrderBound:
+    # 3^9012 has 4300 digits and 3^9013 has 4301; 3^9013's order passes the
+    # bit-length test and is refused by its value
+    def test_largest_order_accepted(self):
+        assert len(str(TruncatedPolyRing(3, 9012).order)) == MAX_ORDER_DIGITS
+        assert len(str(z_prime_power(3, 9012).order)) == MAX_ORDER_DIGITS
+
+    @pytest.mark.parametrize("make", [TruncatedPolyRing, z_prime_power])
+    def test_order_one_digit_longer_refused(self, make):
+        with pytest.raises(ValueError, match="a ring order has at most 4300 digits; "
+                                             "this one has about 4301"):
+            make(3, 9013)
+
+    def test_zn_above_the_bound_refused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rings, "factorize", calls.append)
+        with pytest.raises(ValueError, match="about 4301"):
+            ZnRing(10**MAX_ORDER_DIGITS)
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [TruncatedPolyRing, z_prime_power])
+    def test_huge_exponent_refused_before_the_power(self, make):
+        with pytest.raises(ValueError, match="this one has about 477121255$"):
+            make(3, Exponent(10**9))
 
 
 class TestModulus:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from held import held_graph
 from ringsombor import graphs
 from ringsombor.graphs import (
     TOTAL,
@@ -17,8 +18,6 @@ from ringsombor.graphs import (
     complete_graph,
     edge_partition_of,
     row_source,
-    total_graph,
-    unit_graph,
 )
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing
@@ -43,17 +42,17 @@ class TestSomborBruteforce:
         assert sombor_bruteforce(complete_graph(4)) == RadicalSum.sqrt(2) * 18
 
     def test_total_z4(self):
-        g, _ = total_graph(ZnRing(4))
+        g, _ = held_graph(ZnRing(4), TOTAL)
         assert sombor_bruteforce(g) == RadicalSum.sqrt(2) * 2
 
     def test_unit_z5(self):
-        g, _ = unit_graph(ZnRing(5))
+        g, _ = held_graph(ZnRing(5), UNIT)
         assert sombor_bruteforce(g) == RadicalSum({1: 20, 2: 12})
 
     def test_matches_naive_edge_loop(self):
         for build in (
-            lambda: total_graph(ZnRing(45))[0],
-            lambda: unit_graph(ZnRing(24))[0],
+            lambda: held_graph(ZnRing(45), TOTAL)[0],
+            lambda: held_graph(ZnRing(24), UNIT)[0],
             lambda: circulant_graph(11, [1, 3, 5]),
             lambda: complete_graph(7),
         ):
@@ -61,7 +60,7 @@ class TestSomborBruteforce:
             assert sombor_bruteforce(g) == naive_sombor(g)
 
     def test_empty_graph(self):
-        g, _ = total_graph(ZnRing(2))
+        g, _ = held_graph(ZnRing(2), TOTAL)
         assert sombor_bruteforce(g).is_zero
 
     def test_additive_over_disjoint_union(self):
@@ -83,26 +82,26 @@ class TestSomborBruteforce:
 
     def test_perfect_square_radicand_lands_in_rational_part(self):
         # the four (3,4) edges contribute sqrt(25) = 5 each
-        g, _ = unit_graph(ZnRing(5))
+        g, _ = held_graph(ZnRing(5), UNIT)
         terms = dict(sombor_bruteforce(g).terms())
         assert terms[1] == 20
 
 
 class TestDegreePairCounts:
     def test_unit_z5_counts(self):
-        g, _ = unit_graph(ZnRing(5))
+        g, _ = held_graph(ZnRing(5), UNIT)
         assert degree_pair_counts(g) == {((0, 3), (0, 4)): 4, ((0, 3), (0, 3)): 4}
 
     def test_counts_cover_all_edges(self):
         for n in (9, 15, 45):
-            g, _ = total_graph(ZnRing(n))
+            g, _ = held_graph(ZnRing(n), TOTAL)
             assert sum(degree_pair_counts(g).values()) == g.edge_count
 
     def test_hypot_matches_exact(self):
         # float cross-check of the exact oracle
         for n in (5, 16, 45, 77):
-            for builder in (total_graph, unit_graph):
-                g, _ = builder(ZnRing(n))
+            for kind in (TOTAL, UNIT):
+                g, _ = held_graph(ZnRing(n), kind)
                 exact = sombor_bruteforce(g).to_float()
                 approx = sum(
                     c * math.hypot(a, b) for ((_, a), (_, b)), c in degree_pair_counts(g).items()
@@ -232,10 +231,9 @@ class TestPairTable:
     # Z_210 has 48 units and 162 non-units, Z_49 42 and 7, Z_77 60 and 17
     # (Z_49 is local, so its total graph has no unit-non-unit edge)
     @pytest.mark.parametrize("n,smaller_is_units", [(210, True), (49, False), (77, False)])
-    @pytest.mark.parametrize("builder", [total_graph, unit_graph])
-    def test_sum_graph_counts_over_smaller_class(self, n, smaller_is_units, builder,
-                                                 monkeypatch):
-        g, units = builder(ZnRing(n))
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT], ids=["total_graph", "unit_graph"])
+    def test_sum_graph_counts_over_smaller_class(self, n, smaller_is_units, kind, monkeypatch):
+        g, units = held_graph(ZnRing(n), kind)
         assert (units.bit_count() < n / 2) == smaller_is_units
         check_table(g, units)
         table = degree_pair_counts(g, units)
@@ -247,7 +245,7 @@ class TestPairTable:
     @pytest.mark.parametrize("n", [49, 77, 210])
     @pytest.mark.parametrize("kind", [TOTAL, UNIT])
     def test_ring_source_table_equals_held_graph(self, n, kind, chunk_rows, monkeypatch):
-        g, units = (total_graph if kind == TOTAL else unit_graph)(ZnRing(n))
+        g, units = held_graph(ZnRing(n), kind)
         table = degree_pair_counts(g, units)
         force_chunk_rows(monkeypatch, chunk_rows, n)
         source = row_source(ZnRing(n), kind)
@@ -279,7 +277,7 @@ def ring_of(spec):
 
 @functools.cache
 def literal_ring_table(spec, kind):
-    g, units = (total_graph if kind == TOTAL else unit_graph)(ring_of(spec))
+    g, units = held_graph(ring_of(spec), kind)
     return units, literal_table(g, units)[0]
 
 

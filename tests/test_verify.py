@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import os
 import pickle
 import tracemalloc
 
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsombor import graphs, verify
+from held import held_graph
+from ringsombor import graphs, rings, verify
 from ringsombor.cli import main
 from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE, NotInFamilyError
-from ringsombor.graphs import TOTAL, UNIT
+from ringsombor.graphs import TOTAL, UNIT, row_source, write_edge_list
 from ringsombor.radicals import RadicalSum
-from ringsombor.rings import TruncatedPolyRing, ZnRing, factorize
+from ringsombor.rings import PSI_13, TruncatedPolyRing, ZnRing, factorize
 from ringsombor.verify import (
     FORMULA_UNIT_LOCAL,
     FORMULA_UNIT_P2Q_EDGES,
@@ -261,6 +263,16 @@ class TestStructure:
             structure_sweep(300, ceiling=100)
         assert calls == []
 
+    def test_sweep_ceiling_named_without_factoring(self, monkeypatch):
+        # PSI_13 is a strong probable prime to every base rings proves with,
+        # so building Z_PSI_13 would raise its own error
+        calls = []
+        monkeypatch.setattr(rings, "factorize", lambda n: calls.append(n))
+        with pytest.raises(CeilingExceededError,
+                           match=f"Z_{PSI_13} has {PSI_13} elements, above the ceiling"):
+            structure_sweep(4 * 10**24, ceiling=PSI_13 - 1)
+        assert calls == []
+
 
 # The rings check_structure is compared on at chunk sizes 1, 3 and 7.
 CHUNKED_RINGS = [ZnRing(n) for n in range(2, 301)] + [
@@ -332,7 +344,7 @@ SMALL_RINGS = [ZnRing(n) for n in range(2, 61)] + [
 
 @functools.cache
 def held_rows(ring, kind):
-    return tuple((graphs.total_graph if kind == TOTAL else graphs.unit_graph)(ring)[0].rows)
+    return tuple(held_graph(ring, kind)[0].rows)
 
 
 def literal_structure(ring, total_edits, unit_edits):
@@ -415,8 +427,9 @@ class TestStructureReference:
 
 # Runs on rings at or near the default ceiling, where one graph is up to
 # 32 MB of rows.  Z_16384's unit graph has no row holding its own bit,
-# Z_15015's graphs mix rows that do and rows that do not, and
-# F_2[x]/(x^14)'s unit rows are its block rows themselves.
+# Z_15015's graphs mix rows that do and rows that do not,
+# F_2[x]/(x^14)'s unit rows are its block rows themselves, and Z_16381's
+# total graph is read whole twice to dump its 8190 edges.
 CEILING_RUNS = {
     "verify_case": lambda: verify_case(ZnRing(16384), TOTAL),
     "check_structure": lambda: check_structure(ZnRing(16384)),
@@ -424,7 +437,13 @@ CEILING_RUNS = {
     "verify_case_total_z15015": lambda: verify_case(ZnRing(15015), TOTAL),
     "verify_case_unit_z15015": lambda: verify_case(ZnRing(15015), UNIT),
     "check_structure_f2_x14": lambda: check_structure(TruncatedPolyRing(2, 14)),
+    "dump_total_z16381": lambda: dump_edge_list(ZnRing(16381), TOTAL),
 }
+
+
+def dump_edge_list(ring, kind):
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        write_edge_list(row_source(ring, kind), fh)
 
 
 @functools.cache
@@ -460,21 +479,6 @@ class TestIdentity:
         assert all(c.residual_zero for c in cases)
         assert all(c.circulant_match for c in cases if c.circulant_checked)
 
-    def test_ceiling_checked_before_any_case(self, monkeypatch):
-        calls = []
-
-        def residual(*args):
-            calls.append(args)
-            raise AssertionError("residual evaluated before the ceiling check")
-
-        monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
-        with pytest.raises(CeilingExceededError, match="Z_20000 has 20000 elements"):
-            identity_sweep(20000, circulant_max=20000)
-        # the largest circulant is min(circulant_max, max_n)
-        with pytest.raises(CeilingExceededError, match="Z_16385 has 16385 elements"):
-            identity_sweep(16385, circulant_max=10**6)
-        assert calls == []
-
     def test_max_n_bounded_before_any_case(self, monkeypatch):
         calls = []
 
@@ -484,9 +488,15 @@ class TestIdentity:
 
         monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
         assert IDENTITY_MAX_N >= 200  # criterion 7's range
-        for circulant_max in (None, 0, IDENTITY_MAX_N + 1):
-            with pytest.raises(ValueError, match=f"max_n <= {IDENTITY_MAX_N}, got"):
-                identity_sweep(IDENTITY_MAX_N + 1, circulant_max=circulant_max)
+        # the bound also keeps every circulant far below the ceiling, so
+        # circulants past the ceiling are refused by it too
+        for max_n, circulant_max in (
+            *((IDENTITY_MAX_N + 1, c) for c in (None, 0, IDENTITY_MAX_N + 1)),
+            (20000, 20000),
+            (16385, 10**6),
+        ):
+            with pytest.raises(ValueError, match=f"max_n <= {IDENTITY_MAX_N}, got {max_n}$"):
+                identity_sweep(max_n, circulant_max=circulant_max)
         assert calls == []
 
     def test_infeasible_pairs_skipped(self):
