@@ -406,13 +406,16 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     """For every n <= max_n and feasible k, check that the complement
     identity residual is exactly zero; for n up to circulant_max also build
     an explicit k-regular circulant and confirm both regular closed forms
-    against brute force.  Before any case runs, max_n is checked against
-    IDENTITY_MAX_N (ValueError above it), which also keeps every circulant
-    far below DEFAULT_CEILING."""
+    against brute force.  Before any case runs, the largest circulant, on
+    min(circulant_max, max_n) vertices, is checked against DEFAULT_CEILING,
+    and then max_n against IDENTITY_MAX_N (ValueError above it)."""
     if max_n < 3:
         raise EmptySweepError(f"identity sweep needs max_n >= 3, got {max_n}")
     if circulant_max is None:
         circulant_max = min(max_n, 100)
+    largest = min(circulant_max, max_n)
+    if largest > DEFAULT_CEILING:
+        check_ceiling(largest, f"Z_{largest}", DEFAULT_CEILING)
     if max_n > IDENTITY_MAX_N:
         raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")
     out = []

@@ -427,10 +427,9 @@ class TestIdentityCommand:
         assert captured.out == ""
 
     def test_circulants_above_ceiling_refused(self, capsys):
-        # by the max-n bound, which keeps every circulant below the ceiling
         assert main(["identity", "--max-n", "20000", "--circulant-max-n", "20000"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: identity sweep takes max_n <= 400, got 20000\n"
+        assert "Z_20000 has 20000 elements, above the ceiling 16384" in captured.err
         assert captured.out == ""
 
 

@@ -479,6 +479,21 @@ class TestIdentity:
         assert all(c.residual_zero for c in cases)
         assert all(c.circulant_match for c in cases if c.circulant_checked)
 
+    def test_ceiling_checked_before_any_case(self, monkeypatch):
+        calls = []
+
+        def residual(*args):
+            calls.append(args)
+            raise AssertionError("residual evaluated before the ceiling check")
+
+        monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
+        with pytest.raises(CeilingExceededError, match="Z_20000 has 20000 elements"):
+            identity_sweep(20000, circulant_max=20000)
+        # the largest circulant is min(circulant_max, max_n)
+        with pytest.raises(CeilingExceededError, match="Z_16385 has 16385 elements"):
+            identity_sweep(16385, circulant_max=10**6)
+        assert calls == []
+
     def test_max_n_bounded_before_any_case(self, monkeypatch):
         calls = []
 
@@ -488,15 +503,9 @@ class TestIdentity:
 
         monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
         assert IDENTITY_MAX_N >= 200  # criterion 7's range
-        # the bound also keeps every circulant far below the ceiling, so
-        # circulants past the ceiling are refused by it too
-        for max_n, circulant_max in (
-            *((IDENTITY_MAX_N + 1, c) for c in (None, 0, IDENTITY_MAX_N + 1)),
-            (20000, 20000),
-            (16385, 10**6),
-        ):
-            with pytest.raises(ValueError, match=f"max_n <= {IDENTITY_MAX_N}, got {max_n}$"):
-                identity_sweep(max_n, circulant_max=circulant_max)
+        for circulant_max in (None, 0, IDENTITY_MAX_N + 1):
+            with pytest.raises(ValueError, match=f"max_n <= {IDENTITY_MAX_N}, got"):
+                identity_sweep(IDENTITY_MAX_N + 1, circulant_max=circulant_max)
         assert calls == []
 
     def test_infeasible_pairs_skipped(self):
