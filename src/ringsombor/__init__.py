@@ -16,13 +16,9 @@ from .closed_forms import (
     so_regular,
     so_total_even,
     so_total_local,
-    so_total_p2q,
-    so_total_pq,
     so_total_prime_power,
     so_unit_even,
     so_unit_local,
-    so_unit_p2q,
-    so_unit_pq,
     so_unit_prime_power,
     sombor_edge_term,
     total_p2q_partition,

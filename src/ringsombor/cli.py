@@ -14,8 +14,8 @@ import functools
 import json
 import sys
 
+from . import closed_forms as cf
 from . import verify as vf
-from .closed_forms import CORRECTED, PRINTED, UNIQUE
 from .graphs import (
     DEFAULT_CEILING,
     TOTAL,
@@ -110,13 +110,13 @@ def cmd_compute(args) -> int:
     # printed form within the ceiling (not for csv, which closed mode refuses).
     case = None
     if args.mode != "closed" or (
-        args.variant == PRINTED and ring.order <= args.ceiling and args.format != "csv"
+        args.variant == cf.PRINTED and ring.order <= args.ceiling and args.format != "csv"
     ):
         case = vf.verify_case(ring, args.graph, use_local_forms=use_local,
                               ceiling=args.ceiling)
         forms = [(v.variant, v.closed_value, v.closed_partition) for v in case.variants]
     else:
-        _, forms = vf.closed_forms(ring, args.graph, use_local)
+        _, forms = cf.ring_forms(ring, args.graph, use_local)
 
     variant = closed_value = closed_part = None
     if args.mode != "oracle":
@@ -126,7 +126,7 @@ def cmd_compute(args) -> int:
             )
         # a ring has either one unique form or a corrected/printed pair
         variant, closed_value, closed_part = next(
-            f for f in forms if f[0] in (args.variant, UNIQUE)
+            f for f in forms if f[0] in (args.variant, cf.UNIQUE)
         )
     if args.format == "csv" and case is None:
         raise ValueError("--format csv needs the oracle; use --mode both or oracle")
@@ -140,7 +140,7 @@ def cmd_compute(args) -> int:
         if v.failed:
             print(f"error: the {v.variant} form disagrees with the oracle on {ring.name} "
                   f"({args.graph})", file=sys.stderr)
-        elif v.variant == variant == PRINTED and not v.match:
+        elif v.variant == variant == cf.PRINTED and not v.match:
             print(f"warning: printed variant disagrees with the oracle on {ring.name} "
                   f"({args.graph}): printed {closed_value.render()}, "
                   f"oracle {case.oracle_value.render()}", file=sys.stderr)
@@ -169,7 +169,11 @@ def cmd_compute(args) -> int:
     for side, value in (("oracle", oracle_value), ("closed", closed_value)):
         if value is not None:
             if args.float:
-                payload[f"{side}_float"] = value.to_float()
+                try:
+                    payload[f"{side}_float"] = value.to_float()
+                except OverflowError:
+                    raise ValueError(f"the {side} value is beyond the float range; "
+                                     "leave out --float for its exact value") from None
             else:
                 payload[f"{side}_exact"] = value.render()
     if closed_value is not None and oracle_value is not None:
@@ -184,22 +188,27 @@ def cmd_compute(args) -> int:
 # ----------------------------------------------------------------------
 # verify / sweep / structure / identity
 
-def _write_report(args, header, rows, payload=None):
-    """The report to --out, or to stdout when --out is absent or "-"."""
+def _write_report(args, write):
+    """write(fh) to --out, or to stdout when --out is absent or "-"."""
     if args.out in (None, "-"):
-        vf.write_report(sys.stdout, args.format, header, rows, payload)
+        write(sys.stdout)
         return
     with open(args.out, "w", encoding="utf-8") as out:
-        vf.write_report(out, args.format, header, rows, payload)
+        write(out)
+
+
+def _write_sweep(args, result) -> int:
+    """The sweep report in --format, built for that format alone."""
+    write = vf.write_sweep_json if args.format == "json" else vf.write_sweep_csv
+    _write_report(args, lambda fh: write(result, fh))
+    return EXIT_OK if result.ok else EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
     ring, use_local = _build_ring(args)
     cases = tuple(vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
                   for kind in _kinds(args.graph))
-    result = vf.SweepResult("single", ring.order, _kinds(args.graph), cases)
-    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result.records), vf.sweep_payload(result))
-    return EXIT_OK if result.ok else EXIT_MISMATCH
+    return _write_sweep(args, vf.SweepResult("single", ring.order, _kinds(args.graph), cases))
 
 
 def cmd_sweep(args) -> int:
@@ -210,9 +219,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         ceiling=args.ceiling,
     )
-    _write_report(args, vf.SWEEP_COLUMNS, vf.sweep_rows(result.records),
-                  vf.sweep_payload(result))
-    return EXIT_OK if result.ok else EXIT_MISMATCH
+    return _write_sweep(args, result)
 
 
 def cmd_structure(args) -> int:
@@ -231,13 +238,15 @@ def cmd_structure(args) -> int:
             raise ValueError("structure needs --max-n or ring flags")
         ring, _ = _build_ring(args)
         results = [vf.check_structure(ring, ceiling=args.ceiling)]
-    _write_report(args, vf.STRUCTURE_COLUMNS, vf.structure_rows(results))
+    rows = vf.structure_rows(results)
+    _write_report(args, lambda fh: vf.write_report(fh, args.format, vf.STRUCTURE_COLUMNS, rows))
     return EXIT_OK if all(r.consistent for r in results) else EXIT_MISMATCH
 
 
 def cmd_identity(args) -> int:
     results = vf.identity_sweep(args.max_n, args.circulant_max_n)
-    _write_report(args, vf.IDENTITY_COLUMNS, vf.identity_rows(results))
+    rows = vf.identity_rows(results)
+    _write_report(args, lambda fh: vf.write_report(fh, args.format, vf.IDENTITY_COLUMNS, rows))
     return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
 
 
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_flags(p)
     p.add_argument("--graph", choices=(TOTAL, UNIT), required=True)
     p.add_argument("--mode", choices=("oracle", "closed", "both"), default="both")
-    p.add_argument("--variant", choices=(PRINTED, CORRECTED), default=CORRECTED)
+    p.add_argument("--variant", choices=(cf.PRINTED, cf.CORRECTED), default=cf.CORRECTED)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--float", action="store_true",
                    help="print 12-significant-digit floats instead of exact radical text")

@@ -1,10 +1,11 @@
-"""Constant-time Sombor values for each covered ring-graph family.
+"""Constant-time Sombor values for each covered ring-graph family, and
+ring_forms, the dispatch that gives a ring every form that applies to it.
 
 Each function evaluates a published closed form exactly, as a RadicalSum.
-Three of the printed statements disagree with brute force on at least one
-instance; those carry a printed/corrected variant pair, and the corrected
-side is always rebuilt from the degree rules plus an edge partition, never
-free-invented.  Inputs outside a family are rejected rather than computed.
+Three of the printed statements disagree with brute force (ERRATA); those
+carry a printed/corrected variant pair, and the corrected side is always
+rebuilt from the degree rules plus an edge partition, never free-invented.
+Inputs outside a family are rejected rather than computed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graphs import TOTAL, UNIT, EdgePartition, degree_pair
+from .graphs import UNIT, EdgePartition, predicted_degrees
 from .radicals import RadicalSum, rational_sqrt
-from .rings import euler_phi, factorize, is_prime
+from .rings import (
+    EVEN,
+    ODD_P2Q,
+    ODD_PQ,
+    ODD_PRIME_POWER,
+    TruncatedPolyRing,
+    classify,
+    euler_phi,
+    factorize,
+    is_prime,
+)
 
 PRINTED = "printed"
 CORRECTED = "corrected"
@@ -102,13 +113,6 @@ def total_pq_partition(p: int, q: int) -> EdgePartition:
     return EdgePartition(alpha, beta, edges - alpha - beta)
 
 
-def so_total_pq(p: int, q: int) -> RadicalSum:
-    part = total_pq_partition(p, q)
-    n = p * q
-    d_zero, d_unit = degree_pair(TOTAL, n, euler_phi(n), True)
-    return assemble_partition_sum(part, d_zero, d_unit)
-
-
 def total_p2q_partition(p: int, q: int) -> EdgePartition:
     """Edge partition of the total graph of Z_{p^2 q}; p is the squared
     prime.  p > q is admitted (the formulas evaluate the same way), callers
@@ -124,13 +128,6 @@ def total_p2q_partition(p: int, q: int) -> EdgePartition:
     beta = 2 * p * p * (p - 1) * (q - 1)
     edges = p * (p + q - 1) * (p * p * q - 1) // 2
     return EdgePartition(alpha, beta, edges - alpha - beta)
-
-
-def so_total_p2q(p: int, q: int) -> RadicalSum:
-    part = total_p2q_partition(p, q)
-    n = p * p * q
-    d_zero, d_unit = degree_pair(TOTAL, n, euler_phi(n), True)
-    return assemble_partition_sum(part, d_zero, d_unit)
 
 
 # ----------------------------------------------------------------------
@@ -176,13 +173,6 @@ def unit_pq_partition(p: int, q: int) -> EdgePartition:
     return EdgePartition(alpha, beta, edges - alpha - beta)
 
 
-def so_unit_pq(p: int, q: int) -> RadicalSum:
-    part = unit_pq_partition(p, q)
-    n = p * q
-    d_zero, d_unit = degree_pair(UNIT, n, euler_phi(n), True)
-    return assemble_partition_sum(part, d_zero, d_unit)
-
-
 def unit_p2q_partition(p: int, q: int, variant: str = CORRECTED) -> EdgePartition:
     """Edge partition of the unit graph of Z_{p^2 q}; p is the squared prime.
 
@@ -199,13 +189,6 @@ def unit_p2q_partition(p: int, q: int, variant: str = CORRECTED) -> EdgePartitio
     else:
         edges = p * (p - 1) * (q - 1) * (p * p * q - 1) // 2
     return EdgePartition(alpha, beta, edges - alpha - beta)
-
-
-def so_unit_p2q(p: int, q: int, variant: str = CORRECTED) -> RadicalSum:
-    part = unit_p2q_partition(p, q, variant)
-    n = p * p * q
-    d_zero, d_unit = degree_pair(UNIT, n, euler_phi(n), True)
-    return assemble_partition_sum(part, d_zero, d_unit)
 
 
 # ----------------------------------------------------------------------
@@ -292,3 +275,69 @@ def complement_identity_residual(n: int, k: int) -> RadicalSum:
     so_gc = so_regular(n, n - k - 1)
     cross = rational_sqrt((so_g * so_gc).as_rational()) * 2
     return so_complete(n) - so_g - so_gc - cross
+
+
+# ----------------------------------------------------------------------
+# Family dispatch and errata
+
+# The family tag of a ring evaluated by the local-ring forms, and the tag
+# suffix of a p^2*q modulus whose squared prime is the larger one, outside
+# the theorems' p < q hypothesis.
+LOCAL = "local"
+PGTQ = "_pgtq"
+
+FORMULA_UNIT_PPOW = "unit-graph odd-prime-power unit-unit bracket"
+FORMULA_UNIT_P2Q_EDGES = "unit-graph p^2*q edge count"
+FORMULA_UNIT_LOCAL = "unit-graph local-ring two-is-unit case"
+
+# The printed statements that brute force refutes, by the family whose
+# printed variant evaluates them: (formula label, printed expression).
+ERRATA = {
+    ODD_PRIME_POWER: (
+        FORMULA_UNIT_PPOW,
+        "phi*(n-phi)*sqrt(phi^2 + (phi-1)^2)"
+        " + (phi*(phi-1) - (n-phi))*(phi-1)/sqrt(2)",
+    ),
+    ODD_P2Q: (FORMULA_UNIT_P2Q_EDGES, "|E| = p^2*(p-1)*(q-1)*(p^2*q - 1)/2"),
+    LOCAL: (FORMULA_UNIT_LOCAL, "|U|*(n-|U|)*sqrt(|U|^2 + (n-|U|)^2)"),
+}
+
+
+def ring_forms(ring, kind: str, use_local_forms: bool = False) -> tuple[str, list]:
+    """The ring's family tag and every closed form that applies to it, as
+    (variant, value, edge partition or None) triples; none for a ring
+    outside every family.  F_p[x]/(x^k), and any local ring under
+    use_local_forms, takes the local-ring formulas; Z_n takes its modulus
+    family's.  A corrected/printed pair comes exactly for the unit graph of
+    a ring where 2 is a unit, in a family of ERRATA; every other case has
+    one unique form.  A pq or p^2*q form is its edge partition, made once a
+    variant, and its value is assembled from it with the predicted degrees."""
+    unit = kind == UNIT
+    if use_local_forms or isinstance(ring, TruncatedPolyRing):
+        if not ring.is_local:
+            raise NotInFamilyError(f"{ring.name} is not local")
+        family = tag = LOCAL
+        [args] = ring.local_factors
+        form = so_unit_local if unit else so_total_local
+    else:
+        fam = classify(ring.order)
+        family, args = fam.kind, (fam.p, fam.q)
+        tag = family if fam.in_hypothesis else family + PGTQ
+        if family == EVEN:
+            form, args = (so_unit_even if unit else so_total_even), (ring.order,)
+        elif family == ODD_PRIME_POWER:
+            form, args = (so_unit_prime_power if unit else so_total_prime_power), (fam.p, fam.alpha)
+        elif family == ODD_PQ:
+            form = unit_pq_partition if unit else total_pq_partition
+        elif family == ODD_P2Q:
+            form = unit_p2q_partition if unit else total_p2q_partition
+        else:
+            return tag, []
+    if unit and ring.two_is_unit and family in ERRATA:
+        outputs = [(v, form(*args, v)) for v in (CORRECTED, PRINTED)]
+    else:
+        outputs = [(UNIQUE, form(*args))]
+    if family not in (ODD_PQ, ODD_P2Q):
+        return tag, [(v, value, None) for v, value in outputs]
+    degrees = predicted_degrees(ring, kind)
+    return tag, [(v, assemble_partition_sum(part, *degrees), part) for v, part in outputs]

@@ -18,6 +18,14 @@ from functools import cached_property
 from itertools import compress
 
 from . import closed_forms as cf
+from .closed_forms import (  # the FORMULA_* labels are re-exported
+    ERRATA,
+    FORMULA_UNIT_LOCAL,
+    FORMULA_UNIT_P2Q_EDGES,
+    FORMULA_UNIT_PPOW,
+    LOCAL,
+    PGTQ,
+)
 from .graphs import (
     DEFAULT_CEILING,
     TOTAL,
@@ -34,7 +42,6 @@ from .graphs import (
     row_source,
     vertex_flags,
 )
-from .radicals import RadicalSum
 from .rings import (
     EVEN,
     ODD_P2Q,
@@ -50,14 +57,9 @@ from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 # Sweep families: the four Z_n modulus families, and the local rings (Z_{p^a}
 # and F_p[x]/(x^k) together, or either alone).
-LOCAL = "local"
 LOCALZN = "localzn"
 LOCALPOLY = "localpoly"
 FAMILIES = (EVEN, ODD_PRIME_POWER, ODD_PQ, ODD_P2Q, LOCAL, LOCALZN, LOCALPOLY)
-
-# Family-tag suffix of a p^2*q modulus whose squared prime is the larger one,
-# outside the theorems' p < q hypothesis.
-PGTQ = "_pgtq"
 
 # Most worker processes a sweep may start: under the fork start method the
 # pool starts all of them at its first task.  61 is the limit that
@@ -105,48 +107,6 @@ class CaseResult(namedtuple(
         return not any(v.failed for v in self.variants)
 
 
-def closed_forms(
-    ring: FiniteRing, kind: str, use_local_forms: bool = False
-) -> tuple[str, list[tuple[str, RadicalSum, EdgePartition | None]]]:
-    """The ring's family tag and every closed form that applies to it, as
-    (variant, value, edge partition or None) triples; none for a ring
-    outside every family.  F_p[x]/(x^k), and any local ring under
-    use_local_forms, takes the local-ring formulas; Z_n takes its modulus
-    family's.  Only the three refuted statements (ERRATA) come as a
-    corrected/printed pair."""
-    pair = (cf.CORRECTED, cf.PRINTED)
-    if use_local_forms or isinstance(ring, TruncatedPolyRing):
-        if not ring.is_local:
-            raise cf.NotInFamilyError(f"{ring.name} is not local")
-        [(q, s)] = ring.local_factors
-        if kind == TOTAL:
-            return LOCAL, [(cf.UNIQUE, cf.so_total_local(q, s), None)]
-        if not ring.two_is_unit:
-            return LOCAL, [(cf.UNIQUE, cf.so_unit_local(q, s), None)]
-        return LOCAL, [(v, cf.so_unit_local(q, s, v), None) for v in pair]
-    fam = classify(ring.order)
-    tag = fam.kind if fam.in_hypothesis else fam.kind + PGTQ
-    p, q, unit = fam.p, fam.q, kind == UNIT
-    if fam.kind == EVEN:
-        value = cf.so_unit_even(ring.order) if unit else cf.so_total_even(ring.order)
-        return tag, [(cf.UNIQUE, value, None)]
-    if fam.kind == ODD_PRIME_POWER:
-        if unit:
-            return tag, [(v, cf.so_unit_prime_power(p, fam.alpha, v), None) for v in pair]
-        return tag, [(cf.UNIQUE, cf.so_total_prime_power(p, fam.alpha), None)]
-    if fam.kind == ODD_PQ:
-        if unit:
-            return tag, [(cf.UNIQUE, cf.so_unit_pq(p, q), cf.unit_pq_partition(p, q))]
-        return tag, [(cf.UNIQUE, cf.so_total_pq(p, q), cf.total_pq_partition(p, q))]
-    if fam.kind == ODD_P2Q:
-        if unit:
-            return tag, [
-                (v, cf.so_unit_p2q(p, q, v), cf.unit_p2q_partition(p, q, v)) for v in pair
-            ]
-        return tag, [(cf.UNIQUE, cf.so_total_p2q(p, q), cf.total_p2q_partition(p, q))]
-    return tag, []
-
-
 def verify_case(
     ring: FiniteRing,
     kind: str,
@@ -166,7 +126,7 @@ def verify_case(
     table = degree_pair_counts(source, source.units)
     oracle_value = sombor_of(table)
     oracle_partition = edge_partition_of(table)
-    family_tag, forms = closed_forms(ring, kind, use_local_forms)
+    family_tag, forms = cf.ring_forms(ring, kind, use_local_forms)
 
     variants = tuple(
         VariantResult(
@@ -446,23 +406,6 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
 
 # ----------------------------------------------------------------------
 # Errata
-
-FORMULA_UNIT_PPOW = "unit-graph odd-prime-power unit-unit bracket"
-FORMULA_UNIT_P2Q_EDGES = "unit-graph p^2*q edge count"
-FORMULA_UNIT_LOCAL = "unit-graph local-ring two-is-unit case"
-
-# The printed statements that brute force refutes, by the family whose
-# printed variant evaluates them: (formula label, printed expression).
-ERRATA = {
-    ODD_PRIME_POWER: (
-        FORMULA_UNIT_PPOW,
-        "phi*(n-phi)*sqrt(phi^2 + (phi-1)^2)"
-        " + (phi*(phi-1) - (n-phi))*(phi-1)/sqrt(2)",
-    ),
-    ODD_P2Q: (FORMULA_UNIT_P2Q_EDGES, "|E| = p^2*(p-1)*(q-1)*(p^2*q - 1)/2"),
-    LOCAL: (FORMULA_UNIT_LOCAL, "|U|*(n-|U|)*sqrt(|U|^2 + (n-|U|)^2)"),
-}
-
 
 ErrataEntry = namedtuple(
     "ErrataEntry", "formula printed_expression ring n kind printed_value oracle_value"

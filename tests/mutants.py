@@ -71,7 +71,7 @@ MUTANTS = {
         "verify.py",
         "if v.match or v.failed:",
         "if v.match:",
-        ("test_cli.py::TestVerdict::test_verify_and_sweep_exit_1",),
+        ("test_cli.py::TestVerdict::test_failure_is_counted_and_is_no_erratum",),
     ),
     "J local forms: an ideal size s = q^k * r let through": (
         "closed_forms.py",
@@ -234,6 +234,24 @@ MUTANTS = {
         "elif r.bit_length() > FACTOR_BITS:",
         "elif r.bit_length() > FACTOR_BITS + 1:",
         ("test_rings.py::TestFactorBound::test_cofactor_above_the_bound_refused",),
+    ),
+    "AK ring_forms: a pair whether or not 2 is a unit": (
+        "closed_forms.py",
+        "if unit and ring.two_is_unit and family in ERRATA:",
+        "if unit and family in ERRATA:",
+        ("test_closed_forms.py::TestRingForms::test_pair_rule",),
+    ),
+    "AL ERRATA: the p^2*q edge count left out": (
+        "closed_forms.py",
+        '    ODD_P2Q: (FORMULA_UNIT_P2Q_EDGES, "|E| = p^2*(p-1)*(q-1)*(p^2*q - 1)/2"),\n',
+        "",
+        ("test_verify.py::TestErrata::test_all_three_formulas_detected",),
+    ),
+    "AM ring_forms: a pq or p^2*q value assembled with the total graph's degrees": (
+        "closed_forms.py",
+        "predicted_degrees(ring, kind)",
+        'predicted_degrees(ring, "total")',
+        ("test_closed_forms.py::TestUnitPQ::test_value_3_5",),
     ),
 }
 

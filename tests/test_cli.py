@@ -81,6 +81,16 @@ class TestCompute:
         out = capsys.readouterr().out
         assert "oracle_float = 36.9705627485" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_float_beyond_range_exits_2(self, capsys, fmt):
+        # the total graph of Z_{3^700} has coefficients above the largest double
+        code = main(["compute", "--ring", "zppow", "--p", "3", "--alpha", "700",
+                     "--graph", "total", "--mode", "closed", "--float", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: the closed value is beyond the float range; "
+                                "leave out --float for its exact value\n")
+
     def test_json_format(self, capsys):
         assert main(["compute", "--ring", "fpxk", "--p", "3", "--k", "2",
                      "--graph", "unit", "--format", "json"]) == 0
@@ -156,18 +166,24 @@ class TestCompute:
         (["--mode", "closed", "--variant", "printed", "--ceiling", "10"], (0, 1)),
     ])
     def test_one_oracle_run_and_one_dispatch(self, monkeypatch, capsys, flags, calls):
-        # closed_forms is also the dispatch inside verify_case
+        # ring_forms is also the dispatch inside verify_case
         cases = count_calls(monkeypatch, vf, "verify_case")
-        dispatches = count_calls(monkeypatch, vf, "closed_forms")
+        dispatches = count_calls(monkeypatch, cf, "ring_forms")
         assert main(["compute", "--ring", "zn", "--n", "45", "--graph", "unit", *flags]) == 0
         assert (len(cases), len(dispatches)) == calls
 
 
 @pytest.fixture
 def broken_total_pq(monkeypatch):
-    """so_total_pq off by one: every pq total-graph case must fail."""
-    real = cf.so_total_pq
-    monkeypatch.setattr(cf, "so_total_pq", lambda p, q: real(p, q) + 1)
+    """total_pq_partition's gamma off by one: every pq total-graph case must
+    fail."""
+    real = cf.total_pq_partition
+
+    def broken(p, q):
+        part = real(p, q)
+        return EdgePartition(part.alpha, part.beta, part.gamma + 1)
+
+    monkeypatch.setattr(cf, "total_pq_partition", broken)
 
 
 @pytest.fixture
@@ -370,6 +386,18 @@ class TestSweepCommand:
         code = main(["sweep", "--family", "pq", "--max-n", "40",
                      "--out", "/nonexistent-dir/x.csv"])
         assert code == 4
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--family", "pq", "--max-n", "300", "--graph", "both"],
+        ["verify", "--ring", "zn", "--n", "45"],
+    ], ids=["sweep", "verify"])
+    @pytest.mark.parametrize("fmt, calls", [("csv", [1, 0, 0]), ("json", [0, 1, 1])])
+    def test_report_built_for_its_format_alone(self, monkeypatch, capsys, command, fmt, calls):
+        built = [count_calls(monkeypatch, vf, name)
+                 for name in ("sweep_rows", "sweep_payload", "errata_report")]
+        assert main([*command, "--format", fmt]) == 0
+        assert list(map(len, built)) == calls
+        assert capsys.readouterr().out
 
 
 class TestStructureCommand:

@@ -4,23 +4,25 @@ import pytest
 
 import definitional as defn
 from held import held_graph
+from ringsombor import closed_forms as cf
 from ringsombor.closed_forms import (
     CORRECTED,
+    ERRATA,
+    LOCAL,
+    PGTQ,
     PRINTED,
+    UNIQUE,
     NotInFamilyError,
     assemble_partition_sum,
     complement_identity_residual,
+    ring_forms,
     so_complete,
     so_regular,
     so_total_even,
     so_total_local,
-    so_total_p2q,
-    so_total_pq,
     so_total_prime_power,
     so_unit_even,
     so_unit_local,
-    so_unit_p2q,
-    so_unit_pq,
     so_unit_prime_power,
     total_p2q_partition,
     total_pq_partition,
@@ -29,7 +31,16 @@ from ringsombor.closed_forms import (
 )
 from ringsombor.graphs import TOTAL, UNIT, degree_pair, edge_partition_of
 from ringsombor.radicals import RadicalSum
-from ringsombor.rings import TruncatedPolyRing, ZnRing, euler_phi, primes_up_to
+from ringsombor.rings import (
+    ODD_P2Q,
+    ODD_PRIME_POWER,
+    OTHER_ODD,
+    TruncatedPolyRing,
+    ZnRing,
+    euler_phi,
+    moduli,
+    primes_up_to,
+)
 from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
 
 
@@ -40,6 +51,12 @@ def rt2(x):
 def oracle(ring, kind):
     g, _ = held_graph(ring, kind)
     return sombor_bruteforce(g)
+
+
+def closed(ring, kind, variant=UNIQUE):
+    """The value ring_forms gives the ring's graph in the named variant."""
+    _, forms = ring_forms(ring, kind)
+    return next(value for v, value, _ in forms if v == variant)
 
 
 class TestTotalEven:
@@ -93,14 +110,14 @@ class TestTotalPQ:
         assert part.gamma == 42
 
     def test_value_3_5(self):
-        assert so_total_pq(3, 5) == RadicalSum({2: 218, 85: 16})
+        assert closed(ZnRing(15), TOTAL) == RadicalSum({2: 218, 85: 16})
 
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (3, 11), (5, 7), (5, 11), (7, 11)):
             ring = ZnRing(p * q)
             g, units = held_graph(ring, TOTAL)
             assert total_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
-            assert so_total_pq(p, q) == sombor_bruteforce(g)
+            assert closed(ring, TOTAL) == sombor_bruteforce(g)
 
     def test_requires_ordered_odd_primes(self):
         with pytest.raises(NotInFamilyError):
@@ -124,7 +141,7 @@ class TestTotalP2Q:
             ring = ZnRing(p * p * q)
             g, units = held_graph(ring, TOTAL)
             assert total_p2q_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
-            assert so_total_p2q(p, q) == sombor_bruteforce(g)
+            assert closed(ring, TOTAL) == sombor_bruteforce(g)
 
     def test_admits_swapped_primes(self):
         part = total_p2q_partition(5, 3)  # 75, squared prime above the other
@@ -185,14 +202,14 @@ class TestUnitPQ:
         assert part.total == 120
 
     def test_value_3_5(self):
-        assert so_unit_pq(3, 5) == RadicalSum({2: 120, 113: 40})
+        assert closed(ZnRing(15), UNIT) == RadicalSum({2: 120, 113: 40})
 
     def test_oracle_agreement(self):
         for p, q in ((3, 5), (3, 7), (5, 7), (3, 11)):
             ring = ZnRing(p * q)
             g, units = held_graph(ring, UNIT)
             assert unit_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
-            assert so_unit_pq(p, q) == sombor_bruteforce(g)
+            assert closed(ring, UNIT) == sombor_bruteforce(g)
 
 
 class TestUnitP2Q:
@@ -210,10 +227,10 @@ class TestUnitP2Q:
             ring = ZnRing(p * p * q)
             g, units = held_graph(ring, UNIT)
             assert unit_p2q_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
-            assert so_unit_p2q(p, q) == sombor_bruteforce(g)
+            assert closed(ring, UNIT, CORRECTED) == sombor_bruteforce(g)
 
     def test_printed_disagrees_at_3_5(self):
-        assert so_unit_p2q(3, 5, PRINTED) != so_unit_p2q(3, 5, CORRECTED)
+        assert closed(ZnRing(45), UNIT, PRINTED) != closed(ZnRing(45), UNIT, CORRECTED)
 
 
 # GF(p^k) as Z_p[x] over an irreducible x^k + ... + monic[0]
@@ -305,15 +322,20 @@ class TestAssemblyPattern:
         n = p * q
         part = total_pq_partition(p, q)
         d_zero, d_unit = degree_pair(TOTAL, n, euler_phi(n), True)
-        assert so_total_pq(p, q) == assemble_partition_sum(part, d_zero, d_unit)
+        _, [(_, value, closed_part)] = ring_forms(ZnRing(n), TOTAL)
+        assert closed_part == part
+        assert value == assemble_partition_sum(part, d_zero, d_unit)
 
     def test_unit_p2q_variant_flows_through_pattern(self):
         p, q = 3, 7
         n = p * p * q
         d_zero, d_unit = degree_pair(UNIT, n, euler_phi(n), True)
-        for variant in (PRINTED, CORRECTED):
+        _, forms = ring_forms(ZnRing(n), UNIT)
+        assert [v for v, _, _ in forms] == [CORRECTED, PRINTED]
+        for variant, value, closed_part in forms:
             part = unit_p2q_partition(p, q, variant)
-            assert so_unit_p2q(p, q, variant) == assemble_partition_sum(part, d_zero, d_unit)
+            assert closed_part == part
+            assert value == assemble_partition_sum(part, d_zero, d_unit)
 
     def test_partition_consistency_small_sweep(self):
         for p, q in ((3, 5), (3, 7), (5, 7), (3, 11), (5, 11), (7, 11), (3, 13)):
@@ -326,13 +348,54 @@ class TestAssemblyPattern:
             assert part.alpha + part.beta + part.gamma == part.total
 
 
+class TestRingForms:
+    @pytest.mark.parametrize("n, kind, name, variants", [
+        (15, TOTAL, "total_pq_partition", 1),
+        (15, UNIT, "unit_pq_partition", 1),
+        (45, TOTAL, "total_p2q_partition", 1),
+        (45, UNIT, "unit_p2q_partition", 2),
+        (75, UNIT, "unit_p2q_partition", 2),
+    ])
+    def test_partition_made_once_per_variant(self, monkeypatch, n, kind, name, variants):
+        calls = []
+        real = getattr(cf, name)
+        monkeypatch.setattr(cf, name, lambda *args: calls.append(args) or real(*args))
+        _, forms = ring_forms(ZnRing(n), kind)
+        assert len(forms) == len(calls) == variants
+        assert [part for _, _, part in forms] == [real(*args) for args in calls]
+
+    def test_pair_rule(self):
+        # a corrected/printed pair for the unit graph of an odd prime power,
+        # of a p^2*q modulus and of a local ring over an odd residue field;
+        # one unique form for every other case in a family
+        assert set(ERRATA) == {ODD_PRIME_POWER, ODD_P2Q, LOCAL}
+        cases = [(ZnRing(n), False) for n in range(2, 3001)]
+        for mod in moduli(3000):
+            if mod.is_prime_power:
+                cases += [(ZnRing(mod.n), True), (TruncatedPolyRing(*mod.factors[0]), True)]
+        for ring, use_local in cases:
+            for kind in (TOTAL, UNIT):
+                tag, forms = ring_forms(ring, kind, use_local)
+                family = tag.removesuffix(PGTQ)
+                odd_field = ring.local_factors[0][0] % 2
+                if family == OTHER_ODD:
+                    expected = []
+                elif kind == UNIT and (family in (ODD_PRIME_POWER, ODD_P2Q)
+                                       or family == LOCAL and odd_field):
+                    expected = [CORRECTED, PRINTED]
+                else:
+                    expected = [UNIQUE]
+                assert [v for v, _, _ in forms] == expected, (ring.name, kind)
+
+
 class TestIntegerCoefficients:
     # every closed form is a sum of count * sqrt(d1^2 + d2^2) with counts in
     # (1/2)Z, so its coefficients are ints or halves of odd ints
     def test_closed_forms_lie_in_half_integers(self):
         values = [so_total_even(12), so_unit_even(30), so_total_prime_power(3, 3),
-                  so_total_pq(5, 7), so_total_p2q(3, 7), so_unit_pq(3, 11),
-                  so_unit_p2q(5, 3), so_total_local(5, 5),
+                  closed(ZnRing(35), TOTAL), closed(ZnRing(63), TOTAL),
+                  closed(ZnRing(33), UNIT), closed(ZnRing(75), UNIT, CORRECTED),
+                  so_total_local(5, 5),
                   so_unit_local(2, 8), so_regular(7, 3)]
         values += [so_unit_prime_power(7, 2, v) for v in (PRINTED, CORRECTED)]
         halves = 0
