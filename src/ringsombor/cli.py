@@ -252,16 +252,36 @@ def cmd_identity(args) -> int:
 
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser.  parse_args hands a known command straight to
+    its subparser, as the subparsers action would, so a valid call is
+    parsed once; the full two-level pass runs only for help, an empty or
+    unknown command, and leftover arguments, which it reports as usual.
+    build_parser sets commands, the subparser of each command name."""
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(args[0]) if args and namespace is None else None
+        if sub is not None:
+            parsed, extras = sub.parse_known_args(args[1:])
+            if not extras:
+                parsed.command = args[0]
+                return parsed
+        return super().parse_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser on every call; main reuses one through _parser."""
     ceiling_help = ("largest ring order the oracle builds a graph for "
                     f"(default 2^{DEFAULT_CEILING.bit_length() - 1} = {DEFAULT_CEILING})")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringsombor",
         description="Sombor index of total and unit graphs of finite commutative "
         "rings: exact brute force, closed forms, and cross-verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    parser.commands = sub.choices
 
     p = sub.add_parser("compute", help="one ring, one graph: oracle and/or closed form")
     _add_ring_flags(p)

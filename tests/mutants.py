@@ -253,6 +253,24 @@ MUTANTS = {
         'predicted_degrees(ring, "total")',
         ("test_closed_forms.py::TestUnitPQ::test_value_3_5",),
     ),
+    "AN _Parser.parse_args: no command looked up, so every call takes the full pass": (
+        "cli.py",
+        "self.commands.get(args[0])",
+        "None",
+        ("test_cli.py::TestParseOnce::test_one_parse_per_valid_command",),
+    ),
+    "AO _Parser.parse_args: leftover arguments accepted": (
+        "cli.py",
+        "if not extras:",
+        "if True:",
+        ("test_cli.py::TestParseOnce::test_leftover_arguments_exit_2_with_the_top_level_usage",),
+    ),
+    "AP _Parser.parse_args: command left unset": (
+        "cli.py",
+        "parsed.command = args[0]",
+        "pass",
+        ("test_cli.py::TestParseOnce::test_same_outcome_as_the_full_parse",),
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+import test_golden
 
 import ringsombor
 from ringsombor import cli
@@ -505,6 +507,47 @@ class TestParserReuse:
         assert "invalid choice: 'nope'" in reused[1][2]
         assert "--graph" in reused[2][2]
         assert "oracle_float" in reused[3][1] and "oracle = " in reused[4][1]
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--mode", "closed"],
+        ["verify", "--ring", "zppow", "--p", "3", "--alpha", "2", "--format", "json"],
+        ["sweep", "--family", "pq", "--max-n", "40", "--graph", "both"],
+        ["structure", "--ring", "fpxk", "--p", "2", "--k", "3"],
+        ["identity", "--max-n", "12"],
+    ])
+    def test_one_parse_per_valid_command(self, monkeypatch, argv):
+        parser = cli.build_parser()
+        calls = count_calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
+        assert parser.parse_args(argv).command == argv[0]
+        assert len(calls) == 1  # the command's subparser alone
+
+    def test_same_outcome_as_the_full_parse(self, capsys):
+        parser = cli.build_parser()
+
+        def outcome(parse, argv):
+            try:
+                return vars(parse(argv))
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                return exc.code, captured.out, captured.err
+
+        for argv in test_golden.commands():
+            argv = ["out.txt" if a == test_golden.OUT else a for a in argv]
+            full = outcome(lambda a: argparse.ArgumentParser.parse_args(parser, a), argv)
+            assert outcome(parser.parse_args, argv) == full, argv
+
+    @pytest.mark.parametrize("argv, leftover", [
+        (["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--bogus"], "--bogus"),
+        (["sweep", "--family", "even", "--max-n", "10", "stray"], "stray"),
+    ])
+    def test_leftover_arguments_exit_2_with_the_top_level_usage(self, capsys, argv, leftover):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (cli.build_parser().format_usage()
+                                + f"ringsombor: error: unrecognized arguments: {leftover}\n")
 
 
 def test_import_loads_no_costly_stdlib_modules():
