@@ -31,9 +31,6 @@ from .graphs import (
     UNIT,
     EdgePartition,
     Graph,
-    circulant_graph,
-    complement,
-    complete_graph,
     degree_pair,
     edge_partition_of,
     predicted_degrees,
@@ -58,7 +55,7 @@ from .rings import (
     primes_up_to,
     z_prime_power,
 )
-from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
+from .sombor import degree_pair_counts, sombor_of
 from .verify import (
     DEFAULT_CEILING,
     CaseResult,

@@ -12,9 +12,11 @@ of D, and only the rows that would hold their own vertex get a self-bit
 mask.  A whole-graph read (every graph of at most 2048 vertices is one
 chunk) shifts D itself with no per-row flag test, which at those sizes
 costs more than it saves.  An F_p[x]/(x^k) row is one of p block rows,
-shared as is by every row of a block that does not hold itself.  A Graph
-holds every row, for the identity circulants and in tests, and offers the
-same rows_of, so anything that reads a row source reads a Graph too.
+shared as is by every row of a block that does not hold itself.  A
+circulant (CirculantRows) is a rotation too: row x is its offset mask
+rotated by x.  A Graph holds every row, for tests and for perfbench's
+tracer, and offers the same rows_of, so anything that reads a row source
+reads a Graph too.
 Edges come in lexicographic order (u < v ascending), from Graph.edges and
 in the edge list alike, so the output is reproducible.
 """
@@ -182,6 +184,28 @@ class _ZnSumRows:
         ]
 
 
+class CirculantRows:
+    """The circulant graph on n vertices whose offset mask S (bit s set iff
+    each x is adjacent to x + s mod n) is symmetric and has bit 0 clear, as
+    a row source (n and rows_of).  Row x is S rotated up by x: the doubled
+    mask D = S | (S << n) holds bit (y - x) mod n of S at n - x + y, so row
+    x is D >> (n - x) cut to n bits."""
+
+    __slots__ = ("n", "offsets", "_doubled", "_full")
+
+    def __init__(self, n: int, offsets: int):
+        self.n, self.offsets = n, offsets
+        self._doubled, self._full = offsets | (offsets << n), _full_mask(n)
+
+    def rows_of(self, indices) -> list[int]:
+        doubled, full, n = self._doubled, self._full, self.n
+        return [(doubled >> (n - x)) & full for x in indices]
+
+    def complemented(self) -> CirculantRows:
+        """The complement graph: the circulant of every other nonzero offset."""
+        return CirculantRows(self.n, self._full ^ self.offsets ^ 1)
+
+
 class _PolySumRows:
     # x+y is a unit iff the constant coefficients do not cancel mod p, and
     # the index blocks of size p^(k-1) group elements by constant coefficient:
@@ -229,38 +253,6 @@ def row_source(ring: FiniteRing, kind: str, *, ceiling: int = DEFAULT_CEILING):
     if isinstance(ring, ZnRing):
         return _ZnSumRows(n, units, units if kind == UNIT else _full_mask(n) ^ units)
     return _PolySumRows(ring, units, kind == UNIT)
-
-
-def complement(g: Graph) -> Graph:
-    full = _full_mask(g.n)
-    return Graph(g.n, [row ^ full ^ (1 << v) for v, row in enumerate(g.rows)])
-
-
-def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-    full = _full_mask(n)
-    return Graph(n, [full ^ (1 << v) for v in range(n)])
-
-
-def circulant_graph(n: int, offsets) -> Graph:
-    """Vertex i adjacent to (i +/- s) mod n for each offset s in 1..n//2."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-    offs = sorted(set(offsets))
-    base = 0
-    for s in offs:
-        if not 1 <= s <= n // 2:
-            raise ValueError(f"offset {s} outside 1..{n // 2}")
-        base |= (1 << s) | (1 << (n - s) % n)
-    rows = []
-    full = _full_mask(n)
-    for i in range(n):
-        if i == 0:
-            rows.append(base)
-        else:
-            rows.append(((base << i) | (base >> (n - i))) & full)
-    return Graph(n, rows)
 
 
 def degree_pair(kind: str, order: int, unit_count: int, two_is_unit: bool):

@@ -6,15 +6,16 @@ degree_pair_counts is the oracle's only reader of the rows
 (check_structure and --dump-graph read them too); it counts edges by the
 (is_unit, degree) keys of their endpoints, and both the Sombor value
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
-that one table.  It reads any row source (a ring's graphs.row_source, or a
-held Graph) in the chunks of graphs.row_chunks, about graphs.CHUNK_BITS
-bits of rows each (a graph of at most 2048 vertices is one chunk), so a
-ring's graph is never held whole.  A first pass makes every row and reads
-its degree and, on the smaller side of the unit split, its neighbours on
-the other side.  When each side's rows show at most one degree, as they do
-on every ring's graphs, the handshake identity gives the whole table from
-that pass and no row is made twice; otherwise a second pass recounts every
-edge by key.  The unit mask is input data, not a derived fact.
+that one table.  It reads any row source (a ring's graphs.row_source, a
+circulant's graphs.CirculantRows, or a held Graph in tests) in the chunks
+of graphs.row_chunks, about graphs.CHUNK_BITS bits of rows each (a graph
+of at most 2048 vertices is one chunk), so no graph is ever held whole.
+A first pass makes every row and reads its degree and, on the smaller side
+of the unit split, its neighbours on the other side.  When each side's rows
+show at most one degree, as they do on every ring's graphs, the handshake
+identity gives the whole table from that pass and no row is made twice;
+otherwise a second pass recounts every edge by key.  The unit mask is
+input data, not a derived fact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .graphs import Graph, row_chunks, vertex_flags
+from .graphs import row_chunks, vertex_flags
 from .radicals import RadicalSum, radical_normalize
 
 Key = tuple[int, int]  # (is_unit, degree) of one vertex
@@ -93,7 +94,3 @@ def sombor_of(table: dict[tuple[Key, Key], int]) -> RadicalSum:
         terms[s] = terms.get(s, 0) + count * c * g
     return RadicalSum(terms)
 
-
-def sombor_bruteforce(g: Graph) -> RadicalSum:
-    """Exact sum over edges of sqrt(d_u^2 + d_v^2)."""
-    return sombor_of(degree_pair_counts(g))

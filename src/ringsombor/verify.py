@@ -31,11 +31,9 @@ from .graphs import (
     TOTAL,
     UNIT,
     CeilingExceededError,  # re-exported: callers catch it as verify.CeilingExceededError
+    CirculantRows,
     EdgePartition,
-    Graph,
     check_ceiling,
-    circulant_graph,
-    complement,
     edge_partition_of,
     predicted_degrees,
     row_chunks,
@@ -53,7 +51,7 @@ from .rings import (
     classify,
     moduli,
 )
-from .sombor import degree_pair_counts, sombor_bruteforce, sombor_of
+from .sombor import degree_pair_counts, sombor_of
 
 # Sweep families: the four Z_n modulus families, and the local rings (Z_{p^a}
 # and F_p[x]/(x^k) together, or either alone).
@@ -351,28 +349,29 @@ class IdentityCase(namedtuple(
         return self.residual_zero and self.circulant_match is not False
 
 
-def regular_circulant(n: int, k: int) -> Graph:
-    """A k-regular circulant on n vertices (n*k must be even)."""
+def regular_circulant(n: int, k: int) -> CirculantRows:
+    """A k-regular circulant on n vertices (n*k must be even): offsets 1 to
+    k // 2 either way, and n / 2 when k is odd."""
     if (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
-    if k % 2 == 0:
-        offsets = range(1, k // 2 + 1)
-    else:
-        offsets = [*range(1, (k - 1) // 2 + 1), n // 2]
-    return circulant_graph(n, offsets)
+    near = (1 << (k // 2)) - 1
+    return CirculantRows(n, (near << 1) | (near << (n - k // 2)) | ((k % 2) << (n // 2)))
 
 
 def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[IdentityCase]:
     """For every n <= max_n and feasible k, check that the complement
-    identity residual is exactly zero; for n up to circulant_max also build
-    an explicit k-regular circulant and confirm both regular closed forms
-    against brute force.  Before any case runs, the largest circulant, on
+    identity residual is exactly zero; for n up to circulant_max also read
+    a k-regular circulant and its complement through the oracle and confirm
+    both regular closed forms.  Before any case runs, circulant_max must be
+    at least 0 (ValueError), the largest circulant, on
     min(circulant_max, max_n) vertices, is checked against DEFAULT_CEILING,
     and then max_n against IDENTITY_MAX_N (ValueError above it)."""
     if max_n < 3:
         raise EmptySweepError(f"identity sweep needs max_n >= 3, got {max_n}")
     if circulant_max is None:
         circulant_max = min(max_n, 100)
+    if circulant_max < 0:
+        raise ValueError(f"circulant_max must be at least 0, got {circulant_max}")
     largest = min(circulant_max, max_n)
     if largest > DEFAULT_CEILING:
         check_ceiling(largest, f"Z_{largest}", DEFAULT_CEILING)
@@ -387,10 +386,11 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
             checked = n <= circulant_max
             match = None
             if checked:
-                g = regular_circulant(n, k)
+                source = regular_circulant(n, k)
                 match = (
-                    sombor_bruteforce(g) == cf.so_regular(n, k)
-                    and sombor_bruteforce(complement(g)) == cf.so_regular(n, n - k - 1)
+                    sombor_of(degree_pair_counts(source)) == cf.so_regular(n, k)
+                    and sombor_of(degree_pair_counts(source.complemented()))
+                    == cf.so_regular(n, n - k - 1)
                 )
             out.append(
                 IdentityCase(

@@ -1,10 +1,47 @@
-"""A ring's graph held whole, for tests that want every row at once."""
+"""Graphs held whole, for tests that want every row at once: a row source
+read into a Graph, and the small graphs and helpers that work on held rows."""
 
-from ringsombor.graphs import Graph, row_source
+from ringsombor.graphs import CirculantRows, Graph, row_source
+from ringsombor.radicals import RadicalSum
+from ringsombor.sombor import degree_pair_counts, sombor_of
+
+
+def held(source) -> Graph:
+    """Every row of a row source, held as a Graph."""
+    return Graph(source.n, source.rows_of(range(source.n)))
 
 
 def held_graph(ring, kind) -> tuple[Graph, int]:
     """The ring's total or unit graph as a Graph, read whole from its row
     source, and its unit mask."""
     s = row_source(ring, kind)
-    return Graph(s.n, s.rows_of(range(s.n))), s.units
+    return held(s), s.units
+
+
+def circulant_graph(n: int, offsets) -> Graph:
+    """Vertex i adjacent to (i +/- s) mod n for each offset s in 1..n//2."""
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got {n}")
+    mask = 0
+    for s in offsets:
+        if not 1 <= s <= n // 2:
+            raise ValueError(f"offset {s} outside 1..{n // 2}")
+        mask |= (1 << s) | (1 << (n - s))
+    return held(CirculantRows(n, mask))
+
+
+def complete_graph(n: int) -> Graph:
+    """K_n: the circulant of every nonzero offset."""
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got {n}")
+    return held(CirculantRows(n, (1 << n) - 2))
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, [row ^ full ^ (1 << v) for v, row in enumerate(g.rows)])
+
+
+def sombor_bruteforce(g) -> RadicalSum:
+    """Exact sum over edges of sqrt(d_u^2 + d_v^2), by the oracle."""
+    return sombor_of(degree_pair_counts(g))

@@ -271,6 +271,18 @@ MUTANTS = {
         "pass",
         ("test_cli.py::TestParseOnce::test_same_outcome_as_the_full_parse",),
     ),
+    "AQ CirculantRows: the offsets rotated down, a sum graph with self-loops": (
+        "graphs.py",
+        "(doubled >> (n - x))",
+        "(doubled >> x)",
+        ("test_graphs.py::TestCirculantRows::test_rows_match_definition[4]",),
+    ),
+    "AR CirculantRows.complemented: offset 0 kept, a self-loop at every vertex": (
+        "graphs.py",
+        "self._full ^ self.offsets ^ 1",
+        "self._full ^ self.offsets",
+        ("test_graphs.py::TestCirculantRows::test_complement_rows[4]",),
+    ),
 }
 
 

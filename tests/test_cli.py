@@ -462,6 +462,15 @@ class TestIdentityCommand:
         assert "Z_20000 has 20000 elements, above the ceiling 16384" in captured.err
         assert captured.out == ""
 
+    def test_negative_circulant_max_refused(self, tmp_path, capsys):
+        out = tmp_path / "identity.csv"
+        code = main(["identity", "--max-n", "5", "--circulant-max-n", "-3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: circulant_max must be at least 0, got -3\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestParserReuse:
     # usage errors mixed with valid commands, and a --float run before one

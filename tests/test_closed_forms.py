@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import definitional as defn
-from held import held_graph
+from held import held_graph, sombor_bruteforce
 from ringsombor import closed_forms as cf
 from ringsombor.closed_forms import (
     CORRECTED,
@@ -41,7 +41,7 @@ from ringsombor.rings import (
     moduli,
     primes_up_to,
 )
-from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
+from ringsombor.sombor import degree_pair_counts, sombor_of
 
 
 def rt2(x):

@@ -4,16 +4,14 @@ import io
 import pytest
 
 import definitional
-from held import held_graph
+from held import circulant_graph, complement, complete_graph, held, held_graph
 from ringsombor import graphs
 from ringsombor.graphs import (
     TOTAL,
     UNIT,
     EdgePartition,
+    CirculantRows,
     Graph,
-    circulant_graph,
-    complement,
-    complete_graph,
     degree_pair,
     edge_partition_of,
     predicted_degrees,
@@ -185,6 +183,39 @@ class TestGenerators:
 
     def test_circulant_empty_offsets(self):
         assert circulant_graph(5, []).edge_count == 0
+
+
+def offset_masks(n):
+    """The offset mask of every circulant on n vertices: each subset S of
+    1..n//2, made symmetric by setting n - s beside every s in S."""
+    for picks in range(1 << (n // 2)):
+        mask = 0
+        for s in range(1, n // 2 + 1):
+            if (picks >> (s - 1)) & 1:
+                mask |= (1 << s) | (1 << (n - s))
+        yield mask
+
+
+class TestCirculantRows:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rows_match_definition(self, n):
+        # bit j of row x is set iff (j - x) mod n is an offset
+        for offsets in offset_masks(n):
+            source = CirculantRows(n, offsets)
+            rows = source.rows_of(range(n))
+            for x, row in enumerate(rows):
+                assert row == sum(1 << j for j in range(n) if (offsets >> ((j - x) % n)) & 1)
+            assert source.rows_of(reversed(range(n))) == rows[::-1]
+            held(source).validate()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_complement_rows(self, n):
+        full = (1 << n) - 1
+        for offsets in offset_masks(n):
+            source = CirculantRows(n, offsets)
+            rows = source.rows_of(range(n))
+            want = [row ^ full ^ (1 << x) for x, row in enumerate(rows)]
+            assert source.complemented().rows_of(range(n)) == want
 
 
 class TestDegreePredictions:

@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from held import held_graph
+from held import circulant_graph, complement, complete_graph, held_graph, sombor_bruteforce
 from ringsombor import graphs
 from ringsombor.graphs import (
     TOTAL,
     UNIT,
     EdgePartition,
     Graph,
-    circulant_graph,
-    complement,
-    complete_graph,
     edge_partition_of,
     row_source,
 )
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing
-from ringsombor.sombor import degree_pair_counts, sombor_bruteforce, sombor_of
+from ringsombor.sombor import degree_pair_counts, sombor_of
 
 
 def force_chunk_rows(mp, rows, n):

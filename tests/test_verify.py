@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from held import held_graph
+from held import held, held_graph
 from ringsombor import graphs, rings, verify
 from ringsombor.cli import main
 from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE, NotInFamilyError
@@ -238,11 +238,6 @@ class TestStructure:
     def test_poly_ring(self):
         r = check_structure(TruncatedPolyRing(3, 2))
         assert (r.zdiv_complete, r.degrees_ok, r.duality_ok) == (True, True, True)
-
-    def test_duality_checked_without_complement(self, monkeypatch):
-        calls = count_calls(monkeypatch, "complement")
-        assert check_structure(ZnRing(12)).duality_ok
-        assert calls == []
 
     def test_duality_flags_one_flipped_edge(self, monkeypatch):
         edit_rows(monkeypatch, UNIT, {1: 1 << 4, 4: 1 << 1})
@@ -508,15 +503,31 @@ class TestIdentity:
                 identity_sweep(IDENTITY_MAX_N + 1, circulant_max=circulant_max)
         assert calls == []
 
+    def test_negative_circulant_max_refused_before_any_case(self, monkeypatch):
+        calls = []
+
+        def residual(*args):
+            calls.append(args)
+            raise AssertionError("residual evaluated before circulant_max was checked")
+
+        monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
+        for circulant_max in (-1, -3):
+            with pytest.raises(ValueError, match=f"at least 0, got {circulant_max}"):
+                identity_sweep(5, circulant_max=circulant_max)
+        assert calls == []
+
     def test_infeasible_pairs_skipped(self):
         cases = identity_sweep(7, circulant_max=0)
         assert all((c.n * c.k) % 2 == 0 for c in cases)
         assert not any(c.circulant_checked for c in cases)
 
     def test_regular_circulant_degrees(self):
-        for n, k in ((6, 3), (9, 4), (10, 7), (12, 0)):
-            g = regular_circulant(n, k)
-            assert set(g.degrees) == {k} if k else g.edge_count == 0
+        # every feasible (n, k) with n <= 40: a simple graph, k-regular
+        for n in range(1, 41):
+            for k in range(0, n, 1 + n % 2):
+                g = held(regular_circulant(n, k))
+                g.validate()
+                assert set(g.degrees) == {k}
 
     def test_regular_circulant_rejects_odd_product(self):
         with pytest.raises(ValueError):
