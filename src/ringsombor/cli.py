@@ -114,20 +114,18 @@ def cmd_compute(args) -> int:
     ):
         case = vf.verify_case(ring, args.graph, use_local_forms=use_local,
                               ceiling=args.ceiling)
-        forms = [(v.variant, v.closed_value, v.closed_partition) for v in case.variants]
+        forms = case.variants  # a VariantResult starts with the ring_forms triple
     else:
         _, forms = cf.ring_forms(ring, args.graph, use_local)
 
-    variant = closed_value = closed_part = None
+    # the form shown: a ring has either one unique form or a corrected/printed pair
+    shown = None
     if args.mode != "oracle":
-        if not forms:
+        shown = next((f for f in forms if f[0] in (args.variant, cf.UNIQUE)), None)
+        if shown is None:
             raise OffFamilyError(
                 f"{ring.name} is outside every closed-form family; use --mode oracle"
             )
-        # a ring has either one unique form or a corrected/printed pair
-        variant, closed_value, closed_part = next(
-            f for f in forms if f[0] in (args.variant, cf.UNIQUE)
-        )
     if args.format == "csv" and case is None:
         raise ValueError("--format csv needs the oracle; use --mode both or oracle")
 
@@ -140,9 +138,9 @@ def cmd_compute(args) -> int:
         if v.failed:
             print(f"error: the {v.variant} form disagrees with the oracle on {ring.name} "
                   f"({args.graph})", file=sys.stderr)
-        elif v.variant == variant == cf.PRINTED and not v.match:
+        elif v is shown and v.variant == cf.PRINTED and not v.match:
             print(f"warning: printed variant disagrees with the oracle on {ring.name} "
-                  f"({args.graph}): printed {closed_value.render()}, "
+                  f"({args.graph}): printed {v.closed_value.render()}, "
                   f"oracle {case.oracle_value.render()}", file=sys.stderr)
     code = EXIT_OK if case is None or case.ok else EXIT_MISMATCH
 
@@ -158,26 +156,28 @@ def cmd_compute(args) -> int:
         "degrees": {"zero": d_zero, "unit": d_unit},
     }
     # closed mode reports the closed form alone, even when the oracle checked it
-    oracle_value, part = None, closed_part
-    if args.mode != "closed":
+    sides = {}
+    if args.mode == "closed":
+        part = shown[2]
+    else:
         payload["family"] = case.family
-        oracle_value, part = case.oracle_value, case.oracle_partition
+        sides["oracle"], part = case.oracle_value, case.oracle_partition
     if part is not None:
         payload["partition"] = vf.partition_payload(part)
-    if closed_value is not None:
+    if shown is not None:
         payload["variant"] = args.variant
-    for side, value in (("oracle", oracle_value), ("closed", closed_value)):
-        if value is not None:
-            if args.float:
-                try:
-                    payload[f"{side}_float"] = value.to_float()
-                except OverflowError:
-                    raise ValueError(f"the {side} value is beyond the float range; "
-                                     "leave out --float for its exact value") from None
-            else:
-                payload[f"{side}_exact"] = value.render()
-    if closed_value is not None and oracle_value is not None:
-        payload["match"] = next(v.match for v in case.variants if v.variant == variant)
+        sides["closed"] = shown[1]
+    for side, value in sides.items():
+        if args.float:
+            try:
+                payload[f"{side}_float"] = value.to_float()
+            except OverflowError:
+                raise ValueError(f"the {side} value is beyond the float range; "
+                                 "leave out --float for its exact value") from None
+        else:
+            payload[f"{side}_exact"] = value.render()
+    if len(sides) == 2:
+        payload["match"] = shown.match
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -223,21 +223,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    if args.max_n is not None:
-        ring_flags = _given(args, ("ring", *_RING_FLAGS))
-        if ring_flags:
-            raise ValueError("structure takes --max-n or ring flags, not both; "
-                             f"got --max-n with {', '.join(ring_flags)}")
+    ring_flags = _given(args, ("ring", *_RING_FLAGS))
+    if args.max_n is not None and ring_flags:
+        raise ValueError("structure takes --max-n or ring flags, not both; "
+                         f"got --max-n with {', '.join(ring_flags)}")
+    elif args.max_n is not None:
         results = vf.structure_sweep(args.max_n, ceiling=args.ceiling)
+    elif args.ring is not None:
+        results = [vf.check_structure(_build_ring(args)[0], ceiling=args.ceiling)]
+    elif ring_flags:
+        verb = "needs" if len(ring_flags) == 1 else "need"
+        raise ValueError(f"{', '.join(ring_flags)} {verb} --ring")
     else:
-        if args.ring is None:
-            given = _given(args, _RING_FLAGS)
-            if given:
-                verb = "needs" if len(given) == 1 else "need"
-                raise ValueError(f"{', '.join(given)} {verb} --ring")
-            raise ValueError("structure needs --max-n or ring flags")
-        ring, _ = _build_ring(args)
-        results = [vf.check_structure(ring, ceiling=args.ceiling)]
+        raise ValueError("structure needs --max-n or ring flags")
     rows = vf.structure_rows(results)
     _write_report(args, lambda fh: vf.write_report(fh, args.format, vf.STRUCTURE_COLUMNS, rows))
     return EXIT_OK if all(r.consistent for r in results) else EXIT_MISMATCH

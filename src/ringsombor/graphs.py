@@ -6,17 +6,17 @@ default vertex ceiling of 2**14.  A ring's graph comes as a row source
 (row_source): its unit mask and rows_of(indices), which makes the asked rows
 on demand, so the oracle, the structure checks and the edge list writer
 read a graph in chunks of about CHUNK_BITS bits of rows (row_chunks:
-CHUNK_BITS // n rows, at least one) and never hold n rows of n bits.  A Z_n row is D >> x cut to n bits,
-where D is the target mask doubled; a chunk's rows are cut from one window
-of D, and only the rows that would hold their own vertex get a self-bit
-mask.  A whole-graph read (every graph of at most 2048 vertices is one
-chunk) shifts D itself with no per-row flag test, which at those sizes
-costs more than it saves.  An F_p[x]/(x^k) row is one of p block rows,
-shared as is by every row of a block that does not hold itself.  A
-circulant (CirculantRows) is a rotation too: row x is its offset mask
-rotated by x.  A Graph holds every row, for tests and for perfbench's
-tracer, and offers the same rows_of, so anything that reads a row source
-reads a Graph too.
+CHUNK_BITS // n rows, at least one) and never hold n rows of n bits.  A
+Z_n row is D >> x cut to n bits, where D is the target mask doubled; a
+chunk's rows are cut from one window of D, and only the rows that would
+hold their own vertex get a self-bit mask.  A whole-graph read (every graph
+of at most 2048 vertices is one chunk) shifts D itself with no per-row flag
+test, which at those sizes costs more than it saves.  An F_p[x]/(x^k) row
+is one of p block rows, shared as is by every row of a block that does not
+hold itself.  A circulant (CirculantRows) is a rotation too: row x is its
+offset mask rotated by x.  A Graph holds every row, for tests and for
+perfbench's tracer, and offers the same rows_of, so anything that reads a
+row source reads a Graph too.
 Edges come in lexicographic order (u < v ascending), from Graph.edges and
 in the edge list alike, so the output is reproducible.
 """

@@ -229,14 +229,10 @@ def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
 
 def _prime_factors(m: int) -> dict[int, int]:
     """Exact prime factorization {prime: exponent} of m >= 1: _trial_divide,
-    then _factor_cofactor on a cofactor it leaves at or above _TRIAL_SQUARE
-    (a smaller one is 1 or a prime)."""
+    then _factor_cofactor on the cofactor it leaves, which skips 1 and takes
+    one below _TRIAL_SQUARE as a prime."""
     factors, r = _trial_divide(m)
-    if r >= _TRIAL_SQUARE:
-        return _factor_cofactor(r, factors)
-    if r > 1:  # no prime factor up to its square root
-        factors[r] = 1
-    return factors
+    return _factor_cofactor(r, factors)
 
 
 def _modulus(n: int) -> Modulus:

@@ -283,6 +283,18 @@ MUTANTS = {
         "self._full ^ self.offsets",
         ("test_graphs.py::TestCirculantRows::test_complement_rows[4]",),
     ),
+    "AS cmd_compute: the printed warning for every form but the shown one": (
+        "cli.py",
+        "v is shown",
+        "v is not shown",
+        ("test_cli.py::TestCompute::test_printed_variant_warns_family_form",),
+    ),
+    "AT cmd_compute: the JSON match read off the case, not the shown form": (
+        "cli.py",
+        "shown.match",
+        "case.ok",
+        ("test_cli.py::TestCompute::test_match_is_the_shown_variants[printed-False]",),
+    ),
 }
 
 

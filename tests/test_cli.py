@@ -93,6 +93,14 @@ class TestCompute:
         assert captured.err == ("error: the closed value is beyond the float range; "
                                 "leave out --float for its exact value\n")
 
+    @pytest.mark.parametrize("variant, match", [("printed", False), ("corrected", True)])
+    def test_match_is_the_shown_variants(self, capsys, variant, match):
+        # Z_9's unit graph has a corrected/printed pair, and the printed form is wrong
+        code = main(["compute", "--ring", "zn", "--n", "9", "--graph", "unit",
+                     "--mode", "both", "--format", "json", "--variant", variant])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["match"] is match
+
     def test_json_format(self, capsys):
         assert main(["compute", "--ring", "fpxk", "--p", "3", "--k", "2",
                      "--graph", "unit", "--format", "json"]) == 0
@@ -427,6 +435,19 @@ class TestStructureCommand:
         captured = capsys.readouterr()
         assert captured.err == message
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ring", "zn"], "error: --ring zn requires --n\n"),
+        (["--ring", "fpxk", "--p", "2", "--k", "3", "--n", "5"],
+         "error: --ring fpxk does not take --n\n"),
+    ])
+    def test_ring_errors_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "structure.csv"
+        assert main(["structure", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_max_n_refuses_ring_flags(self, tmp_path, capsys):
         out = tmp_path / "structure.csv"
