@@ -250,22 +250,62 @@ def cmd_identity(args) -> int:
 
 # ----------------------------------------------------------------------
 
+def _read_exact(sub, argv):
+    """The Namespace sub.parse_args(argv) makes, read off sub's action table
+    when argv is in exact form: exact `--flag value` and `--switch` tokens
+    alone, each flag at most once, each value converting and in its
+    choices, each required flag given.  None for any other argv, such as
+    an abbreviation, `--flag=value`, a repeat, a value starting with "-",
+    an unknown token, help, or an action other than plain store or
+    store_true.  Reads argparse's private _actions, _option_string_actions
+    and _defaults; tests/test_cli.py checks it against argparse's parse."""
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        if action is None or action.dest in values:
+            return None
+        kind = type(action)
+        if kind is argparse._StoreTrueAction:
+            values[action.dest] = action.const
+        elif kind is argparse._StoreAction and action.nargs is None:
+            value = next(tokens, "-")  # a missing value reads as "-", refused
+            if value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        else:
+            return None  # help, or an action that argparse alone reads
+    for action in sub._actions:
+        if action.dest not in values:
+            if action.required:
+                return None
+            if action.default is not argparse.SUPPRESS:
+                values[action.dest] = action.default
+    return argparse.Namespace(**{**sub._defaults, **values})
+
+
 class _Parser(argparse.ArgumentParser):
-    """The top-level parser.  parse_args hands a known command straight to
-    its subparser, as the subparsers action would, so a valid call is
-    parsed once; the full two-level pass runs only for help, an empty or
-    unknown command, and leftover arguments, which it reports as usual.
-    build_parser sets commands, the subparser of each command name."""
+    """The top-level parser.  parse_args reads a known command's arguments
+    in exact form straight off its subparser's action table (_read_exact);
+    any other call takes argparse's full two-level parse, which reports
+    errors and help as usual.  build_parser sets commands, the subparser
+    of each command name."""
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         sub = self.commands.get(args[0]) if args and namespace is None else None
-        if sub is not None:
-            parsed, extras = sub.parse_known_args(args[1:])
-            if not extras:
-                parsed.command = args[0]
-                return parsed
-        return super().parse_args(args, namespace)
+        parsed = _read_exact(sub, args[1:]) if sub is not None else None
+        if parsed is None:
+            return super().parse_args(args, namespace)
+        parsed.command = args[0]
+        return parsed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,13 +4,15 @@
 
 Each mutant is one exact-string replacement that must match exactly once in
 its file under src/ringsombor, and names the tests that kill it.  The
-unmutated suite runs first and must pass.  Then each mutant is applied to a
-fresh copy of src/ and tests/ in a temporary directory, where `pytest -x -q`
-runs its named tests first; if they fail, the mutant is killed.  If they
-pass, the whole suite runs as well, its test files in name order with the
-slow acceptance file last, so a kill comes early.  A kill there flags the
-mutant's test list as stale, and only a whole suite that passes makes the
-mutant a survivor, so naming tests never weakens the gate.
+unmutated suite runs first and must pass.  Then the mutants run concurrently,
+on at most os.cpu_count() workers, and their verdicts print in list order.
+Each mutant is applied to a fresh copy of src/ and tests/ in its own
+temporary directory, where `pytest -x -q` runs its named tests first; if
+they fail, the mutant is killed.  If they pass, the whole suite runs as
+well, its test files in name order with the slow acceptance file last, so a
+kill comes early.  A kill there flags the mutant's test list as stale, and
+only a whole suite that passes makes the mutant a survivor, so naming tests
+never weakens the gate.
 Exits 0 when the baseline passes and every mutant is killed, else 1.
 
 A mutant joins the list once a test kills it.  Equivalent mutants, which no
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -259,12 +262,6 @@ MUTANTS = {
         "None",
         ("test_cli.py::TestParseOnce::test_one_parse_per_valid_command",),
     ),
-    "AO _Parser.parse_args: leftover arguments accepted": (
-        "cli.py",
-        "if not extras:",
-        "if True:",
-        ("test_cli.py::TestParseOnce::test_leftover_arguments_exit_2_with_the_top_level_usage",),
-    ),
     "AP _Parser.parse_args: command left unset": (
         "cli.py",
         "parsed.command = args[0]",
@@ -294,6 +291,42 @@ MUTANTS = {
         "shown.match",
         "case.ok",
         ("test_cli.py::TestCompute::test_match_is_the_shown_variants[printed-False]",),
+    ),
+    "AU _read_exact: an out-of-choice value read": (
+        "cli.py",
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv4]",),
+    ),
+    "AV _read_exact: a required flag left out read": (
+        "cli.py",
+        "if action.required:",
+        "if False:",
+        ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv5]",),
+    ),
+    "AW _read_exact: a value starting with - read": (
+        "cli.py",
+        'if value.startswith("-"):',
+        "if False:",
+        ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv3]",),
+    ),
+    "AX _read_exact: a help token skipped, not refused": (
+        "cli.py",
+        "return None  # help, or an action that argparse alone reads",
+        "continue",
+        ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv8]",),
+    ),
+    "AY _read_exact: the help action's SUPPRESS default put in the Namespace": (
+        "cli.py",
+        "if action.default is not argparse.SUPPRESS:",
+        "if True:",
+        ("test_cli.py::TestParseOnce::test_one_parse_per_valid_command[argv0]",),
+    ),
+    "AZ _read_exact: a repeated flag read": (
+        "cli.py",
+        "if action is None or action.dest in values:",
+        "if action is None:",
+        ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv2]",),
     ),
 }
 
@@ -345,6 +378,20 @@ def run_suite(mutant: tuple[str, str, str] | None = None, tests: tuple[str, ...]
 FAILED_CODES = (1, 2)
 
 
+def judge(file: str, original: str, replacement: str, tests: tuple[str, ...]):
+    """(verdict, seconds) for one mutant: "killed" when its named tests
+    fail, "stale" when only the whole suite fails, else "SURVIVED"."""
+    start = time.perf_counter()
+    mutant = (file, original, replacement)
+    if run_suite(mutant, tests) in FAILED_CODES:
+        verdict = "killed"
+    elif run_suite(mutant) != 0:
+        verdict = "stale"
+    else:
+        verdict = "SURVIVED"
+    return verdict, time.perf_counter() - start
+
+
 def main() -> int:
     bad = check_mutants()
     for line in bad:
@@ -355,23 +402,21 @@ def main() -> int:
     if run_suite() != 0:
         print("error: the unmutated suite fails")
         return 1
-    print(f"baseline passes ({time.perf_counter() - start:.1f} s)")
+    print(f"baseline passes ({time.perf_counter() - start:.1f} s)", flush=True)
     survivors = stale = 0
-    for name, (file, original, replacement, tests) in MUTANTS.items():
-        start = time.perf_counter()
-        mutant = (file, original, replacement)
-        if run_suite(mutant, tests) in FAILED_CODES:
-            verdict = "killed"
-        elif run_suite(mutant) != 0:
-            verdict, stale = "killed", stale + 1
-            name += " [stale: its named tests did not fail]"
-        else:
-            verdict, survivors = "SURVIVED", survivors + 1
-        print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)")
+    # each worker thread waits on its own pytest process
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(MUTANTS))) as pool:
+        verdicts = pool.map(lambda spec: judge(*spec), MUTANTS.values())
+        for name, (verdict, seconds) in zip(MUTANTS, verdicts):
+            if verdict == "stale":
+                verdict, stale = "killed", stale + 1
+                name += " [stale: its named tests did not fail]"
+            elif verdict == "SURVIVED":
+                survivors += 1
+            print(f"{verdict:8} {name} ({seconds:.1f} s)", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed, "
           f"{stale} test lists stale ({time.perf_counter() - gate_start:.1f} s)")
     return 1 if survivors else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import pytest
 import test_golden
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringsombor
 from ringsombor import cli
@@ -539,7 +543,75 @@ class TestParserReuse:
         assert "oracle_float" in reused[3][1] and "oracle = " in reused[4][1]
 
 
+PARSER = cli.build_parser()
+# values that argparse refuses or reads apart from the exact form, beside
+# each action's own good values
+ODD_VALUES = ("-5", "", "x", "nope", "-", "--")
+
+
+@st.composite
+def table_argv(draw):
+    """(command, argv, exact) drawn from a subparser's action table: flags
+    in exact, abbreviated and `--flag=value` form, repeats, unknown tokens,
+    help, good and odd values, and required flags left out.  exact is true
+    when argv is in the exact form that cli._read_exact must read."""
+    command = draw(st.sampled_from(sorted(PARSER.commands)))
+    sub = PARSER.commands[command]
+    # each required flag is left out one time in eight, and each flag is in
+    # exact form with a good value about three times in four
+    picked = [a for a in sub._actions if a.required and draw(st.integers(0, 7))]
+    picked += draw(st.lists(st.sampled_from([*sub._actions, None]), max_size=5))
+    argv, seen, exact = [], set(), True
+    for action in draw(st.permutations(picked)):
+        if action is None:
+            argv.append(draw(st.sampled_from(("--bogus", "stray", "--"))))
+            exact = False
+            continue
+        flag = draw(st.sampled_from(action.option_strings))
+        form = draw(st.sampled_from(("exact",) * 6 + ("abbreviated", "equals")))
+        if form == "abbreviated" and len(flag) > 3:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif form == "abbreviated":
+            form = "exact"
+        good = action.choices or (("7", "15") if action.type is int else ("out.txt",))
+        value = draw(st.sampled_from(ODD_VALUES if draw(st.integers(0, 7)) == 0 else good))
+        if form == "equals":
+            argv.append(f"{flag}={value}")
+        elif action.nargs == 0:
+            argv.append(flag)
+        else:
+            argv += [flag, value]
+        exact = (exact and form == "exact" and action.dest not in seen
+                 and action.default is not argparse.SUPPRESS
+                 and (action.nargs == 0 or value in good))
+        seen.add(action.dest)
+    exact = exact and all(a.dest in seen for a in sub._actions if a.required)
+    return command, argv, exact
+
+
 class TestParseOnce:
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        """vars() of parse(argv), or its exit code and output if it exits."""
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    def parse_calls(self, monkeypatch, capsys, argv) -> int:
+        """The parse_known_args calls that parse_args(argv) makes, once it
+        gives the outcome of argparse's full two-level parse."""
+        parser = cli.build_parser()
+        full = self.outcome(capsys, self.full_parse(parser), argv)
+        calls = count_calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
+        assert self.outcome(capsys, parser.parse_args, argv) == full
+        return len(calls)
+
+    @staticmethod
+    def full_parse(parser):
+        return lambda argv: argparse.ArgumentParser.parse_args(parser, argv)
+
     @pytest.mark.parametrize("argv", [
         ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--mode", "closed"],
         ["verify", "--ring", "zppow", "--p", "3", "--alpha", "2", "--format", "json"],
@@ -547,26 +619,47 @@ class TestParseOnce:
         ["structure", "--ring", "fpxk", "--p", "2", "--k", "3"],
         ["identity", "--max-n", "12"],
     ])
-    def test_one_parse_per_valid_command(self, monkeypatch, argv):
-        parser = cli.build_parser()
-        calls = count_calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
-        assert parser.parse_args(argv).command == argv[0]
-        assert len(calls) == 1  # the command's subparser alone
+    def test_one_parse_per_valid_command(self, monkeypatch, capsys, argv):
+        # an exact-form call is read off its subparser's action table alone
+        assert self.parse_calls(monkeypatch, capsys, argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--ring", "zn", "--n=15", "--graph", "total"],
+        ["compute", "--ring", "zn", "--n", "15", "--gra", "total"],
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--graph", "unit"],
+        ["verify", "--ring", "zn", "--n", "15", "--out", "-"],
+        # refused by argparse, which reports them
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "nope"],
+        ["compute", "--ring", "zn", "--n", "15"],
+        ["compute", "--ring", "zn", "--n", "-15", "--graph", "total"],
+        ["sweep", "--family", "pq", "--max-n"],
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "-h"],
+    ])
+    def test_other_forms_take_one_full_parse(self, monkeypatch, capsys, argv):
+        # the top-level parser, then the command's subparser
+        assert self.parse_calls(monkeypatch, capsys, argv) == 2
+
+    @settings(max_examples=400)
+    @given(table_argv())
+    def test_reader_agrees_with_argparse(self, case):
+        command, argv, exact = case
+        sub = PARSER.commands[command]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                full = vars(argparse.ArgumentParser.parse_args(sub, argv))
+        except SystemExit:
+            full = None
+        read = cli._read_exact(sub, argv)
+        assert read is None or vars(read) == full
+        assert read is not None or not exact
 
     def test_same_outcome_as_the_full_parse(self, capsys):
         parser = cli.build_parser()
-
-        def outcome(parse, argv):
-            try:
-                return vars(parse(argv))
-            except SystemExit as exc:
-                captured = capsys.readouterr()
-                return exc.code, captured.out, captured.err
-
         for argv in test_golden.commands():
             argv = ["out.txt" if a == test_golden.OUT else a for a in argv]
-            full = outcome(lambda a: argparse.ArgumentParser.parse_args(parser, a), argv)
-            assert outcome(parser.parse_args, argv) == full, argv
+            full = self.outcome(capsys, self.full_parse(parser), argv)
+            assert self.outcome(capsys, parser.parse_args, argv) == full, argv
 
     @pytest.mark.parametrize("argv, leftover", [
         (["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--bogus"], "--bogus"),
