@@ -74,6 +74,7 @@ from .verify import (
     regular_circulant,
     structure_sweep,
     sweep,
+    sweep_cases,
     verify_case,
 )
 

@@ -189,37 +189,37 @@ def cmd_compute(args) -> int:
 # verify / sweep / structure / identity
 
 def _write_report(args, write):
-    """write(fh) to --out, or to stdout when --out is absent or "-"."""
+    """write(fh) to --out, or to stdout when --out is absent or "-"; returns
+    what write returns."""
     if args.out in (None, "-"):
-        write(sys.stdout)
-        return
+        return write(sys.stdout)
     with open(args.out, "w", encoding="utf-8") as out:
-        write(out)
+        return write(out)
 
 
-def _write_sweep(args, result) -> int:
-    """The sweep report in --format, built for that format alone."""
-    write = vf.write_sweep_json if args.format == "json" else vf.write_sweep_csv
-    _write_report(args, lambda fh: write(result, fh))
-    return EXIT_OK if result.ok else EXIT_MISMATCH
+def _write_sweep(args, family, max_n, kinds, cases) -> int:
+    """The sweep report of cases in --format, built for that format alone
+    and written as the cases are read; the exit code is its fold's."""
+    ok = _write_report(
+        args, lambda fh: vf.write_sweep(fh, args.format, family, max_n, kinds, cases)
+    )
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
     ring, use_local = _build_ring(args)
+    kinds = _kinds(args.graph)
     cases = tuple(vf.verify_case(ring, kind, use_local_forms=use_local, ceiling=args.ceiling)
-                  for kind in _kinds(args.graph))
-    return _write_sweep(args, vf.SweepResult("single", ring.order, _kinds(args.graph), cases))
+                  for kind in kinds)
+    return _write_sweep(args, "single", ring.order, kinds, cases)
 
 
 def cmd_sweep(args) -> int:
-    result = vf.sweep(
-        args.family,
-        args.max_n,
-        kinds=_kinds(args.graph),
-        workers=args.workers,
-        ceiling=args.ceiling,
-    )
-    return _write_sweep(args, result)
+    kinds = _kinds(args.graph)
+    # checked here, before --out is opened; the cases run as they are written
+    cases = vf.sweep_cases(args.family, args.max_n, kinds, workers=args.workers,
+                           ceiling=args.ceiling)
+    return _write_sweep(args, args.family, args.max_n, kinds, cases)
 
 
 def cmd_structure(args) -> int:

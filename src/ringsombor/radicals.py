@@ -68,6 +68,8 @@ class RadicalSum:
     Fraction(4, 2) and from 2 are the same value, hash and text.
     """
 
+    __slots__ = ("_terms",)
+
     def __init__(self, terms=None):
         tidy: dict[int, int | Fraction] = {}
         if terms:

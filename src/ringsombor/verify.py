@@ -2,20 +2,20 @@
 structural facts, and serialize deterministic reports.
 
 A sweep never aborts on a mismatch: mismatches are findings, recorded and
-carried into the errata report.  Reports are byte-reproducible except for
-the VOLATILE fields (the generated-at header and the per-case micros
-timing); the canonical_* helpers strip those by name so runs can be
-compared.
+carried into the errata report.  Reports are written one record at a time,
+and are byte-reproducible except for the VOLATILE fields (the generated-at
+header and the per-case micros timing); the canonical_* helpers strip those
+by name so runs can be compared.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby, islice
 
 from . import closed_forms as cf
 from .closed_forms import (  # the FORMULA_* labels are re-exported
@@ -174,34 +174,85 @@ def _run_case_spec(case_spec: tuple) -> CaseResult:
 
 
 class SweepResult(namedtuple("SweepResult", "family max_n kinds cases")):
-    """A sweep's CaseResults, sorted by (n, ring, kind).  It has a
-    __dict__, unlike the other result types, to hold records."""
+    """A sweep's CaseResults, sorted by (n, ring, kind)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
 
-    @cached_property
-    def records(self) -> tuple[dict, ...]:
-        """The cases' report records (case_record), built once and shared by
-        the CSV rows and the JSON payload; readers must not change them."""
-        return tuple(map(case_record, self.cases))
-
     def summary(self) -> dict:
-        variants = [v for c in self.cases for v in c.variants]
-        failed = sum(v.failed for v in variants)
-        return {
-            "family": self.family,
-            "max_n": self.max_n,
-            "kinds": list(self.kinds),
-            "cases": len(self.cases),
-            "variant_rows": len(variants),
-            "failed_rows": failed,
-            "printed_mismatch_rows": sum(not v.match for v in variants) - failed,
-            "out_of_hypothesis_outcomes": {
-                f"{c.ring}:{c.kind}": c.ok for c in self.cases if c.family.endswith(PGTQ)
-            },
-        }
+        return _fold(self.cases, self.family, self.max_n, self.kinds).summary
+
+
+def sweep_cases(
+    family: str,
+    max_n: int,
+    kinds=(TOTAL,),
+    *,
+    workers: int = 1,
+    ceiling: int = DEFAULT_CEILING,
+) -> Iterator[CaseResult]:
+    """The cases of every in-family ring of order <= max_n, for each graph
+    kind, in report order (n, ring, kind), run as they are read.
+
+    The arguments are checked at the call, before any case runs: the kinds,
+    the worker count, the family, every ring against the ceiling, and that
+    the sweep is not empty.  The family is enumerated once for that and
+    again, lazily, to run it, so no list of cases is held (a serial sweep
+    makes its case specs _SPEC_BATCH at a time); under workers > 1 the
+    pool's ordered map submits every case at once.
+    """
+    for kind in kinds:
+        if kind not in (TOTAL, UNIT):
+            raise ValueError(f"unknown graph kind {kind!r}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    rings = 0
+    for ring, _ in _family_rings(family, max_n):
+        check_ceiling(ring.order, ring.name, ceiling)
+        rings += 1
+        if max_n <= ceiling and workers == 1:
+            break  # every order is at most max_n, and a serial run needs no case count
+    if not rings * len(kinds):
+        raise EmptySweepError(f"no {family} cases with n <= {max_n}")
+    specs = (
+        (ring, use_local, kind, ceiling)
+        for ring, use_local in _family_rings(family, max_n)
+        for kind in kinds
+    )
+    return _in_report_order(_run_cases(specs, workers, rings * len(kinds)))
+
+
+# Case specs a serial sweep makes at a time.  Making them in one loop, not
+# one between every two cases, cut perfbench sweep-serial's time outside
+# the cases by about 4 ms of its 0.8 s on a 2-vCPU VM.
+_SPEC_BATCH = 64
+
+
+def _run_cases(specs, workers: int, count: int) -> Iterator[CaseResult]:
+    """The CaseResult of each spec, in spec order."""
+    if workers == 1:
+        while batch := list(islice(specs, _SPEC_BATCH)):
+            yield from map(_run_case_spec, batch)
+        return
+    # imported here so that a serial run never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(_run_case_spec, specs, chunksize=max(1, count // (workers * 4)))
+    finally:  # a stream closed early cancels the cases not yet started
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_report_order(cases) -> Iterator[CaseResult]:
+    """cases, given in ascending n, sorted by (n, ring, kind), holding one
+    n's cases at a time: the local family runs Z_{p^a} before F_p[x]/(x^k),
+    and kinds may be given in any order."""
+    for _, same_n in groupby(cases, key=lambda c: c.n):
+        yield from sorted(same_n, key=lambda c: (c.ring, c.kind))
 
 
 def sweep(
@@ -212,34 +263,12 @@ def sweep(
     workers: int = 1,
     ceiling: int = DEFAULT_CEILING,
 ) -> SweepResult:
-    """Verify every in-family ring of order <= max_n, for each graph kind.
-
-    Case execution order is irrelevant: results are sorted by (n, ring,
-    kind) before aggregation, so any worker count yields the same report.
-    Every ring is checked against the ceiling before any case runs.
-    """
-    for kind in kinds:
-        if kind not in (TOTAL, UNIT):
-            raise ValueError(f"unknown graph kind {kind!r}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    case_specs = []
-    for ring, use_local in _family_rings(family, max_n):
-        check_ceiling(ring.order, ring.name, ceiling)
-        case_specs += [(ring, use_local, kind, ceiling) for kind in kinds]
-    if not case_specs:
-        raise EmptySweepError(f"no {family} cases with n <= {max_n}")
-    if workers == 1:
-        results = [_run_case_spec(cs) for cs in case_specs]
-    else:
-        # imported here so that a serial run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(case_specs) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_case_spec, case_specs, chunksize=chunk))
-    results.sort(key=lambda c: (c.n, c.ring, c.kind))
-    return SweepResult(family, max_n, tuple(kinds), tuple(results))
+    """sweep_cases, held: every in-family ring of order <= max_n, for each
+    graph kind, sorted by (n, ring, kind), so any worker count yields the
+    same report.  Every ring is checked against the ceiling before any case
+    runs."""
+    cases = sweep_cases(family, max_n, kinds, workers=workers, ceiling=ceiling)
+    return SweepResult(family, max_n, tuple(kinds), tuple(cases))
 
 
 # ----------------------------------------------------------------------
@@ -412,27 +441,85 @@ ErrataEntry = namedtuple(
 )
 
 
+class SweepFold:
+    """A sweep report's running totals, updated by add(case) as each case
+    is written.  summary is the report's summary dict itself, its counts
+    current after each add; errata() cites the smallest (n, ring, kind)
+    counterexample seen so far of each printed formula."""
+
+    __slots__ = ("summary", "_errata")
+
+    def __init__(self, family, max_n, kinds):
+        self.summary = {
+            "family": family,
+            "max_n": max_n,
+            "kinds": list(kinds),
+            "cases": 0,
+            "variant_rows": 0,
+            "failed_rows": 0,
+            "printed_mismatch_rows": 0,
+            "out_of_hypothesis_outcomes": {},
+        }
+        self._errata: dict[str, tuple] = {}  # label: (key, case, variant)
+
+    def add(self, case: CaseResult) -> CaseResult:
+        """Count case in, and return it."""
+        summary = self.summary
+        failed = 0
+        for v in case.variants:
+            if v.match:
+                continue
+            if v.failed:
+                failed += 1
+                continue
+            summary["printed_mismatch_rows"] += 1
+            label = ERRATA[case.family.removesuffix(PGTQ)][0]
+            key = (case.n, case.ring, case.kind)
+            if label not in self._errata or key < self._errata[label][0]:
+                self._errata[label] = (key, case, v)
+        summary["cases"] += 1
+        summary["variant_rows"] += len(case.variants)
+        summary["failed_rows"] += failed
+        if case.family.endswith(PGTQ):
+            summary["out_of_hypothesis_outcomes"][f"{case.ring}:{case.kind}"] = not failed
+        return case
+
+    def errata(self) -> list[ErrataEntry]:
+        """One entry per printed formula that mismatched the oracle (a
+        variant that neither matched nor failed), by label."""
+        out = []
+        for label in sorted(self._errata):
+            _, case, v = self._errata[label]
+            out.append(ErrataEntry(
+                formula=label,
+                printed_expression=ERRATA[case.family.removesuffix(PGTQ)][1],
+                ring=case.ring,
+                n=case.n,
+                kind=case.kind,
+                printed_value=v.closed_value.render(),
+                oracle_value=case.oracle_value.render(),
+            ))
+        return out
+
+    def errata_records(self) -> Iterator[dict]:
+        """The errata as report records.  A generator, so they are read
+        when it is, after the cases it follows in the report."""
+        for entry in self.errata():
+            yield entry._asdict()
+
+
+def _fold(cases, family=None, max_n=None, kinds=()) -> SweepFold:
+    fold = SweepFold(family, max_n, kinds)
+    for case in cases:
+        fold.add(case)
+    return fold
+
+
 def errata_report(cases) -> list[ErrataEntry]:
     """One entry per printed formula that mismatched the oracle somewhere in
     the supplied results (a variant that neither matched nor failed), citing
     the smallest counterexample.  Empty when every printed formula matched."""
-    found: dict[str, ErrataEntry] = {}
-    for case in sorted(cases, key=lambda c: (c.n, c.ring, c.kind)):
-        for v in case.variants:
-            if v.match or v.failed:
-                continue
-            label, expression = ERRATA[case.family.removesuffix(PGTQ)]
-            if label not in found:
-                found[label] = ErrataEntry(
-                    formula=label,
-                    printed_expression=expression,
-                    ring=case.ring,
-                    n=case.n,
-                    kind=case.kind,
-                    printed_value=v.closed_value.render(),
-                    oracle_value=case.oracle_value.render(),
-                )
-    return [found[label] for label in sorted(found)]
+    return _fold(cases).errata()
 
 
 # ----------------------------------------------------------------------
@@ -470,17 +557,43 @@ def write_csv_rows(fh, header, rows):
         fh.write(",".join(_cell(row[col]) for col in header) + "\n")
 
 
+# The one JSON encoder of every report: write_json calls it once per value.
+_ENCODE = json.JSONEncoder(indent=2, sort_keys=True).encode
+
+
+def write_json(fh, payload: dict):
+    """Write json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for
+    byte, one top-level value at a time and each item of a list value on
+    its own, so that a list value may be an iterator, read once and never
+    held.  payload's keys are strings; its values are read in key order."""
+    fh.write("{")
+    sep = "\n  "
+    for key in sorted(payload):
+        value = payload[key]
+        fh.write(f"{sep}{_ENCODE(key)}: ")
+        sep = ",\n  "
+        if isinstance(value, (list, Iterator)):
+            mark = "[\n    "
+            for item in value:
+                fh.write(mark + _ENCODE(item).replace("\n", "\n    "))
+                mark = ",\n    "
+            fh.write("[]" if mark == "[\n    " else "\n  ]")
+        else:
+            fh.write(_ENCODE(value).replace("\n", "\n  "))
+    fh.write("\n}\n" if payload else "}\n")
+
+
 def write_report(fh, fmt: str, header, rows, payload: dict | None = None):
-    """A report in fmt "csv" or "json".  CSV is a generated-at comment line
-    and then write_csv_rows; JSON is payload (by default {"cases": rows})
-    plus generated_at, with sorted keys."""
+    """A report in fmt "csv" or "json", written one row or record at a
+    time.  CSV is a generated-at comment line and then write_csv_rows; JSON
+    is payload (by default {"cases": rows}) plus generated_at, with sorted
+    keys (write_json)."""
     if fmt == "csv":
         fh.write(f"# generated-at: {_timestamp()}\n")
         write_csv_rows(fh, header, rows)
     else:
         body = {"cases": rows} if payload is None else payload
-        fh.write(json.dumps({"generated_at": _timestamp(), **body}, indent=2, sort_keys=True)
-                 + "\n")
+        write_json(fh, {"generated_at": _timestamp(), **body})
 
 
 def partition_payload(part: EdgePartition | None):
@@ -515,32 +628,52 @@ def case_record(c: CaseResult) -> dict:
 _ORACLE_ONLY = {"variant": "oracle", "closed_exact": None, "match": "na"}
 
 
-def sweep_rows(records) -> list[dict]:
+def sweep_rows(records) -> Iterator[dict]:
     """The case records spread into one row per variant, with the oracle
     partition's fields as columns; an oracle-only case gets one row with
     variant "oracle" and match "na".  The records are left unchanged."""
-    rows = []
     for record in records:
         base = {k: v for k, v in record.items() if k not in ("variants", "oracle_partition")}
         base.update(record["oracle_partition"])
-        rows += [{**base, **v} for v in record["variants"] or [_ORACLE_ONLY]]
-    return rows
+        for v in record["variants"] or [_ORACLE_ONLY]:
+            yield {**base, **v}
+
+
+def _sweep_payload(fold: SweepFold, records) -> dict:
+    """The JSON sweep report's payload: its summary and errata are fold's,
+    complete once the records, made from the cases folded, are read."""
+    return {"summary": fold.summary, "cases": records, "errata": fold.errata_records()}
 
 
 def sweep_payload(result: SweepResult) -> dict:
-    return {
-        "summary": result.summary(),
-        "cases": list(result.records),
-        "errata": [e._asdict() for e in errata_report(result.cases)],
-    }
+    """The JSON sweep report's payload with its lists held."""
+    fold = SweepFold(*result[:3])
+    payload = _sweep_payload(fold, [case_record(fold.add(c)) for c in result.cases])
+    payload["errata"] = list(payload["errata"])
+    return payload
+
+
+def write_sweep(fh, fmt: str, family, max_n, kinds, cases) -> bool:
+    """The sweep report of cases, read once in report order (n, ring, kind)
+    and written one record at a time: fmt "csv" is its rows (sweep_rows),
+    "json" its payload of summary, cases and errata.  No record is held
+    past its writing, so a report stopped part-way holds the records
+    written so far.  True when no variant failed."""
+    fold = SweepFold(family, max_n, kinds)
+    records = map(case_record, map(fold.add, cases))
+    if fmt == "csv":
+        write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(records))
+    else:
+        write_report(fh, "json", SWEEP_COLUMNS, None, _sweep_payload(fold, records))
+    return not fold.summary["failed_rows"]
 
 
 def write_sweep_csv(result: SweepResult, fh):
-    write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(result.records))
+    write_sweep(fh, "csv", *result)
 
 
 def write_sweep_json(result: SweepResult, fh):
-    write_report(fh, "json", SWEEP_COLUMNS, None, sweep_payload(result))
+    write_sweep(fh, "json", *result)
 
 
 def structure_rows(results) -> list[dict]:
@@ -558,9 +691,17 @@ def identity_rows(results) -> list[dict]:
 def canonical_csv_body(text: str) -> str:
     """CSV report text minus the generated-at comment line and the VOLATILE
     columns, for determinism comparisons across runs and worker counts."""
-    lines = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
-    keep = [i for i, col in enumerate(lines[0] if lines else ()) if col not in VOLATILE]
-    return "\n".join(",".join(fields[i] for i in keep) for fields in lines) + "\n"
+    out = io.StringIO()
+    keep = None
+    for line in io.StringIO(text, newline=None):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if keep is None:
+            keep = [i for i, col in enumerate(fields) if col not in VOLATILE]
+        out.write(",".join(fields[i] for i in keep) + "\n")
+    return out.getvalue() or "\n"
 
 
 def canonical_json_body(text: str) -> str:
@@ -569,4 +710,6 @@ def canonical_json_body(text: str) -> str:
     for record in (payload, *payload.get("cases", ())):
         for name in VOLATILE:
             record.pop(name, None)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    write_json(out, payload)
+    return out.getvalue()

@@ -70,10 +70,10 @@ MUTANTS = {
         "return any(q % 2 for q, _ in self.local_factors)",
         ("test_rings.py::TestZnRing::test_matches_definition",),
     ),
-    "I errata_report counts failed variants as errata": (
+    "I SweepFold.add counts failed variants as printed mismatches and errata": (
         "verify.py",
-        "if v.match or v.failed:",
-        "if v.match:",
+        "                failed += 1\n                continue\n",
+        "                failed += 1\n",
         ("test_cli.py::TestVerdict::test_failure_is_counted_and_is_no_erratum",),
     ),
     "J local forms: an ideal size s = q^k * r let through": (
@@ -327,6 +327,38 @@ MUTANTS = {
         "if action is None or action.dest in values:",
         "if action is None:",
         ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv2]",),
+    ),
+    "BA SweepFold.add: the errata keep the last counterexample, not the smallest": (
+        "verify.py",
+        "if label not in self._errata or key < self._errata[label][0]:",
+        "if True:",
+        ("test_verify.py::TestStreamedSweep::test_errata_cite_the_smallest_case_in_any_order",),
+    ),
+    "BB SweepFold.add: printed_mismatch_rows counts the failed rows too": (
+        "verify.py",
+        "            if v.failed:\n                failed += 1\n                continue\n"
+        '            summary["printed_mismatch_rows"] += 1\n',
+        '            summary["printed_mismatch_rows"] += 1\n'
+        "            if v.failed:\n                failed += 1\n                continue\n",
+        ("test_cli.py::TestVerdict::test_failure_is_counted_and_is_no_erratum",),
+    ),
+    "BC write_json: a list item re-indented by 2 spaces, not 4": (
+        "verify.py",
+        '_ENCODE(item).replace("\\n", "\\n    ")',
+        '_ENCODE(item).replace("\\n", "\\n  ")',
+        ("test_verify.py::TestWriteJson::test_equals_json_dumps",),
+    ),
+    "BD _in_report_order: one n's cases passed on in run order, unsorted": (
+        "verify.py",
+        "yield from sorted(same_n, key=lambda c: (c.ring, c.kind))",
+        "yield from same_n",
+        ("test_verify.py::TestStreamedSweep::test_local_streams_f_before_z_at_each_n[1]",),
+    ),
+    "BE cmd_sweep: the sweep checked as it runs, after --out is opened": (
+        "cli.py",
+        "cases = vf.sweep_cases(",
+        "cases = (lambda *a, **k: (c for _ in [0] for c in vf.sweep_cases(*a, **k)))(",
+        ("test_cli.py::TestSweepStream::test_errors_exit_2_before_out_is_opened[csv-empty]",),
     ),
 }
 

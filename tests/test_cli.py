@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from ringsombor import rings
 from ringsombor import verify as vf
 from ringsombor.cli import main
 from ringsombor.graphs import TOTAL, UNIT, EdgePartition, degree_pair
+from ringsombor.radicals import RadicalSum
 from ringsombor.rings import PSI_13, ZnRing, euler_phi
 from ringsombor.verify import canonical_csv_body
 
@@ -407,11 +409,66 @@ class TestSweepCommand:
     ], ids=["sweep", "verify"])
     @pytest.mark.parametrize("fmt, calls", [("csv", [1, 0, 0]), ("json", [0, 1, 1])])
     def test_report_built_for_its_format_alone(self, monkeypatch, capsys, command, fmt, calls):
-        built = [count_calls(monkeypatch, vf, name)
-                 for name in ("sweep_rows", "sweep_payload", "errata_report")]
+        # a CSV report builds no JSON payload and no errata, a JSON report no
+        # CSV rows
+        built = [count_calls(monkeypatch, owner, name) for owner, name in (
+            (vf, "sweep_rows"), (vf, "write_json"), (vf.SweepFold, "errata"))]
         assert main([*command, "--format", fmt]) == 0
         assert list(map(len, built)) == calls
         assert capsys.readouterr().out
+
+
+def canned_case(ring, kind, *, use_local_forms=False, ceiling=None):
+    """A fresh CaseResult for ring, as an even ring's, with no graph read."""
+    value = RadicalSum({2: ring.order})
+    part = EdgePartition(ring.order, 0, 0)
+    variant = vf.VariantResult(cf.UNIQUE, value, part, True, True)
+    return vf.CaseResult(ring.name, ring.order, kind, "even", value, part, (variant,), 1)
+
+
+class TestSweepStream:
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "p2q", "--max-n", "10"], "no p2q cases with n <= 10"),
+        (["--family", "pq", "--max-n", "300", "--ceiling", "100"],
+         "Z_111 has 111 elements, above the ceiling 100"),
+        (["--family", "pq", "--max-n", "40", "--workers", "0"],
+         f"workers must be in 1..{vf.MAX_WORKERS}, got 0"),
+        (["--family", "pq", "--max-n", "40", "--workers", str(vf.MAX_WORKERS + 1)],
+         f"workers must be in 1..{vf.MAX_WORKERS}, got {vf.MAX_WORKERS + 1}"),
+    ], ids=["empty", "ceiling", "workers-0", "workers-above"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_errors_exit_2_before_out_is_opened(self, tmp_path, capsys, flags, message, fmt):
+        out = tmp_path / "report"
+        assert main(["sweep", *flags, "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_out_exits_4(self, capsys, fmt):
+        assert main(["sweep", "--family", "pq", "--max-n", "40", "--format", fmt,
+                     "--out", "/nonexistent-dir/x.csv"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_peak_does_not_grow_with_the_case_count(self, monkeypatch):
+        monkeypatch.setattr(vf, "verify_case", canned_case)
+
+        def run(max_n):
+            return main(["sweep", "--family", "even", "--max-n", str(max_n), "--graph", "both",
+                         "--format", "json", "--out", os.devnull])
+
+        assert run(2400) == 0  # factorize's cache filled before tracing
+        peaks = {}
+        for max_n in (600, 2400):
+            tracemalloc.start()
+            try:
+                assert run(max_n) == 0
+                peaks[max_n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 600 and 2400 cases.  A report held whole peaks about 6 KB a case
+        # higher here; streamed, the peaks differ by the interpreter's
+        # free lists and garbage collector, under 200 KB.
+        assert peaks[2400] < peaks[600] + (512 << 10), peaks
 
 
 class TestStructureCommand:

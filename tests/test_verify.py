@@ -6,7 +6,7 @@ import pickle
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from held import held, held_graph
@@ -38,9 +38,12 @@ from ringsombor.verify import (
     structure_rows,
     structure_sweep,
     sweep,
+    sweep_cases,
     sweep_payload,
     verify_case,
+    write_json,
     write_report,
+    write_sweep,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -593,7 +596,6 @@ class TestResultTypes:
                           (check_structure(ZnRing(9)), "n"), (identity_sweep(4)[0], "k")):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
-        assert result.records is result.records  # cached in the instance __dict__
 
 
 class TestReports:
@@ -659,20 +661,22 @@ class TestReports:
         assert {row["variant"] for row in csv_rows} == {UNIQUE, PRINTED, CORRECTED, "oracle"}
         assert sum(row["match"] == "false" for row in csv_rows) > 0
 
-    def test_csv_and_json_render_each_value_once(self, monkeypatch):
+    def test_each_writer_renders_each_value_once(self, monkeypatch):
         result = sweep("pq", 60, kinds=(TOTAL, UNIT))
         rendered = []
         render = RadicalSum.render
         monkeypatch.setattr(RadicalSum, "render",
                             lambda self: rendered.append(self) or render(self))
-        json_first, csv_buf, json_again = io.StringIO(), io.StringIO(), io.StringIO()
-        write_sweep_json(result, json_first)
-        write_sweep_csv(result, csv_buf)
-        write_sweep_json(result, json_again)
-        assert len(rendered) == sum(1 + len(c.variants) for c in result.cases)
-        # the CSV rows leave the shared records as the JSON report reads them
-        assert canonical_json_body(json_again.getvalue()) == canonical_json_body(
-            json_first.getvalue())
+        values = sum(1 + len(c.variants) for c in result.cases)
+        texts = []
+        for write in (write_sweep_json, write_sweep_csv, write_sweep_json):
+            buf = io.StringIO()
+            write(result, buf)
+            assert len(rendered) == values
+            rendered.clear()
+            texts.append(buf.getvalue())
+        # the CSV rows leave the records as the JSON report reads them
+        assert canonical_json_body(texts[2]) == canonical_json_body(texts[0])
 
     def test_canonical_bodies_strip_volatile_fields(self):
         result = sweep("pq", 40, kinds=(TOTAL,))
@@ -685,7 +689,7 @@ class TestReports:
         p1 = json.dumps(sweep_payload(result))
         assert "generated_at" not in canonical_json_body(p1)
 
-    def test_json_report_is_one_write(self):
+    def test_writes_per_report_bounded_per_record(self):
         class Writes(io.StringIO):
             calls = 0
 
@@ -694,11 +698,17 @@ class TestReports:
                 return super().write(text)
 
         result = sweep("pq", 60, kinds=(TOTAL, UNIT))
-        buf = Writes()
-        write_sweep_json(result, buf)
-        assert buf.calls == 1
-        assert buf.getvalue().endswith("}\n")
-        assert json.loads(buf.getvalue())["cases"] == sweep_payload(result)["cases"]
+        rows = sum(len(c.variants) or 1 for c in result.cases)
+        texts = {}
+        for write, records, end in ((write_sweep_json, len(result.cases), "}\n"),
+                                    (write_sweep_csv, rows, "\n")):
+            buf = Writes()
+            write(result, buf)
+            # one write per case record or CSV row, and a few for the rest
+            assert records < buf.calls <= records + 16
+            assert buf.getvalue().endswith(end)
+            texts[write] = buf.getvalue()
+        assert json.loads(texts[write_sweep_json])["cases"] == sweep_payload(result)["cases"]
 
     def test_canonical_csv_keeps_structure_columns(self):
         buf = io.StringIO()
@@ -709,3 +719,127 @@ class TestReports:
             "3,Z_3,true,true,true,true\n"
             "4,Z_4,true,true,true,true\n"
         )
+
+
+# ----------------------------------------------------------------------
+# Streamed reports
+
+# JSON values: scalars (non-ASCII text included) nested in lists and dicts,
+# empty ones included.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestWriteJson:
+    @given(payload=st.dictionaries(st.text(max_size=6), json_values, max_size=5),
+           as_iterators=st.lists(st.booleans(), min_size=5, max_size=5))
+    @example(payload={"cases": [{"n": 2, "v": [1, {}]}, [], [[]]], "errata": [], "é": None},
+             as_iterators=[True] * 5)
+    @example(payload={}, as_iterators=[False] * 5)
+    def test_equals_json_dumps(self, payload, as_iterators):
+        given_payload = {
+            key: iter(value) if isinstance(value, list) and as_iter else value
+            for (key, value), as_iter in zip(sorted(payload.items()), as_iterators)
+        }
+        buf = io.StringIO()
+        write_json(buf, given_payload)
+        assert buf.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_reads_the_values_in_key_order(self):
+        # a sweep's errata and summary are complete once its cases are read
+        read = []
+
+        def items(key):
+            read.append(key)
+            yield key
+
+        buf = io.StringIO()
+        write_json(buf, {"b": items("b"), "a": items("a")})
+        assert read == ["a", "b"] and json.loads(buf.getvalue()) == {"a": ["a"], "b": ["b"]}
+
+
+# The golden sweeps (tests/test_golden.py), both graphs.
+GOLDEN_SWEEPS = [("even", 40), ("ppow", 130), ("pq", 120), ("p2q", 200),
+                 ("local", 64), ("localzn", 64), ("localpoly", 64)]
+
+
+def held_summary(result) -> dict:
+    """A sweep's summary read off its held cases, as a list of variants."""
+    variants = [v for c in result.cases for v in c.variants]
+    failed = sum(v.failed for v in variants)
+    return {
+        "family": result.family,
+        "max_n": result.max_n,
+        "kinds": list(result.kinds),
+        "cases": len(result.cases),
+        "variant_rows": len(variants),
+        "failed_rows": failed,
+        "printed_mismatch_rows": sum(not v.match for v in variants) - failed,
+        "out_of_hypothesis_outcomes": {
+            f"{c.ring}:{c.kind}": c.ok for c in result.cases if c.family.endswith("_pgtq")
+        },
+    }
+
+
+def held_errata(cases) -> list[dict]:
+    """The first printed mismatch of each formula among the sorted cases."""
+    found = {}
+    for case in sorted(cases, key=lambda c: (c.n, c.ring, c.kind)):
+        for v in case.variants:
+            if not v.match and not v.failed:
+                label, expression = verify.ERRATA[case.family.removesuffix("_pgtq")]
+                found.setdefault(label, {
+                    "formula": label, "printed_expression": expression, "ring": case.ring,
+                    "n": case.n, "kind": case.kind, "printed_value": v.closed_value.render(),
+                    "oracle_value": case.oracle_value.render(),
+                })
+    return [found[label] for label in sorted(found)]
+
+
+class TestStreamedSweep:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("family, max_n", GOLDEN_SWEEPS)
+    def test_folds_equal_the_held_summary_and_errata(self, family, max_n, workers):
+        kinds = (TOTAL, UNIT)
+        held = sweep(family, max_n, kinds)
+        buf = io.StringIO()
+        ok = write_sweep(buf, "json", family, max_n, kinds,
+                         sweep_cases(family, max_n, kinds, workers=workers))
+        report = json.loads(buf.getvalue())
+        assert report["summary"] == held_summary(held) == held.summary()
+        assert report["errata"] == held_errata(held.cases)
+        assert ok == held.ok
+        assert canonical_json_body(buf.getvalue()) == canonical_json_body(
+            json.dumps(sweep_payload(held)))
+
+    def test_errata_cite_the_smallest_case_in_any_order(self):
+        cases = sweep("ppow", 130, kinds=(TOTAL, UNIT)).cases + sweep(
+            "p2q", 200, kinds=(UNIT,)).cases
+        entries = errata_report(reversed(cases))
+        assert entries == errata_report(cases)
+        assert [e._asdict() for e in entries] == held_errata(cases)
+        assert {e.formula: e.ring for e in entries} == {
+            FORMULA_UNIT_PPOW: "Z_3", FORMULA_UNIT_P2Q_EDGES: "Z_45"}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_local_streams_f_before_z_at_each_n(self, workers):
+        # the local family runs Z_{p^a} first, and the kinds come out of order
+        cases = list(sweep_cases("local", 64, (UNIT, TOTAL), workers=workers))
+        keys = [(c.n, c.ring, c.kind) for c in cases]
+        assert keys == sorted(keys)
+        assert keys[:4] == [(2, "F_2[x]/(x^1)", TOTAL), (2, "F_2[x]/(x^1)", UNIT),
+                            (2, "Z_2", TOTAL), (2, "Z_2", UNIT)]
+        held = sweep("local", 64, (UNIT, TOTAL), workers=workers).cases
+        assert [(c.n, c.ring, c.kind) for c in held] == keys
+
+    def test_cases_run_as_they_are_read(self, monkeypatch):
+        calls = count_calls(monkeypatch, "verify_case")
+        cases = sweep_cases("pq", 100, (TOTAL, UNIT))
+        assert calls == []
+        first = next(cases)
+        # Z_15's two cases, and Z_21's first, which ends the cases at n = 15
+        assert (first.ring, first.kind) == ("Z_15", TOTAL) and len(calls) == 3
