@@ -15,7 +15,7 @@ import json
 import time
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 
 from . import closed_forms as cf
 from .closed_forms import (  # the FORMULA_* labels are re-exported
@@ -154,16 +154,17 @@ def verify_case(
 
 def _family_rings(family: str, max_n: int) -> Iterator[tuple[FiniteRing, bool]]:
     """(ring, use_local_forms) for every ring of the family with order <= max_n,
-    in ascending order."""
+    in report order: ascending n, and at a prime power F_p[x]/(x^k) before
+    Z_{p^a}, as their names sort."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     for mod in moduli(max_n):
         if family in (LOCAL, LOCALZN, LOCALPOLY):
             if mod.is_prime_power:
-                if family != LOCALPOLY:
-                    yield ZnRing(mod.n), True
                 if family != LOCALZN:
                     yield TruncatedPolyRing(*mod.factors[0]), True
+                if family != LOCALPOLY:
+                    yield ZnRing(mod.n), True
         elif classify(mod).kind == family:
             yield ZnRing(mod.n), False
 
@@ -173,17 +174,8 @@ def _run_case_spec(case_spec: tuple) -> CaseResult:
     return verify_case(ring, kind, use_local_forms=use_local, ceiling=ceiling)
 
 
-class SweepResult(namedtuple("SweepResult", "family max_n kinds cases")):
-    """A sweep's CaseResults, sorted by (n, ring, kind)."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
-
-    def summary(self) -> dict:
-        return _fold(self.cases, self.family, self.max_n, self.kinds).summary
+# A held sweep: its CaseResults in report order (n, ring, kind).
+SweepResult = namedtuple("SweepResult", "family max_n kinds cases")
 
 
 def sweep_cases(
@@ -195,7 +187,9 @@ def sweep_cases(
     ceiling: int = DEFAULT_CEILING,
 ) -> Iterator[CaseResult]:
     """The cases of every in-family ring of order <= max_n, for each graph
-    kind, in report order (n, ring, kind), run as they are read.
+    kind, run as they are read.  They come in report order (n, ring, kind)
+    as they are made: _family_rings gives the rings in that order, and the
+    kinds are taken sorted.
 
     The arguments are checked at the call, before any case runs: the kinds,
     the worker count, the family, every ring against the ceiling, and that
@@ -220,9 +214,9 @@ def sweep_cases(
     specs = (
         (ring, use_local, kind, ceiling)
         for ring, use_local in _family_rings(family, max_n)
-        for kind in kinds
+        for kind in sorted(kinds)
     )
-    return _in_report_order(_run_cases(specs, workers, rings * len(kinds)))
+    return _run_cases(specs, workers, rings * len(kinds))
 
 
 # Case specs a serial sweep makes at a time.  Making them in one loop, not
@@ -247,14 +241,6 @@ def _run_cases(specs, workers: int, count: int) -> Iterator[CaseResult]:
         pool.shutdown(cancel_futures=True)
 
 
-def _in_report_order(cases) -> Iterator[CaseResult]:
-    """cases, given in ascending n, sorted by (n, ring, kind), holding one
-    n's cases at a time: the local family runs Z_{p^a} before F_p[x]/(x^k),
-    and kinds may be given in any order."""
-    for _, same_n in groupby(cases, key=lambda c: c.n):
-        yield from sorted(same_n, key=lambda c: (c.ring, c.kind))
-
-
 def sweep(
     family: str,
     max_n: int,
@@ -264,9 +250,9 @@ def sweep(
     ceiling: int = DEFAULT_CEILING,
 ) -> SweepResult:
     """sweep_cases, held: every in-family ring of order <= max_n, for each
-    graph kind, sorted by (n, ring, kind), so any worker count yields the
-    same report.  Every ring is checked against the ceiling before any case
-    runs."""
+    graph kind, in report order (n, ring, kind), so any worker count yields
+    the same report.  Every ring is checked against the ceiling before any
+    case runs."""
     cases = sweep_cases(family, max_n, kinds, workers=workers, ceiling=ceiling)
     return SweepResult(family, max_n, tuple(kinds), tuple(cases))
 
@@ -402,8 +388,7 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     if circulant_max < 0:
         raise ValueError(f"circulant_max must be at least 0, got {circulant_max}")
     largest = min(circulant_max, max_n)
-    if largest > DEFAULT_CEILING:
-        check_ceiling(largest, f"Z_{largest}", DEFAULT_CEILING)
+    check_ceiling(largest, f"Z_{largest}", DEFAULT_CEILING)
     if max_n > IDENTITY_MAX_N:
         raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")
     out = []
@@ -484,13 +469,13 @@ class SweepFold:
             summary["out_of_hypothesis_outcomes"][f"{case.ring}:{case.kind}"] = not failed
         return case
 
-    def errata(self) -> list[ErrataEntry]:
+    def errata(self) -> Iterator[ErrataEntry]:
         """One entry per printed formula that mismatched the oracle (a
-        variant that neither matched nor failed), by label."""
-        out = []
+        variant that neither matched nor failed), by label.  A generator, so
+        a report reads them when it reads it, after the cases they follow."""
         for label in sorted(self._errata):
             _, case, v = self._errata[label]
-            out.append(ErrataEntry(
+            yield ErrataEntry(
                 formula=label,
                 printed_expression=ERRATA[case.family.removesuffix(PGTQ)][1],
                 ring=case.ring,
@@ -498,28 +483,17 @@ class SweepFold:
                 kind=case.kind,
                 printed_value=v.closed_value.render(),
                 oracle_value=case.oracle_value.render(),
-            ))
-        return out
-
-    def errata_records(self) -> Iterator[dict]:
-        """The errata as report records.  A generator, so they are read
-        when it is, after the cases it follows in the report."""
-        for entry in self.errata():
-            yield entry._asdict()
-
-
-def _fold(cases, family=None, max_n=None, kinds=()) -> SweepFold:
-    fold = SweepFold(family, max_n, kinds)
-    for case in cases:
-        fold.add(case)
-    return fold
+            )
 
 
 def errata_report(cases) -> list[ErrataEntry]:
     """One entry per printed formula that mismatched the oracle somewhere in
     the supplied results (a variant that neither matched nor failed), citing
     the smallest counterexample.  Empty when every printed formula matched."""
-    return _fold(cases).errata()
+    fold = SweepFold(None, None, ())
+    for case in cases:
+        fold.add(case)
+    return list(fold.errata())
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +507,7 @@ SWEEP_COLUMNS = (
     "closed_exact", "oracle_exact", "match", "micros",
 )
 STRUCTURE_COLUMNS = ("n", "ring", "local", "zdiv_complete", "degrees_ok", "duality_ok")
-IDENTITY_COLUMNS = ("n", "k", "residual_zero", "circulant_checked", "circulant_match")
+IDENTITY_COLUMNS = IdentityCase._fields
 
 
 def _timestamp() -> str:
@@ -639,20 +613,6 @@ def sweep_rows(records) -> Iterator[dict]:
             yield {**base, **v}
 
 
-def _sweep_payload(fold: SweepFold, records) -> dict:
-    """The JSON sweep report's payload: its summary and errata are fold's,
-    complete once the records, made from the cases folded, are read."""
-    return {"summary": fold.summary, "cases": records, "errata": fold.errata_records()}
-
-
-def sweep_payload(result: SweepResult) -> dict:
-    """The JSON sweep report's payload with its lists held."""
-    fold = SweepFold(*result[:3])
-    payload = _sweep_payload(fold, [case_record(fold.add(c)) for c in result.cases])
-    payload["errata"] = list(payload["errata"])
-    return payload
-
-
 def write_sweep(fh, fmt: str, family, max_n, kinds, cases) -> bool:
     """The sweep report of cases, read once in report order (n, ring, kind)
     and written one record at a time: fmt "csv" is its rows (sweep_rows),
@@ -664,7 +624,10 @@ def write_sweep(fh, fmt: str, family, max_n, kinds, cases) -> bool:
     if fmt == "csv":
         write_report(fh, "csv", SWEEP_COLUMNS, sweep_rows(records))
     else:
-        write_report(fh, "json", SWEEP_COLUMNS, None, _sweep_payload(fold, records))
+        # fold's summary and errata are complete once the records are read
+        errata = map(ErrataEntry._asdict, fold.errata())
+        payload = {"summary": fold.summary, "cases": records, "errata": errata}
+        write_report(fh, "json", SWEEP_COLUMNS, None, payload)
     return not fold.summary["failed_rows"]
 
 
@@ -680,7 +643,7 @@ def structure_rows(results) -> list[dict]:
     return [
         {"n": r.n, "ring": r.ring, "local": r.is_local, "zdiv_complete": r.zdiv_complete,
          "degrees_ok": r.degrees_ok, "duality_ok": r.duality_ok}
-        for r in sorted(results, key=lambda r: (r.n, r.ring))
+        for r in results
     ]
 
 

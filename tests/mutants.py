@@ -348,17 +348,36 @@ MUTANTS = {
         '_ENCODE(item).replace("\\n", "\\n  ")',
         ("test_verify.py::TestWriteJson::test_equals_json_dumps",),
     ),
-    "BD _in_report_order: one n's cases passed on in run order, unsorted": (
-        "verify.py",
-        "yield from sorted(same_n, key=lambda c: (c.ring, c.kind))",
-        "yield from same_n",
-        ("test_verify.py::TestStreamedSweep::test_local_streams_f_before_z_at_each_n[1]",),
-    ),
     "BE cmd_sweep: the sweep checked as it runs, after --out is opened": (
         "cli.py",
         "cases = vf.sweep_cases(",
         "cases = (lambda *a, **k: (c for _ in [0] for c in vf.sweep_cases(*a, **k)))(",
         ("test_cli.py::TestSweepStream::test_errors_exit_2_before_out_is_opened[csv-empty]",),
+    ),
+    "BF _family_rings: Z_{p^a} enumerated before F_p[x]/(x^k)": (
+        "verify.py",
+        "                if family != LOCALZN:\n"
+        "                    yield TruncatedPolyRing(*mod.factors[0]), True\n"
+        "                if family != LOCALPOLY:\n"
+        "                    yield ZnRing(mod.n), True\n",
+        "                if family != LOCALPOLY:\n"
+        "                    yield ZnRing(mod.n), True\n"
+        "                if family != LOCALZN:\n"
+        "                    yield TruncatedPolyRing(*mod.factors[0]), True\n",
+        ("test_verify.py::TestStreamedSweep::test_local_streams_f_before_z_at_each_n[1]",),
+    ),
+    "BG sweep_cases: the kinds taken in the order given, not sorted": (
+        "verify.py",
+        "for kind in sorted(kinds)",
+        "for kind in kinds",
+        ("test_verify.py::TestStreamedSweep::test_local_streams_f_before_z_at_each_n[1]",),
+    ),
+    "BH write_sweep: the errata read before the cases they follow": (
+        "verify.py",
+        "errata = map(ErrataEntry._asdict, fold.errata())",
+        "errata = list(map(ErrataEntry._asdict, fold.errata()))",
+        ("test_verify.py::TestStreamedSweep::"
+         "test_folds_equal_the_held_summary_and_errata[ppow-130-1]",),
     ),
 }
 

@@ -5,7 +5,6 @@ partitions compare componentwise.  Run with -s to watch the PASS lines.
 """
 
 import io
-import json
 import random
 from fractions import Fraction
 
@@ -20,8 +19,8 @@ from ringsombor.verify import (
     identity_sweep,
     structure_sweep,
     sweep,
-    sweep_payload,
     write_sweep_csv,
+    write_sweep_json,
 )
 
 
@@ -152,13 +151,14 @@ def test_criterion_7_complement_identity():
 def test_criterion_8_determinism_and_round_trip():
     seq = sweep("pq", 400, kinds=(TOTAL, UNIT), workers=1)
     par = sweep("pq", 400, kinds=(TOTAL, UNIT), workers=8)
-    buf_seq, buf_par = io.StringIO(), io.StringIO()
-    write_sweep_csv(seq, buf_seq)
-    write_sweep_csv(par, buf_par)
-    csv_same = canonical_csv_body(buf_seq.getvalue()) == canonical_csv_body(buf_par.getvalue())
-    json_same = canonical_json_body(json.dumps(sweep_payload(seq))) == canonical_json_body(
-        json.dumps(sweep_payload(par))
-    )
+    bodies = {}
+    for write, canonical in ((write_sweep_csv, canonical_csv_body),
+                             (write_sweep_json, canonical_json_body)):
+        buf_seq, buf_par = io.StringIO(), io.StringIO()
+        write(seq, buf_seq)
+        write(par, buf_par)
+        bodies[write] = canonical(buf_seq.getvalue()) == canonical(buf_par.getvalue())
+    csv_same, json_same = bodies[write_sweep_csv], bodies[write_sweep_json]
 
     rng = random.Random(1234)
     squarefree = [s for s in range(1, 500) if radical_normalize(s)[0] == 1]

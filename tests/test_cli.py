@@ -252,7 +252,9 @@ class TestVerdict:
 
     def test_failure_is_counted_and_is_no_erratum(self, broken_total_pq):
         result = vf.sweep("pq", 40, kinds=(TOTAL, UNIT))
-        summary = result.summary()
+        buf = io.StringIO()
+        vf.write_sweep_json(result, buf)
+        summary = json.loads(buf.getvalue())["summary"]
         assert summary["failed_rows"] == len(result.cases) // 2  # the total cases
         assert summary["printed_mismatch_rows"] == 0
         assert vf.errata_report(result.cases) == []
@@ -384,14 +386,19 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_workers_byte_identical(self, tmp_path):
-        one = tmp_path / "w1.csv"
-        many = tmp_path / "w8.csv"
-        assert main(["sweep", "--family", "even", "--max-n", "60", "--graph", "both",
-                     "--workers", "1", "--out", str(one)]) == 0
-        assert main(["sweep", "--family", "even", "--max-n", "60", "--graph", "both",
-                     "--workers", "8", "--out", str(many)]) == 0
-        assert canonical_csv_body(one.read_text()) == canonical_csv_body(many.read_text())
+    @pytest.mark.parametrize("family, max_n", [("even", 60), ("local", 64)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_workers_byte_identical(self, tmp_path, family, max_n, fmt):
+        # local has two rings at each prime power, which the pool must keep
+        # in report order
+        canonical = {"csv": canonical_csv_body, "json": vf.canonical_json_body}[fmt]
+        bodies = []
+        for workers in ("1", "8"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", "--family", family, "--max-n", str(max_n), "--graph", "both",
+                         "--format", fmt, "--workers", workers, "--out", str(out)]) == 0
+            bodies.append(canonical(out.read_text()))
+        assert bodies[0] == bodies[1]
 
     def test_stdout_default(self, capsys):
         assert main(["sweep", "--family", "pq", "--max-n", "40"]) == 0
@@ -448,6 +455,21 @@ class TestSweepStream:
         assert main(["sweep", "--family", "pq", "--max-n", "40", "--format", fmt,
                      "--out", "/nonexistent-dir/x.csv"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_broken_pipe_exits_4_and_stops_the_sweep(self, monkeypatch, capsys, fmt):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                if self.tell() + len(text) > 2000:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        calls = count_calls(monkeypatch, vf, "verify_case")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["sweep", "--family", "even", "--max-n", "400", "--graph", "both",
+                     "--format", fmt]) == 4
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert 0 < len(calls) < 400 // 4  # of 400 cases
 
     def test_peak_does_not_grow_with_the_case_count(self, monkeypatch):
         monkeypatch.setattr(vf, "verify_case", canned_case)

@@ -1,6 +1,7 @@
 import functools
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import tracemalloc
@@ -39,7 +40,6 @@ from ringsombor.verify import (
     structure_sweep,
     sweep,
     sweep_cases,
-    sweep_payload,
     verify_case,
     write_json,
     write_report,
@@ -60,6 +60,13 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(verify, name, counted)
     return calls
+
+
+def json_report(result: SweepResult) -> str:
+    """A held sweep's JSON report, as write_sweep_json writes it."""
+    buf = io.StringIO()
+    write_sweep_json(result, buf)
+    return buf.getvalue()
 
 
 class EditedRows:
@@ -163,13 +170,13 @@ class TestSweep:
         result = sweep("pq", 100)
         assert [c.n for c in result.cases] == [15, 21, 33, 35, 39, 51, 55, 57,
                                                65, 69, 77, 85, 87, 91, 93, 95]
-        assert result.ok
+        assert all(c.ok for c in result.cases)
         assert all(len(c.variants) == 1 for c in result.cases)
 
     def test_even_to_50(self):
         result = sweep("even", 50, kinds=(TOTAL, UNIT))
         assert len({c.n for c in result.cases}) == 25
-        assert result.ok
+        assert all(c.ok for c in result.cases)
 
     def test_empty_sweep(self):
         with pytest.raises(EmptySweepError):
@@ -182,7 +189,7 @@ class TestSweep:
         assert by_n[75].family == "p2q_pgtq"
         assert by_n[147].family == "p2q_pgtq"
         assert by_n[175].family == "p2q"
-        outcomes = result.summary()["out_of_hypothesis_outcomes"]
+        outcomes = json.loads(json_report(result))["summary"]["out_of_hypothesis_outcomes"]
         assert "Z_75:total" in outcomes
 
     def test_local_family_covers_both_ring_kinds(self):
@@ -219,7 +226,7 @@ class TestSweep:
 
     def test_summary_counts(self):
         result = sweep("ppow", 30, kinds=(UNIT,))
-        summary = result.summary()
+        summary = json.loads(json_report(result))["summary"]
         assert summary["cases"] == 12
         assert summary["variant_rows"] == 24
         assert summary["failed_rows"] == 0
@@ -625,7 +632,7 @@ class TestReports:
 
     def test_json_payload(self):
         result = sweep("pq", 40, kinds=(TOTAL,))
-        payload = sweep_payload(result)
+        payload = json.loads(json_report(result))
         assert payload["summary"]["cases"] == len(result.cases)
         assert payload["cases"][0]["ring"] == "Z_15"
         assert payload["cases"][0]["variants"][0]["match"] is True
@@ -684,10 +691,8 @@ class TestReports:
         write_sweep_csv(result, buf1)
         write_sweep_csv(result, buf2)
         assert canonical_csv_body(buf1.getvalue()) == canonical_csv_body(buf2.getvalue())
-        import json
-
-        p1 = json.dumps(sweep_payload(result))
-        assert "generated_at" not in canonical_json_body(p1)
+        text = json_report(result)
+        assert "generated_at" in text and "generated_at" not in canonical_json_body(text)
 
     def test_writes_per_report_bounded_per_record(self):
         class Writes(io.StringIO):
@@ -708,7 +713,8 @@ class TestReports:
             assert records < buf.calls <= records + 16
             assert buf.getvalue().endswith(end)
             texts[write] = buf.getvalue()
-        assert json.loads(texts[write_sweep_json])["cases"] == sweep_payload(result)["cases"]
+        assert json.loads(texts[write_sweep_json])["cases"] == list(
+            map(verify.case_record, result.cases))
 
     def test_canonical_csv_keeps_structure_columns(self):
         buf = io.StringIO()
@@ -810,11 +816,10 @@ class TestStreamedSweep:
         ok = write_sweep(buf, "json", family, max_n, kinds,
                          sweep_cases(family, max_n, kinds, workers=workers))
         report = json.loads(buf.getvalue())
-        assert report["summary"] == held_summary(held) == held.summary()
+        assert report["summary"] == held_summary(held)
         assert report["errata"] == held_errata(held.cases)
-        assert ok == held.ok
-        assert canonical_json_body(buf.getvalue()) == canonical_json_body(
-            json.dumps(sweep_payload(held)))
+        assert ok == all(c.ok for c in held.cases)
+        assert canonical_json_body(buf.getvalue()) == canonical_json_body(json_report(held))
 
     def test_errata_cite_the_smallest_case_in_any_order(self):
         cases = sweep("ppow", 130, kinds=(TOTAL, UNIT)).cases + sweep(
@@ -827,7 +832,7 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_local_streams_f_before_z_at_each_n(self, workers):
-        # the local family runs Z_{p^a} first, and the kinds come out of order
+        # F_p[x]/(x^k) sorts before Z_{p^a}, and the kinds are given out of order
         cases = list(sweep_cases("local", 64, (UNIT, TOTAL), workers=workers))
         keys = [(c.n, c.ring, c.kind) for c in cases]
         assert keys == sorted(keys)
@@ -841,5 +846,13 @@ class TestStreamedSweep:
         cases = sweep_cases("pq", 100, (TOTAL, UNIT))
         assert calls == []
         first = next(cases)
-        # Z_15's two cases, and Z_21's first, which ends the cases at n = 15
-        assert (first.ring, first.kind) == ("Z_15", TOTAL) and len(calls) == 3
+        # Z_15's total case, and nothing past it
+        assert (first.ring, first.kind) == ("Z_15", TOTAL) and len(calls) == 1
+
+    def test_closing_the_stream_stops_the_pool(self):
+        before = set(multiprocessing.active_children())
+        cases = sweep_cases("even", 3000, (TOTAL, UNIT), workers=2)
+        assert next(cases).ring == "Z_2"
+        assert len(set(multiprocessing.active_children()) - before) == 2
+        cases.close()  # the cases not yet started are cancelled
+        assert set(multiprocessing.active_children()) == before
