@@ -379,6 +379,18 @@ MUTANTS = {
         ("test_verify.py::TestStreamedSweep::"
          "test_folds_equal_the_held_summary_and_errata[ppow-130-1]",),
     ),
+    "BI _run_cases: the pool sends the whole sweep as one chunk": (
+        "verify.py",
+        "chunksize=_SPEC_BATCH",
+        "chunksize=10**6",
+        ("test_verify.py::TestStreamedSweep::test_closing_the_stream_stops_the_pool",),
+    ),
+    "BJ sweep_cases: a pool sweep checks every ring at the call": (
+        "verify.py",
+        "if max_n <= ceiling:",
+        "if max_n <= ceiling and workers == 1:",
+        ("test_verify.py::TestSweep::test_checked_at_the_call_up_to_the_first_ring[2]",),
+    ),
 }
 
 

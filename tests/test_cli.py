@@ -388,9 +388,11 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("family, max_n", [("even", 60), ("local", 64)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_workers_byte_identical(self, tmp_path, family, max_n, fmt):
+    def test_workers_byte_identical(self, tmp_path, monkeypatch, family, max_n, fmt):
         # local has two rings at each prime power, which the pool must keep
-        # in report order
+        # in report order; batches of 4 specs make the pool's chunks
+        # complete out of order
+        monkeypatch.setattr(vf, "_SPEC_BATCH", 4)
         canonical = {"csv": canonical_csv_body, "json": vf.canonical_json_body}[fmt]
         bodies = []
         for workers in ("1", "8"):

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import time
 import tracemalloc
 
 import pytest
@@ -47,6 +48,13 @@ from ringsombor.verify import (
     write_sweep_csv,
     write_sweep_json,
 )
+
+
+@pytest.fixture
+def small_batches(monkeypatch):
+    """Sweep batches of 4 specs, so that a small pool sweep spans many chunks
+    and their completion out of order is exercised."""
+    monkeypatch.setattr(verify, "_SPEC_BATCH", 4)
 
 
 def count_calls(monkeypatch, name):
@@ -202,6 +210,7 @@ class TestSweep:
         result = sweep("ppow", 30)
         assert {c.n for c in result.cases} == {3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29}
 
+    @pytest.mark.usefixtures("small_batches")
     def test_workers_do_not_change_report(self):
         seq = sweep("pq", 150, kinds=(TOTAL, UNIT), workers=1)
         par = sweep("pq", 150, kinds=(TOTAL, UNIT), workers=3)
@@ -210,11 +219,23 @@ class TestSweep:
         write_sweep_csv(par, buf2)
         assert canonical_csv_body(buf1.getvalue()) == canonical_csv_body(buf2.getvalue())
 
-    def test_ceiling_checked_before_any_case(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ceiling_checked_before_any_case(self, monkeypatch, workers):
         calls = count_calls(monkeypatch, "verify_case")
         with pytest.raises(CeilingExceededError, match="Z_111 has 111 elements"):
-            sweep("pq", 300, ceiling=100)
+            sweep("pq", 300, ceiling=100, workers=workers)
         assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checked_at_the_call_up_to_the_first_ring(self, monkeypatch, workers):
+        # max_n is under the ceiling, so the check reads n = 2..15 up to
+        # Z_15, not all 3000 moduli, for any worker count
+        calls = []
+        real = rings._modulus
+        monkeypatch.setattr(rings, "_modulus", lambda n: calls.append(n) or real(n))
+        cases = sweep_cases("pq", 3000, (TOTAL, UNIT), workers=workers)
+        assert len(calls) <= 15
+        cases.close()
 
     @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
     def test_workers_bounded(self, workers):
@@ -809,6 +830,7 @@ def held_errata(cases) -> list[dict]:
 class TestStreamedSweep:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("family, max_n", GOLDEN_SWEEPS)
+    @pytest.mark.usefixtures("small_batches")
     def test_folds_equal_the_held_summary_and_errata(self, family, max_n, workers):
         kinds = (TOTAL, UNIT)
         held = sweep(family, max_n, kinds)
@@ -831,6 +853,7 @@ class TestStreamedSweep:
             FORMULA_UNIT_PPOW: "Z_3", FORMULA_UNIT_P2Q_EDGES: "Z_45"}
 
     @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.usefixtures("small_batches")
     def test_local_streams_f_before_z_at_each_n(self, workers):
         # F_p[x]/(x^k) sorts before Z_{p^a}, and the kinds are given out of order
         cases = list(sweep_cases("local", 64, (UNIT, TOTAL), workers=workers))
@@ -850,9 +873,16 @@ class TestStreamedSweep:
         assert (first.ring, first.kind) == ("Z_15", TOTAL) and len(calls) == 1
 
     def test_closing_the_stream_stops_the_pool(self):
+        # the first case comes after one small batch, not the whole sweep
+        # (0.1 s against 4 s on a 2-vCPU VM), and closing waits only for
+        # the few batches already running (0.05 to 0.1 s there)
         before = set(multiprocessing.active_children())
+        start = time.perf_counter()
         cases = sweep_cases("even", 3000, (TOTAL, UNIT), workers=2)
         assert next(cases).ring == "Z_2"
+        assert time.perf_counter() - start < 1
         assert len(set(multiprocessing.active_children()) - before) == 2
-        cases.close()  # the cases not yet started are cancelled
+        start = time.perf_counter()
+        cases.close()  # the batches not yet started are cancelled
+        assert time.perf_counter() - start < 0.3
         assert set(multiprocessing.active_children()) == before
