@@ -243,7 +243,7 @@ def cmd_structure(args) -> int:
 
 def cmd_identity(args) -> int:
     results = vf.identity_sweep(args.max_n, args.circulant_max_n)
-    rows = vf.identity_rows(results)
+    rows = [r._asdict() for r in results]
     _write_report(args, lambda fh: vf.write_report(fh, args.format, vf.IDENTITY_COLUMNS, rows))
     return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
 

@@ -227,18 +227,14 @@ def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
     return factors
 
 
-def _prime_factors(m: int) -> dict[int, int]:
-    """Exact prime factorization {prime: exponent} of m >= 1: _trial_divide,
-    then _factor_cofactor on the cofactor it leaves, which skips 1 and takes
-    one below _TRIAL_SQUARE as a prime."""
-    factors, r = _trial_divide(m)
-    return _factor_cofactor(r, factors)
-
-
 def _modulus(n: int) -> Modulus:
+    """Exact prime factorization of n >= 2: _trial_divide, then
+    _factor_cofactor on the cofactor it leaves, which skips 1 and takes one
+    below _TRIAL_SQUARE as a prime."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    return Modulus(n, tuple(sorted(_prime_factors(n).items())))
+    factors, r = _trial_divide(n)
+    return Modulus(n, tuple(sorted(_factor_cofactor(r, factors).items())))
 
 
 # Entries each of the lru caches (factorize, euler_phi and
@@ -249,15 +245,8 @@ CACHE_SIZE = 1 << 16
 
 @lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> Modulus:
-    """Full prime factorization, primes ascending (see _prime_factors)."""
+    """Full prime factorization, primes ascending (see _modulus)."""
     return _modulus(n)
-
-
-def moduli(max_n: int) -> Iterator[Modulus]:
-    """The factorization of every n with 2 <= n <= max_n, ascending, without
-    entering factorize's cache: a sweep looks at every n but builds rings,
-    which factorize through the cache, for few of them."""
-    return map(_modulus, range(2, max_n + 1))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

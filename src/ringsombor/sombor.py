@@ -36,7 +36,10 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
 
     One pass over the row chunks takes every row's degree and, for the rows
     on the smaller side of the unit split (units or non-units), their
-    neighbours on the other side, summed into `across`.  Then one of two
+    neighbours on the other side, summed into `across`.  It keeps each
+    side's set of degrees, and each row's degree only from the first chunk
+    where a side shows two (the rows before it take their side's one
+    degree), so a ring's graph keeps nothing per vertex.  Then one of two
     rules gives the table:
 
     1. Each side's rows show at most one degree d.  Its one key then has
@@ -53,15 +56,24 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
     few = int(2 * sides[1].bit_count() <= n)  # is_unit of the smaller side
     side_flags = [vertex_flags(side, n) for side in sides]
     few_flags, other = side_flags[few], sides[1 - few]
-    degrees: list[int] = []
+    seen = (set(), set())  # the degrees each side's rows show
+    degrees = None  # every row's degree, for rule 2
     across = 0  # edges between the two sides
     for idx in row_chunks(n):
         rows = source.rows_of(idx)
-        degrees.extend(map(int.bit_count, rows))
+        chunk = list(map(int.bit_count, rows))
+        if degrees is None:
+            one = [min(ds, default=0) for ds in seen]  # each side's degree so far
+        for ds, flags in zip(seen, side_flags):
+            ds.update(compress(chunk, flags[idx.start:idx.stop]))
+        if degrees is None and max(map(len, seen)) > 1:
+            degrees = [one[is_unit] for is_unit in side_flags[1][:idx.start]]
+        if degrees is not None:
+            degrees += chunk
         mine = compress(rows, few_flags[idx.start:idx.stop])
         across += sum(map(int.bit_count, map(other.__and__, mine)))
         del rows, mine  # before the next chunk's rows are made
-    side_degrees = [sorted(set(compress(degrees, flags))) for flags in side_flags]
+    side_degrees = [sorted(ds) for ds in seen]
     keys = [(is_unit, d) for is_unit, ds in enumerate(side_degrees) for d in ds]
     if all(len(ds) <= 1 for ds in side_degrees):  # rule 1
         counts = {(k, k): (k[1] * sides[k[0]].bit_count() - across) // 2 for k in keys}

@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from itertools import compress, islice
 
 from . import closed_forms as cf
+from . import rings
 from .closed_forms import (  # the FORMULA_* labels are re-exported
     ERRATA,
     FORMULA_UNIT_LOCAL,
@@ -49,7 +50,6 @@ from .rings import (
     TruncatedPolyRing,
     ZnRing,
     classify,
-    moduli,
 )
 from .sombor import degree_pair_counts, sombor_of
 
@@ -152,13 +152,15 @@ def verify_case(
 # ----------------------------------------------------------------------
 # Sweeps
 
-def _family_rings(family: str, max_n: int) -> Iterator[tuple[FiniteRing, bool]]:
-    """(ring, use_local_forms) for every ring of the family with order <= max_n,
-    in report order: ascending n, and at a prime power F_p[x]/(x^k) before
-    Z_{p^a}, as their names sort."""
+def _family_rings(family: str, max_n: int,
+                  _min_n: int = 2) -> Iterator[tuple[FiniteRing, bool]]:
+    """(ring, use_local_forms) for every ring of the family with order in
+    _min_n..max_n, in report order: ascending n, and at a prime power
+    F_p[x]/(x^k) before Z_{p^a}, as their names sort.  Each n is factored
+    outside factorize's cache, which only the rings built enter."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    for mod in moduli(max_n):
+    for mod in map(rings._modulus, range(_min_n, max_n + 1)):
         if family in (LOCAL, LOCALZN, LOCALPOLY):
             if mod.is_prime_power:
                 if family != LOCALZN:
@@ -193,20 +195,23 @@ def sweep_cases(
 
     The arguments are checked at the call, before any case runs: the kinds,
     the worker count, the family, every ring against the ceiling, and that
-    the sweep is not empty.  Under workers > 1 the pool's ordered map
-    submits every batch of _SPEC_BATCH specs at once.
+    the sweep is not empty.  The ceiling check reads the first ring and,
+    when max_n is above the ceiling and that ring is not, the first ring
+    past the ceiling, which it refuses; the orders in between are never
+    factored.  Under workers > 1 the pool's ordered map submits every batch
+    of _SPEC_BATCH specs at once.
     """
     for kind in kinds:
         if kind not in (TOTAL, UNIT):
             raise ValueError(f"unknown graph kind {kind!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    ring = None
-    for ring, _ in _family_rings(family, max_n):
-        check_ceiling(ring.order, ring.name, ceiling)
-        if max_n <= ceiling:
-            break  # every order is at most max_n
-    if ring is None or not kinds:
+    first = next(_family_rings(family, max_n), None)
+    if first and first[0].order <= ceiling < max_n:
+        first = next(_family_rings(family, max_n, _min_n=ceiling + 1), first)
+    if first:
+        check_ceiling(first[0].order, first[0].name, ceiling)
+    if not first or not kinds:
         raise EmptySweepError(f"no {family} cases with n <= {max_n}")
     specs = (
         (ring, use_local, kind, ceiling)
@@ -642,10 +647,6 @@ def structure_rows(results) -> list[dict]:
          "degrees_ok": r.degrees_ok, "duality_ok": r.duality_ok}
         for r in results
     ]
-
-
-def identity_rows(results) -> list[dict]:
-    return [r._asdict() for r in results]
 
 
 def canonical_csv_body(text: str) -> str:

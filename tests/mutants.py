@@ -385,11 +385,18 @@ MUTANTS = {
         "chunksize=10**6",
         ("test_verify.py::TestStreamedSweep::test_closing_the_stream_stops_the_pool",),
     ),
-    "BJ sweep_cases: a pool sweep checks every ring at the call": (
+    "BK sweep_cases: the scan for a ring above the ceiling starts at 2": (
         "verify.py",
-        "if max_n <= ceiling:",
-        "if max_n <= ceiling and workers == 1:",
-        ("test_verify.py::TestSweep::test_checked_at_the_call_up_to_the_first_ring[2]",),
+        "_family_rings(family, max_n, _min_n=ceiling + 1)",
+        "_family_rings(family, max_n, _min_n=2)",
+        ("test_verify.py::TestSweep::"
+         "test_ceiling_refused_without_factoring_the_orders_below_it",),
+    ),
+    "BL degree_pair_counts: the rows before a side shows two degrees take the other side's": (
+        "sombor.py",
+        "one[is_unit] for is_unit",
+        "one[1 - is_unit] for is_unit",
+        ("test_sombor.py::TestRowsRead::test_two_degrees_on_a_side_make_each_row_twice[0-1]",),
     ),
 }
 

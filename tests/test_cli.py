@@ -767,3 +767,19 @@ def test_import_loads_no_costly_stdlib_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_only_the_asked_modules():
+    # the package re-exports nothing, so importing it loads no submodule,
+    # and a submodule loads only what it imports itself
+    script = (
+        "import sys\n"
+        "import ringsombor\n"
+        "print(sorted(m for m in sys.modules if m.startswith('ringsombor.')))\n"
+        "import ringsombor.rings\n"
+        "print(sorted(m for m in sys.modules if m.startswith('ringsombor.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ringsombor.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines() == ["[]", "['ringsombor.rings']"]

@@ -38,7 +38,7 @@ from ringsombor.rings import (
     TruncatedPolyRing,
     ZnRing,
     euler_phi,
-    moduli,
+    factorize,
     primes_up_to,
 )
 from ringsombor.sombor import degree_pair_counts, sombor_of
@@ -370,7 +370,7 @@ class TestRingForms:
         # one unique form for every other case in a family
         assert set(ERRATA) == {ODD_PRIME_POWER, ODD_P2Q, LOCAL}
         cases = [(ZnRing(n), False) for n in range(2, 3001)]
-        for mod in moduli(3000):
+        for mod in map(factorize, range(2, 3001)):
             if mod.is_prime_power:
                 cases += [(ZnRing(mod.n), True), (TruncatedPolyRing(*mod.factors[0]), True)]
         for ring, use_local in cases:

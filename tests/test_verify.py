@@ -237,6 +237,17 @@ class TestSweep:
         assert len(calls) <= 15
         cases.close()
 
+    def test_ceiling_refused_without_factoring_the_orders_below_it(self, monkeypatch):
+        # max_n is above the ceiling, so the check reads Z_2 and then the
+        # orders from 10^6 + 1 up to Z_1000002, not the 10^6 orders between
+        calls = []
+        real = rings._modulus
+        monkeypatch.setattr(rings, "_modulus", lambda n: calls.append(n) or real(n))
+        with pytest.raises(CeilingExceededError,
+                           match="Z_1000002 has 1000002 elements, above the ceiling 1000000"):
+            sweep_cases("even", 10**6 + 2, ceiling=10**6)
+        assert len(calls) <= 5
+
     @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
     def test_workers_bounded(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -455,7 +466,9 @@ class TestStructureReference:
 # 32 MB of rows.  Z_16384's unit graph has no row holding its own bit,
 # Z_15015's graphs mix rows that do and rows that do not,
 # F_2[x]/(x^14)'s unit rows are its block rows themselves, and Z_16381's
-# total graph is read whole twice to dump its 8190 edges.
+# total graph is read whole twice to dump its 8190 edges.  Z_65536, under a
+# raised ceiling, has 2^16 vertices, where a list of every row's degree took
+# about 2.3 MB; the oracle keeps none on a ring's graph.
 CEILING_RUNS = {
     "verify_case": lambda: verify_case(ZnRing(16384), TOTAL),
     "check_structure": lambda: check_structure(ZnRing(16384)),
@@ -464,6 +477,7 @@ CEILING_RUNS = {
     "verify_case_unit_z15015": lambda: verify_case(ZnRing(15015), UNIT),
     "check_structure_f2_x14": lambda: check_structure(TruncatedPolyRing(2, 14)),
     "dump_total_z16381": lambda: dump_edge_list(ZnRing(16381), TOTAL),
+    "verify_case_total_z65536": lambda: verify_case(ZnRing(65536), TOTAL, ceiling=65536),
 }
 
 
