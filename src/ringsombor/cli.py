@@ -310,7 +310,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser on every call; main reuses one through _parser."""
-    ceiling_help = ("largest ring order the oracle builds a graph for "
+    ceiling_help = ("largest ring order to read, a bound on time (n rows of n bits), not memory "
                     f"(default 2^{DEFAULT_CEILING.bit_length() - 1} = {DEFAULT_CEILING})")
     parser = _Parser(
         prog="ringsombor",

@@ -30,7 +30,8 @@ from .rings import FiniteRing, TruncatedPolyRing, ZnRing
 TOTAL = "total"
 UNIT = "unit"
 
-# Largest ring order whose graphs are built explicitly (n rows of n bits).
+# Largest ring order whose graphs are read by default: a bound on a case's
+# time (n rows of n bits a read), not its memory (about one CHUNK_BITS chunk).
 DEFAULT_CEILING = 1 << 14
 
 # Row bits read at a time from a row source: 2^22 bits are 512 KB, so the
@@ -43,7 +44,7 @@ _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class CeilingExceededError(ValueError):
-    """The ring is too large for explicit graph construction."""
+    """The ring is above the ceiling, a bound on the time to read its graphs."""
 
 
 def _full_mask(n: int) -> int:

@@ -203,6 +203,7 @@ class RadicalSum:
         terms: dict[int, Fraction] = {}
         for token in t.split(" + "):
             token = token.strip()
+            s, coeff_text = 1, token
             if "*sqrt(" in token:
                 coeff_text, rest = token.split("*sqrt(", 1)
                 if not rest.endswith(")"):
@@ -210,10 +211,10 @@ class RadicalSum:
                 s = int(rest[:-1])
                 if s < 2 or radical_normalize(s)[0] != 1:
                     raise ValueError(f"radicand {s} not square-free and > 1")
+            try:
                 c = Fraction(coeff_text)
-            else:
-                s = 1
-                c = Fraction(token)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {token!r}") from None
             if c == 0:
                 raise ValueError("zero coefficient in canonical text")
             if s in terms:

@@ -14,8 +14,9 @@ A first pass makes every row and reads its degree and, on the smaller side
 of the unit split, its neighbours on the other side.  When each side's rows
 show at most one degree, as they do on every ring's graphs, the handshake
 identity gives the whole table from that pass and no row is made twice;
-otherwise a second pass recounts every edge by key.  The unit mask is
-input data, not a derived fact.
+otherwise a second pass keys each row as it reads it and counts every edge
+once, from its later endpoint.  Neither pass keeps per-vertex state but the
+unit split's flag bytes.  The unit mask is input data, not a derived fact.
 """
 
 from __future__ import annotations
@@ -36,18 +37,17 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
 
     One pass over the row chunks takes every row's degree and, for the rows
     on the smaller side of the unit split (units or non-units), their
-    neighbours on the other side, summed into `across`.  It keeps each
-    side's set of degrees, and each row's degree only from the first chunk
-    where a side shows two (the rows before it take their side's one
-    degree), so a ring's graph keeps nothing per vertex.  Then one of two
-    rules gives the table:
+    neighbours on the other side, summed into `across`, and keeps only
+    each side's set of degrees.  Then one of two rules gives the table:
 
     1. Each side's rows show at most one degree d.  Its one key then has
        (d * size - across) / 2 edges among itself (the handshake identity),
        and the pair across the split has `across`.
-    2. Otherwise every row is read once more and each edge counted by key:
-       a row of key a adds its neighbours in key b's vertex mask to (a, b)
-       for every b >= a, which counts each edge within a key twice."""
+    2. Otherwise every row is read once more, in vertex order, and keyed
+       as it comes: a row of key a adds its neighbours in key b's mask of
+       the vertices already read to the sorted pair of a and b, for every
+       key b, and then its vertex joins a's mask.  Each edge is counted
+       once, from its later endpoint."""
     n = source.n
     if not n:
         return {}
@@ -57,41 +57,30 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
     side_flags = [vertex_flags(side, n) for side in sides]
     few_flags, other = side_flags[few], sides[1 - few]
     seen = (set(), set())  # the degrees each side's rows show
-    degrees = None  # every row's degree, for rule 2
     across = 0  # edges between the two sides
     for idx in row_chunks(n):
         rows = source.rows_of(idx)
         chunk = list(map(int.bit_count, rows))
-        if degrees is None:
-            one = [min(ds, default=0) for ds in seen]  # each side's degree so far
         for ds, flags in zip(seen, side_flags):
             ds.update(compress(chunk, flags[idx.start:idx.stop]))
-        if degrees is None and max(map(len, seen)) > 1:
-            degrees = [one[is_unit] for is_unit in side_flags[1][:idx.start]]
-        if degrees is not None:
-            degrees += chunk
         mine = compress(rows, few_flags[idx.start:idx.stop])
         across += sum(map(int.bit_count, map(other.__and__, mine)))
         del rows, mine  # before the next chunk's rows are made
-    side_degrees = [sorted(ds) for ds in seen]
-    keys = [(is_unit, d) for is_unit, ds in enumerate(side_degrees) for d in ds]
-    if all(len(ds) <= 1 for ds in side_degrees):  # rule 1
+    keys = [(is_unit, d) for is_unit, ds in enumerate(seen) for d in sorted(ds)]
+    if all(len(ds) <= 1 for ds in seen):  # rule 1
         counts = {(k, k): (k[1] * sides[k[0]].bit_count() - across) // 2 for k in keys}
         if len(keys) == 2:
             counts[keys[0], keys[1]] = across
     else:  # rule 2
-        key_of = list(zip(side_flags[1], degrees))
-        masks = dict.fromkeys(keys, 0)
-        for v, k in enumerate(key_of):
-            masks[k] |= 1 << v
+        masks = dict.fromkeys(keys, 0)  # the vertices read so far, by key
         counts = {}
         for idx in row_chunks(n):
-            for a, row in zip(key_of[idx.start:idx.stop], source.rows_of(idx)):
+            for v, is_unit, row in zip(idx, side_flags[1][idx.start:idx.stop], source.rows_of(idx)):
+                a = (is_unit, row.bit_count())
                 for b, mask in masks.items():
-                    if a <= b:
-                        counts[a, b] = counts.get((a, b), 0) + (row & mask).bit_count()
-        for k in keys:
-            counts[k, k] //= 2
+                    pair = (a, b) if a <= b else (b, a)
+                    counts[pair] = counts.get(pair, 0) + (row & mask).bit_count()
+                masks[a] |= 1 << v
     return {pair: c for pair, c in sorted(counts.items()) if c}
 
 

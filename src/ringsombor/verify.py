@@ -559,17 +559,15 @@ def write_json(fh, payload: dict):
     fh.write("\n}\n" if payload else "}\n")
 
 
-def write_report(fh, fmt: str, header, rows, payload: dict | None = None):
+def write_report(fh, fmt: str, header, rows):
     """A report in fmt "csv" or "json", written one row or record at a
     time.  CSV is a generated-at comment line and then write_csv_rows; JSON
-    is payload (by default {"cases": rows}) plus generated_at, with sorted
-    keys (write_json)."""
+    is {"cases": rows} plus generated_at, with sorted keys (write_json)."""
     if fmt == "csv":
         fh.write(f"# generated-at: {_timestamp()}\n")
         write_csv_rows(fh, header, rows)
     else:
-        body = {"cases": rows} if payload is None else payload
-        write_json(fh, {"generated_at": _timestamp(), **body})
+        write_json(fh, {"generated_at": _timestamp(), "cases": rows})
 
 
 def partition_payload(part: EdgePartition | None):
@@ -628,8 +626,8 @@ def write_sweep(fh, fmt: str, family, max_n, kinds, cases) -> bool:
     else:
         # fold's summary and errata are complete once the records are read
         errata = map(ErrataEntry._asdict, fold.errata())
-        payload = {"summary": fold.summary, "cases": records, "errata": errata}
-        write_report(fh, "json", SWEEP_COLUMNS, None, payload)
+        write_json(fh, {"generated_at": _timestamp(), "summary": fold.summary,
+                        "cases": records, "errata": errata})
     return not fold.summary["failed_rows"]
 
 

@@ -94,12 +94,6 @@ MUTANTS = {
         "sides[few]",
         ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
     ),
-    "M degree_pair_counts, rule 2: no edges within a key": (
-        "sombor.py",
-        "if a <= b:",
-        "if a < b:",
-        ("test_closed_forms.py::TestTotalPrimePower::test_degenerate_primes_match_oracle",),
-    ),
     "N check_structure, partition test: the rows need not be disjoint": (
         "verify.py",
         "not t & u and t | u == full ^ (1 << x)",
@@ -392,11 +386,17 @@ MUTANTS = {
         ("test_verify.py::TestSweep::"
          "test_ceiling_refused_without_factoring_the_orders_below_it",),
     ),
-    "BL degree_pair_counts: the rows before a side shows two degrees take the other side's": (
+    "BM degree_pair_counts, rule 2: an edge counted under its unsorted key pair": (
         "sombor.py",
-        "one[is_unit] for is_unit",
-        "one[1 - is_unit] for is_unit",
+        "pair = (a, b) if a <= b else (b, a)",
+        "pair = (a, b)",
         ("test_sombor.py::TestRowsRead::test_two_degrees_on_a_side_make_each_row_twice[0-1]",),
+    ),
+    "BN degree_pair_counts, rule 2: a vertex read never joins its key's mask": (
+        "sombor.py",
+        "masks[a] |= 1 << v",
+        "pass",
+        ("test_sombor.py::TestPairTable::test_isolated_vertices",),
     ),
 }
 

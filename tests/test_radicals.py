@@ -322,7 +322,8 @@ class TestText:
             assert RadicalSum.parse(text).render() == text
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "sqrt", "1*sqrt(8)", "2*sqrt(2) + 3*sqrt(2)", "0*sqrt(2)", "1*sqrt(2"):
+        for bad in ("", "sqrt", "1*sqrt(8)", "2*sqrt(2) + 3*sqrt(2)", "0*sqrt(2)", "1*sqrt(2",
+                    "1/0", "1/0*sqrt(2)"):
             with pytest.raises(ValueError):
                 RadicalSum.parse(bad)
 

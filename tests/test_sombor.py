@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,40 @@ class TestRowsRead:
         source = CountingRows(g)
         assert degree_pair_counts(source, units) == literal_table(g, units)[0]
         assert source.requests == [2] * g.n
+
+
+class CycleWithChordRows:
+    """The n-cycle plus the chord 0 - n/2, for even n >= 6, as a row source
+    that makes each asked row on demand: vertices 0 and n/2 have degree 3,
+    every other vertex degree 2."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def rows_of(self, indices):
+        n, rows = self.n, []
+        for v in indices:
+            row = (1 << ((v + 1) % n)) | (1 << ((v - 1) % n))
+            if v % (n // 2) == 0:
+                row |= 1 << ((v + n // 2) % n)
+            rows.append(row)
+        return rows
+
+
+class TestRuleTwoMemory:
+    # Rule 2 keys each row as it reads it, so on an irregular graph the
+    # oracle holds a chunk of rows and one vertex mask a key; a key tuple
+    # per vertex would take about 1.7 MB at 2^14.
+    def test_irregular_graph_peak_below_one_megabyte(self):
+        n = 1 << 14
+        tracemalloc.start()
+        try:
+            table = degree_pair_counts(CycleWithChordRows(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table == {((0, 2), (0, 2)): n - 4, ((0, 2), (0, 3)): 4, ((0, 3), (0, 3)): 1}
+        assert peak < 1 << 20
 
 
 class TestComplementSanity:

@@ -468,7 +468,8 @@ class TestStructureReference:
 # F_2[x]/(x^14)'s unit rows are its block rows themselves, and Z_16381's
 # total graph is read whole twice to dump its 8190 edges.  Z_65536, under a
 # raised ceiling, has 2^16 vertices, where a list of every row's degree took
-# about 2.3 MB; the oracle keeps none on a ring's graph.
+# about 2.3 MB; the oracle keeps no list per vertex, and check_structure
+# keeps only its two chunks of rows and a byte of flags a vertex.
 CEILING_RUNS = {
     "verify_case": lambda: verify_case(ZnRing(16384), TOTAL),
     "check_structure": lambda: check_structure(ZnRing(16384)),
@@ -478,6 +479,7 @@ CEILING_RUNS = {
     "check_structure_f2_x14": lambda: check_structure(TruncatedPolyRing(2, 14)),
     "dump_total_z16381": lambda: dump_edge_list(ZnRing(16381), TOTAL),
     "verify_case_total_z65536": lambda: verify_case(ZnRing(65536), TOTAL, ceiling=65536),
+    "check_structure_z65536": lambda: check_structure(ZnRing(65536), ceiling=65536),
 }
 
 
