@@ -11,7 +11,9 @@ Z_n row is D >> x cut to n bits, where D is the target mask doubled; a
 chunk's rows are cut from one window of D, and only the rows that would
 hold their own vertex get a self-bit mask.  A whole-graph read (every graph
 of at most 2048 vertices is one chunk) shifts D itself with no per-row flag
-test, which at those sizes costs more than it saves.  An F_p[x]/(x^k) row
+test, which at those sizes costs more than it saves; it tests D's even bits
+once and drops the self mask when no row holds its vertex, as in the unit
+graph of every even n.  An F_p[x]/(x^k) row
 is one of p block rows, shared as is by every row of a block that does not
 hold itself.  A circulant (CirculantRows) is a rotation too: row x is its
 offset mask rotated by x.  A Graph holds every row, for tests and for
@@ -41,6 +43,9 @@ DEFAULT_CEILING = 1 << 14
 CHUNK_BITS = 1 << 22
 
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+# flags.translate(FLIP_FLAGS) flags every vertex that flags does not
+FLIP_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class CeilingExceededError(ValueError):
@@ -153,7 +158,9 @@ class _ZnSumRows:
     # without its self bit needs no mask of its own.  A whole-graph read (a
     # range over every row, a list or an iterator) shifts D itself, with no
     # flags and no per-row test: on graphs of at most 2048 vertices, always
-    # read whole, those cost more than the window saves.
+    # read whole, those cost more than the window saves.  It tests D's even
+    # bits once, and when no row holds its vertex (the unit graph of every
+    # even n: x + x is never a unit there) it drops the self mask.
     __slots__ = ("n", "units", "_doubled", "_full", "_self_flags")
 
     def __init__(self, n: int, units: int, target_mask: int):
@@ -165,7 +172,10 @@ class _ZnSumRows:
     def rows_of(self, indices) -> list[int]:
         doubled, full, n = self._doubled, self._full, self.n
         if type(indices) is not range or indices.step != 1 or len(indices) >= n:
-            return [(doubled >> x) & (full ^ (1 << x)) for x in indices]
+            evens = _full_mask(2 * n) // 3  # bit 2x of D is row x's self bit
+            if doubled & evens:
+                return [(doubled >> x) & (full ^ (1 << x)) for x in indices]
+            return [(doubled >> x) & full for x in indices]
         start, size = indices.start, len(indices)
         # the last row reads bits up to start + n + size - 2 of D
         window = (doubled >> start) & _full_mask(n + size)

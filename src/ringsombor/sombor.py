@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .graphs import row_chunks, vertex_flags
+from .graphs import FLIP_FLAGS, row_chunks, vertex_flags
 from .radicals import RadicalSum, radical_normalize
 
 Key = tuple[int, int]  # (is_unit, degree) of one vertex
@@ -54,18 +54,18 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
     full = (1 << n) - 1
     sides = (full ^ (unit_mask & full), unit_mask & full)  # vertex masks by is_unit
     few = int(2 * sides[1].bit_count() <= n)  # is_unit of the smaller side
-    side_flags = [vertex_flags(side, n) for side in sides]
+    unit_flags = vertex_flags(sides[1], n)
+    side_flags = (unit_flags.translate(FLIP_FLAGS), unit_flags)
     few_flags, other = side_flags[few], sides[1 - few]
     seen = (set(), set())  # the degrees each side's rows show
     across = 0  # edges between the two sides
     for idx in row_chunks(n):
         rows = source.rows_of(idx)
-        chunk = list(map(int.bit_count, rows))
+        cut = slice(idx.start, idx.stop)
         for ds, flags in zip(seen, side_flags):
-            ds.update(compress(chunk, flags[idx.start:idx.stop]))
-        mine = compress(rows, few_flags[idx.start:idx.stop])
-        across += sum(map(int.bit_count, map(other.__and__, mine)))
-        del rows, mine  # before the next chunk's rows are made
+            ds.update(map(int.bit_count, compress(rows, flags[cut])))
+        across += sum([(other & row).bit_count() for row in compress(rows, few_flags[cut])])
+        del rows  # before the next chunk's rows are made
     keys = [(is_unit, d) for is_unit, ds in enumerate(seen) for d in sorted(ds)]
     if all(len(ds) <= 1 for ds in seen):  # rule 1
         counts = {(k, k): (k[1] * sides[k[0]].bit_count() - across) // 2 for k in keys}

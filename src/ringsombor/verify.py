@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from itertools import compress, islice
 
@@ -29,6 +29,7 @@ from .closed_forms import (  # the FORMULA_* labels are re-exported
 )
 from .graphs import (
     DEFAULT_CEILING,
+    FLIP_FLAGS,
     TOTAL,
     UNIT,
     CeilingExceededError,  # re-exported: callers catch it as verify.CeilingExceededError
@@ -176,6 +177,10 @@ def _run_case_spec(case_spec: tuple) -> CaseResult:
     return verify_case(ring, kind, use_local_forms=use_local, ceiling=ceiling)
 
 
+def _run_batch(batch: list) -> list[CaseResult]:
+    return list(map(_run_case_spec, batch))
+
+
 # A held sweep: its CaseResults in report order (n, ring, kind).
 SweepResult = namedtuple("SweepResult", "family max_n kinds cases")
 
@@ -198,8 +203,8 @@ def sweep_cases(
     the sweep is not empty.  The ceiling check reads the first ring and,
     when max_n is above the ceiling and that ring is not, the first ring
     past the ceiling, which it refuses; the orders in between are never
-    factored.  Under workers > 1 the pool's ordered map submits every batch
-    of _SPEC_BATCH specs at once.
+    factored.  Under workers > 1 the pool holds at most 2 * workers batches
+    of _SPEC_BATCH specs at a time (_run_cases).
     """
     for kind in kinds:
         if kind not in (TOTAL, UNIT):
@@ -223,14 +228,18 @@ def sweep_cases(
 
 # Case specs a sweep runs at a time: a serial sweep makes them in one loop
 # (about 4 ms of perfbench sweep-serial's 0.8 s faster than one between every
-# two cases, on a 2-vCPU VM), and the pool sends each batch as one chunk.
+# two cases, on a 2-vCPU VM), and the pool runs each batch as one task.
 _SPEC_BATCH = 64
 
 
 def _run_cases(specs, workers: int) -> Iterator[CaseResult]:
-    """The CaseResult of each spec, in spec order."""
+    """The CaseResult of each spec, in spec order.  Under workers > 1 at most
+    2 * workers batches are in the pool at a time: a batch's cases are
+    yielded once it is done, and the next batch is sent in its place, so the
+    specs are read as the cases are, and a sweep holds O(workers) batches."""
+    batches = iter(lambda: list(islice(specs, _SPEC_BATCH)), [])
     if workers == 1:
-        while batch := list(islice(specs, _SPEC_BATCH)):
+        for batch in batches:
             yield from map(_run_case_spec, batch)
         return
     # imported here so that a serial run never loads the pool machinery
@@ -238,8 +247,12 @@ def _run_cases(specs, workers: int) -> Iterator[CaseResult]:
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        yield from pool.map(_run_case_spec, specs, chunksize=_SPEC_BATCH)
-    finally:  # a stream closed early cancels the cases not yet started
+        window = deque(pool.submit(_run_batch, b) for b in islice(batches, 2 * workers))
+        while window:
+            cases = window.popleft().result()
+            window.extend(pool.submit(_run_batch, b) for b in islice(batches, 1))
+            yield from cases
+    finally:  # a stream closed early cancels the batches not yet started
         pool.shutdown(cancel_futures=True)
 
 
@@ -295,7 +308,7 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     full = (1 << n) - 1
     zm = full ^ units
     is_unit = vertex_flags(units, n)
-    is_zero = vertex_flags(zm, n)
+    is_zero = is_unit.translate(FLIP_FLAGS)
     predicted = predicted_degrees(ring, TOTAL), predicted_degrees(ring, UNIT)
     duality = degrees = zdiv_complete = True
     for idx in row_chunks(n):

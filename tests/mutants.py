@@ -373,10 +373,10 @@ MUTANTS = {
         ("test_verify.py::TestStreamedSweep::"
          "test_folds_equal_the_held_summary_and_errata[ppow-130-1]",),
     ),
-    "BI _run_cases: the pool sends the whole sweep as one chunk": (
+    "BI _run_cases: the whole sweep sent as one batch": (
         "verify.py",
-        "chunksize=_SPEC_BATCH",
-        "chunksize=10**6",
+        "islice(specs, _SPEC_BATCH)",
+        "islice(specs, 10**6)",
         ("test_verify.py::TestStreamedSweep::test_closing_the_stream_stops_the_pool",),
     ),
     "BK sweep_cases: the scan for a ring above the ceiling starts at 2": (
@@ -397,6 +397,44 @@ MUTANTS = {
         "masks[a] |= 1 << v",
         "pass",
         ("test_sombor.py::TestPairTable::test_isolated_vertices",),
+    ),
+    "BO _ZnSumRows, whole-graph read: the self-bit test reads the odd bits of D": (
+        "graphs.py",
+        "if doubled & evens:",
+        "if doubled & (evens << 1):",
+        ("test_graphs.py::TestRowsAgainstDefinition::"
+         "test_one_chunk_boundary_matches_one_row_chunks[2048-total-every]",),
+    ),
+    "BP _ZnSumRows, whole-graph read: the self mask dropped on every graph": (
+        "graphs.py",
+        "if doubled & evens:",
+        "if False:",
+        ("test_graphs.py::TestRowsAgainstDefinition::"
+         "test_one_chunk_boundary_matches_one_row_chunks[2047-total-some]",),
+    ),
+    "BQ degree_pair_counts, first pass: across summed over the larger side's rows": (
+        "sombor.py",
+        "compress(rows, few_flags[cut])",
+        "compress(rows, side_flags[1 - few][cut])",
+        ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
+    ),
+    "BR degree_pair_counts: the non-unit flags taken untranslated": (
+        "sombor.py",
+        "(unit_flags.translate(FLIP_FLAGS), unit_flags)",
+        "(unit_flags, unit_flags)",
+        ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
+    ),
+    "BS check_structure: the zero-divisor flags taken untranslated": (
+        "verify.py",
+        "is_unit.translate(FLIP_FLAGS)",
+        "is_unit",
+        ("test_cli.py::TestStructureCommand::test_range_sweep",),
+    ),
+    "BT _run_cases: the pool window left unbounded, every batch sent up front": (
+        "verify.py",
+        "for b in islice(batches, 2 * workers)",
+        "for b in batches",
+        ("test_cli.py::TestSweepStream::test_pool_peak_does_not_grow_with_the_case_count",),
     ),
 }
 

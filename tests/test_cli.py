@@ -473,12 +473,15 @@ class TestSweepStream:
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
         assert 0 < len(calls) < 400 // 4  # of 400 cases
 
-    def test_peak_does_not_grow_with_the_case_count(self, monkeypatch):
+    @staticmethod
+    def sweep_peaks(monkeypatch, *flags) -> dict[int, int]:
+        """The tracemalloc peaks of this process over JSON even sweeps of
+        both graphs to 600 and 2400 (600 and 2400 cases), by max_n."""
         monkeypatch.setattr(vf, "verify_case", canned_case)
 
         def run(max_n):
             return main(["sweep", "--family", "even", "--max-n", str(max_n), "--graph", "both",
-                         "--format", "json", "--out", os.devnull])
+                         "--format", "json", "--out", os.devnull, *flags])
 
         assert run(2400) == 0  # factorize's cache filled before tracing
         peaks = {}
@@ -489,9 +492,21 @@ class TestSweepStream:
                 peaks[max_n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # 600 and 2400 cases.  A report held whole peaks about 6 KB a case
-        # higher here; streamed, the peaks differ by the interpreter's
-        # free lists and garbage collector, under 200 KB.
+        return peaks
+
+    def test_peak_does_not_grow_with_the_case_count(self, monkeypatch):
+        peaks = self.sweep_peaks(monkeypatch)
+        # A report held whole peaks about 6 KB a case higher here; streamed,
+        # the peaks differ by the interpreter's free lists and garbage
+        # collector, under 200 KB.
+        assert peaks[2400] < peaks[600] + (512 << 10), peaks
+
+    def test_pool_peak_does_not_grow_with_the_case_count(self, monkeypatch):
+        # Forked workers run the canned cases too.  The pool holds at most
+        # 2 * workers batches, so the peaks differ by under 50 KB on a
+        # 2-vCPU VM; a pool sent every batch up front holds every spec and
+        # every result the report has not yet written, 1.4 MB more at 2400.
+        peaks = self.sweep_peaks(monkeypatch, "--workers", "2")
         assert peaks[2400] < peaks[600] + (512 << 10), peaks
 
 

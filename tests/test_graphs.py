@@ -1,5 +1,6 @@
 import functools
 import io
+import math
 
 import pytest
 
@@ -401,6 +402,23 @@ class TestRowsAgainstDefinition:
         for kind in (TOTAL, UNIT):
             source = row_source(ring, kind)
             assert [row for idx in chunks for row in source.rows_of(idx)] == witness_rows(spec, kind)
+
+    # The largest one-chunk graphs, where D is 4096 bits: row x would hold x
+    # iff x + x is a unit (unit graph) or a zero-divisor (total graph).
+    @pytest.mark.parametrize("n, kind, holding", [
+        (2047, TOTAL, "some"), (2047, UNIT, "some"), (2048, TOTAL, "every"), (2048, UNIT, "none"),
+    ])
+    def test_one_chunk_boundary_matches_one_row_chunks(self, monkeypatch, n, kind, holding):
+        holds = {(math.gcd(2 * x, n) == 1) == (kind == UNIT) for x in range(n)}
+        assert holds == {"some": {True, False}, "every": {True}, "none": {False}}[holding]
+        source = row_source(ZnRing(n), kind)
+        assert row_chunks(n) == [range(n)]
+        whole = source.rows_of(range(n))
+        table = degree_pair_counts(source, source.units)
+        monkeypatch.setattr(graphs, "CHUNK_BITS", n)  # one row a chunk
+        assert len(row_chunks(n)) == n
+        assert [row for idx in row_chunks(n) for row in source.rows_of(idx)] == whole
+        assert degree_pair_counts(source, source.units) == table
 
     @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=spec_id)
     def test_every_index_form_matches_definition(self, spec):
