@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import closed_forms as cf
@@ -179,7 +178,7 @@ def cmd_compute(args) -> int:
     if len(sides) == 2:
         payload["match"] = shown.match
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        vf.write_json(sys.stdout, payload)
     else:
         print(_compute_text(payload))
     return code

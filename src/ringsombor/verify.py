@@ -546,8 +546,42 @@ def write_csv_rows(fh, header, rows):
         fh.write(",".join(_cell(row[col]) for col in header) + "\n")
 
 
-# The one JSON encoder of every report: write_json calls it once per value.
-_ENCODE = json.JSONEncoder(indent=2, sort_keys=True).encode
+# json.dumps's own string escape (its C function where built) and its words
+# for the floats that have no JSON literal
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) with indent ("\n" and the
+    spaces of value's own line) after each of its newlines, written without
+    json's encoder: with an indent that encoder is pure Python and leaves
+    reference cycles behind on every call.  Dict keys are strings."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_ESCAPE(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(fh, payload: dict):
@@ -559,16 +593,16 @@ def write_json(fh, payload: dict):
     sep = "\n  "
     for key in sorted(payload):
         value = payload[key]
-        fh.write(f"{sep}{_ENCODE(key)}: ")
+        fh.write(f"{sep}{_ESCAPE(key)}: ")
         sep = ",\n  "
         if isinstance(value, (list, Iterator)):
             mark = "[\n    "
             for item in value:
-                fh.write(mark + _ENCODE(item).replace("\n", "\n    "))
+                fh.write(mark + _json_text(item, "\n    "))
                 mark = ",\n    "
             fh.write("[]" if mark == "[\n    " else "\n  ]")
         else:
-            fh.write(_ENCODE(value).replace("\n", "\n  "))
+            fh.write(_json_text(value, "\n  "))
     fh.write("\n}\n" if payload else "}\n")
 
 

@@ -336,11 +336,25 @@ MUTANTS = {
         "            if v.failed:\n                failed += 1\n                continue\n",
         ("test_cli.py::TestVerdict::test_failure_is_counted_and_is_no_erratum",),
     ),
-    "BC write_json: a list item re-indented by 2 spaces, not 4": (
+    "BC _json_text: dict keys written in insertion order, not sorted": (
         "verify.py",
-        '_ENCODE(item).replace("\\n", "\\n    ")',
-        '_ENCODE(item).replace("\\n", "\\n  ")',
-        ("test_verify.py::TestWriteJson::test_equals_json_dumps",),
+        "for key in sorted(value)]",
+        "for key in value]",
+        ("test_verify.py::TestWriteJson::test_text_equals_json_dumps_at_any_indent",),
+    ),
+    "BD _json_text: bool tested after int, so True is written 1": (
+        "verify.py",
+        '    if value is True:\n        return "true"\n    if value is False:\n'
+        '        return "false"\n    if isinstance(value, int):\n        return int.__repr__(value)\n',
+        '    if isinstance(value, int):\n        return int.__repr__(value)\n    if value is True:\n'
+        '        return "true"\n    if value is False:\n        return "false"\n',
+        ("test_verify.py::TestWriteJson::test_text_equals_json_dumps_at_any_indent",),
+    ),
+    "BJ _json_text: a nested value indented by one space, not two": (
+        "verify.py",
+        'inner = indent + "  "',
+        'inner = indent + " "',
+        ("test_verify.py::TestWriteJson::test_text_equals_json_dumps_at_any_indent",),
     ),
     "BE cmd_sweep: the sweep checked as it runs, after --out is opened": (
         "cli.py",

@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import json
 import multiprocessing
@@ -803,6 +804,30 @@ class TestWriteJson:
         buf = io.StringIO()
         write_json(buf, {"b": items("b"), "a": items("a")})
         assert read == ["a", "b"] and json.loads(buf.getvalue()) == {"a": ["a"], "b": ["b"]}
+
+    @given(value=json_values)
+    @example(value=[True, 1, False, 0, None])  # bool before int
+    @example(value={"b": {}, "a": [[]]})  # empty containers, and key order
+    @example(value="é\x00\"\\")
+    @example(value=[float("nan"), float("-inf"), -0.0, 1e16])
+    @example(value=({"k": (1, "v")},))  # tuples are arrays
+    def test_text_equals_json_dumps_at_any_indent(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True)
+        assert verify._json_text(value, "\n") == expected
+        assert verify._json_text(value, "\n    ") == expected.replace("\n", "\n    ")
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the writer builds no closures, so a record leaves no cycles to collect
+        cases = list(sweep_cases("even", 400, (TOTAL, UNIT)))
+        write_sweep(io.StringIO(), "json", "even", 400, (TOTAL, UNIT), cases)
+        gc.collect()
+        gc.disable()
+        try:
+            write_sweep(io.StringIO(), "json", "even", 400, (TOTAL, UNIT), cases)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable < 50
 
 
 # The golden sweeps (tests/test_golden.py), both graphs.
