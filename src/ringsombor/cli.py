@@ -221,13 +221,29 @@ def cmd_sweep(args) -> int:
     return _write_sweep(args, args.family, args.max_n, kinds, cases)
 
 
+def _write_checks(args, columns, results, verdict: str, record) -> int:
+    """The structure or identity report of results in --format, a row written
+    as each result is read; exit 1 if any result's verdict attribute is false."""
+    failed = 0
+
+    def rows():
+        nonlocal failed
+        for result in results:
+            failed += not getattr(result, verdict)
+            yield record(result)
+
+    _write_report(args, lambda fh: vf.write_report(fh, args.format, columns, rows()))
+    return EXIT_MISMATCH if failed else EXIT_OK
+
+
 def cmd_structure(args) -> int:
     ring_flags = _given(args, ("ring", *_RING_FLAGS))
     if args.max_n is not None and ring_flags:
         raise ValueError("structure takes --max-n or ring flags, not both; "
                          f"got --max-n with {', '.join(ring_flags)}")
     elif args.max_n is not None:
-        results = vf.structure_sweep(args.max_n, ceiling=args.ceiling)
+        # checked here, before --out is opened; the rings run as they are written
+        results = vf.structure_cases(args.max_n, ceiling=args.ceiling)
     elif args.ring is not None:
         results = [vf.check_structure(_build_ring(args)[0], ceiling=args.ceiling)]
     elif ring_flags:
@@ -235,16 +251,12 @@ def cmd_structure(args) -> int:
         raise ValueError(f"{', '.join(ring_flags)} {verb} --ring")
     else:
         raise ValueError("structure needs --max-n or ring flags")
-    rows = vf.structure_rows(results)
-    _write_report(args, lambda fh: vf.write_report(fh, args.format, vf.STRUCTURE_COLUMNS, rows))
-    return EXIT_OK if all(r.consistent for r in results) else EXIT_MISMATCH
+    return _write_checks(args, vf.STRUCTURE_COLUMNS, results, "consistent", vf.structure_record)
 
 
 def cmd_identity(args) -> int:
-    results = vf.identity_sweep(args.max_n, args.circulant_max_n)
-    rows = [r._asdict() for r in results]
-    _write_report(args, lambda fh: vf.write_report(fh, args.format, vf.IDENTITY_COLUMNS, rows))
-    return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
+    results = vf.identity_cases(args.max_n, args.circulant_max_n)
+    return _write_checks(args, vf.IDENTITY_COLUMNS, results, "ok", vf.IdentityCase._asdict)
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,9 @@ from itertools import compress, islice
 
 from . import closed_forms as cf
 from . import rings
-from .closed_forms import (  # the FORMULA_* labels are re-exported
+from .closed_forms import (
     ERRATA,
-    FORMULA_UNIT_LOCAL,
-    FORMULA_UNIT_P2Q_EDGES,
-    FORMULA_UNIT_PPOW,
+    FORMULA_UNIT_P2Q_EDGES,  # re-exported: perfbench reads it as verify.FORMULA_UNIT_P2Q_EDGES
     LOCAL,
     PGTQ,
 )
@@ -32,7 +30,6 @@ from .graphs import (
     FLIP_FLAGS,
     TOTAL,
     UNIT,
-    CeilingExceededError,  # re-exported: callers catch it as verify.CeilingExceededError
     CirculantRows,
     EdgePartition,
     check_ceiling,
@@ -348,24 +345,24 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     )
 
 
-def structure_sweep(max_n: int, *, ceiling: int = DEFAULT_CEILING) -> list[StructureResult]:
-    """check_structure for every Z_n with 2 <= n <= max_n; the first Z_n
-    above the ceiling is refused before any check runs."""
+def structure_cases(max_n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[StructureResult]:
+    """check_structure for every Z_n with 2 <= n <= max_n, each run as it is
+    read.  Checked at the call: the range is not empty, and the first Z_n
+    above the ceiling is refused, named and not built (building factors n)."""
     if max_n < 2:
         raise EmptySweepError(f"no rings with n <= {max_n}")
     if max_n > ceiling:
-        # named, not built: building a ring factors its order
         first = max(ceiling + 1, 2)
         check_ceiling(first, f"Z_{first}", ceiling)
-    return [check_structure(ZnRing(n), ceiling=ceiling) for n in range(2, max_n + 1)]
+    return (check_structure(ZnRing(n), ceiling=ceiling) for n in range(2, max_n + 1))
 
 
 # ----------------------------------------------------------------------
 # Complement identity
 
-# Largest max_n identity_sweep accepts.  It evaluates one residual for each
+# Largest max_n identity_cases accepts.  It evaluates one residual for each
 # of about max_n^2 / 4 (n, k) pairs, so its time grows as max_n^2: 400 takes
-# about 6 s.
+# about 2.2 s on a 2-vCPU VM.
 IDENTITY_MAX_N = 400
 
 
@@ -388,14 +385,14 @@ def regular_circulant(n: int, k: int) -> CirculantRows:
     return CirculantRows(n, (near << 1) | (near << (n - k // 2)) | ((k % 2) << (n // 2)))
 
 
-def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[IdentityCase]:
-    """For every n <= max_n and feasible k, check that the complement
-    identity residual is exactly zero; for n up to circulant_max also read
-    a k-regular circulant and its complement through the oracle and confirm
-    both regular closed forms.  Before any case runs, circulant_max must be
-    at least 0 (ValueError), the largest circulant, on
-    min(circulant_max, max_n) vertices, is checked against DEFAULT_CEILING,
-    and then max_n against IDENTITY_MAX_N (ValueError above it)."""
+def identity_cases(max_n: int, circulant_max: int | None = None) -> Iterator[IdentityCase]:
+    """For every n <= max_n and feasible k, the case that checks that the
+    complement identity residual is exactly zero and, for n up to
+    circulant_max, that a k-regular circulant and its complement read
+    through the oracle give both regular closed forms; each runs as it is
+    read.  Checked at the call: max_n >= 3, circulant_max >= 0 (ValueError),
+    the largest circulant, on min(circulant_max, max_n) vertices, within
+    DEFAULT_CEILING, and then max_n <= IDENTITY_MAX_N (ValueError)."""
     if max_n < 3:
         raise EmptySweepError(f"identity sweep needs max_n >= 3, got {max_n}")
     if circulant_max is None:
@@ -406,31 +403,20 @@ def identity_sweep(max_n: int, circulant_max: int | None = None) -> list[Identit
     check_ceiling(largest, f"Z_{largest}", DEFAULT_CEILING)
     if max_n > IDENTITY_MAX_N:
         raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")
-    out = []
-    for n in range(3, max_n + 1):
-        for k in range(n):
-            if (n * k) % 2:
-                continue
-            residual = cf.complement_identity_residual(n, k)
-            checked = n <= circulant_max
-            match = None
-            if checked:
-                source = regular_circulant(n, k)
-                match = (
-                    sombor_of(degree_pair_counts(source)) == cf.so_regular(n, k)
-                    and sombor_of(degree_pair_counts(source.complemented()))
-                    == cf.so_regular(n, n - k - 1)
-                )
-            out.append(
-                IdentityCase(
-                    n=n,
-                    k=k,
-                    residual_zero=residual.is_zero,
-                    circulant_checked=checked,
-                    circulant_match=match,
-                )
-            )
-    return out
+    return (_identity_case(n, k, n <= circulant_max)
+            for n in range(3, max_n + 1) for k in range(n) if not (n * k) % 2)
+
+
+def _identity_case(n: int, k: int, circulant: bool) -> IdentityCase:
+    """The (n, k) case of identity_cases, with the circulant read or not."""
+    residual = cf.complement_identity_residual(n, k)
+    match = None
+    if circulant:
+        source = regular_circulant(n, k)
+        match = (sombor_of(degree_pair_counts(source)) == cf.so_regular(n, k)
+                 and sombor_of(degree_pair_counts(source.complemented()))
+                 == cf.so_regular(n, n - k - 1))
+    return IdentityCase(n, k, residual.is_zero, circulant, match)
 
 
 # ----------------------------------------------------------------------
@@ -686,12 +672,10 @@ def write_sweep_json(result: SweepResult, fh):
     write_sweep(fh, "json", *result)
 
 
-def structure_rows(results) -> list[dict]:
-    return [
-        {"n": r.n, "ring": r.ring, "local": r.is_local, "zdiv_complete": r.zdiv_complete,
-         "degrees_ok": r.degrees_ok, "duality_ok": r.duality_ok}
-        for r in results
-    ]
+def structure_record(r: StructureResult) -> dict:
+    """One StructureResult's report record: a CSV row, and a JSON record."""
+    return {"n": r.n, "ring": r.ring, "local": r.is_local, "zdiv_complete": r.zdiv_complete,
+            "degrees_ok": r.degrees_ok, "duality_ok": r.duality_ok}
 
 
 def canonical_csv_body(text: str) -> str:

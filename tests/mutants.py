@@ -448,7 +448,28 @@ MUTANTS = {
         "verify.py",
         "for b in islice(batches, 2 * workers)",
         "for b in batches",
-        ("test_cli.py::TestSweepStream::test_pool_peak_does_not_grow_with_the_case_count",),
+        ("test_cli.py::TestSweepStream::test_pool_window_is_bounded_before_the_first_case",),
+    ),
+    "BU structure_cases: every ring checked at the call, the results held in a list": (
+        "verify.py",
+        "return (check_structure(ZnRing(n), ceiling=ceiling) for n in range(2, max_n + 1))",
+        "return [check_structure(ZnRing(n), ceiling=ceiling) for n in range(2, max_n + 1)]",
+        ("test_cli.py::TestCheckStream::test_structure_broken_pipe_exits_4_and_stops[csv]",),
+    ),
+    "BV identity_cases: the IDENTITY_MAX_N bound checked in the stream, not at the call": (
+        "verify.py",
+        "    if max_n > IDENTITY_MAX_N:\n"
+        '        raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")\n'
+        "    return (_identity_case(n, k, n <= circulant_max)\n"
+        "            for n in range(3, max_n + 1) for k in range(n) if not (n * k) % 2)\n",
+        "    def cases():\n"
+        "        if max_n > IDENTITY_MAX_N:\n"
+        '            raise ValueError(f"identity sweep takes max_n <= {IDENTITY_MAX_N}, got {max_n}")\n'
+        "        yield from (_identity_case(n, k, n <= circulant_max)\n"
+        "                    for n in range(3, max_n + 1) for k in range(n) if not (n * k) % 2)\n"
+        "\n"
+        "    return cases()\n",
+        ("test_verify.py::TestIdentity::test_max_n_bounded_before_any_case",),
     ),
 }
 

@@ -16,8 +16,8 @@ from ringsombor.verify import (
     canonical_csv_body,
     canonical_json_body,
     check_structure,
-    identity_sweep,
-    structure_sweep,
+    identity_cases,
+    structure_cases,
     sweep,
     write_sweep_csv,
     write_sweep_json,
@@ -115,7 +115,7 @@ def test_criterion_5_local_rings():
 
 
 def test_criterion_6_structure_suite():
-    results = structure_sweep(500)
+    results = list(structure_cases(500))
     degrees = all(r.degrees_ok for r in results)
     duality = all(r.duality_ok for r in results)
     clique_iff_prime_power = all(r.zdiv_complete == r.is_local for r in results)
@@ -139,7 +139,7 @@ def test_criterion_6_structure_suite():
 
 
 def test_criterion_7_complement_identity():
-    cases = identity_sweep(200, circulant_max=100)
+    cases = list(identity_cases(200, circulant_max=100))
     residuals = all(c.residual_zero for c in cases)
     checked = [c for c in cases if c.circulant_checked]
     circulants = all(c.circulant_match for c in checked)

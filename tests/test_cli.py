@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,36 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader goes away after 2000 characters: the write that
+    would pass them raises BrokenPipeError."""
+
+    def write(self, text):
+        if self.tell() + len(text) > 2000:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def json_peaks(*argv, sizes) -> dict[int, int]:
+    """The tracemalloc peaks of this process over the JSON runs of argv
+    with --max-n at each of sizes, written to os.devnull, by size.  An
+    untraced run at the largest size fills the caches (factorize's among
+    them) first."""
+    def run(max_n):
+        return main([*argv, "--max-n", str(max_n), "--format", "json", "--out", os.devnull])
+
+    assert run(max(sizes)) == 0
+    peaks = {}
+    for max_n in sizes:
+        tracemalloc.start()
+        try:
+            assert run(max_n) == 0
+            peaks[max_n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 class TestCompute:
@@ -269,7 +300,7 @@ class TestVerdict:
         assert main(["verify", "--ring", "zn", "--n", "9", "--graph", "unit",
                      "--format", "json"]) == 0
         errata = json.loads(capsys.readouterr().out)["errata"]
-        assert [(e["formula"], e["ring"]) for e in errata] == [(vf.FORMULA_UNIT_PPOW, "Z_9")]
+        assert [(e["formula"], e["ring"]) for e in errata] == [(cf.FORMULA_UNIT_PPOW, "Z_9")]
 
 
 def timed_closed(capsys, n, graph):
@@ -460,12 +491,6 @@ class TestSweepStream:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_broken_pipe_exits_4_and_stops_the_sweep(self, monkeypatch, capsys, fmt):
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                if self.tell() + len(text) > 2000:
-                    raise BrokenPipeError(32, "Broken pipe")
-                return super().write(text)
-
         calls = count_calls(monkeypatch, vf, "verify_case")
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         assert main(["sweep", "--family", "even", "--max-n", "400", "--graph", "both",
@@ -478,21 +503,8 @@ class TestSweepStream:
         """The tracemalloc peaks of this process over JSON even sweeps of
         both graphs to 600 and 2400 (600 and 2400 cases), by max_n."""
         monkeypatch.setattr(vf, "verify_case", canned_case)
-
-        def run(max_n):
-            return main(["sweep", "--family", "even", "--max-n", str(max_n), "--graph", "both",
-                         "--format", "json", "--out", os.devnull, *flags])
-
-        assert run(2400) == 0  # factorize's cache filled before tracing
-        peaks = {}
-        for max_n in (600, 2400):
-            tracemalloc.start()
-            try:
-                assert run(max_n) == 0
-                peaks[max_n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        return peaks
+        return json_peaks("sweep", "--family", "even", "--graph", "both", *flags,
+                          sizes=(600, 2400))
 
     def test_peak_does_not_grow_with_the_case_count(self, monkeypatch):
         peaks = self.sweep_peaks(monkeypatch)
@@ -508,6 +520,19 @@ class TestSweepStream:
         # every result the report has not yet written, 1.4 MB more at 2400.
         peaks = self.sweep_peaks(monkeypatch, "--workers", "2")
         assert peaks[2400] < peaks[600] + (512 << 10), peaks
+
+    def test_pool_window_is_bounded_before_the_first_case(self, monkeypatch):
+        # 2400 canned cases make 38 batches of 64 specs.  Before the first
+        # case is read, the pool is sent its window of 2 * workers batches
+        # and the one that takes the first done batch's place; a pool sent
+        # every batch up front is sent all 38, however fast its workers are.
+        monkeypatch.setattr(vf, "verify_case", canned_case)
+        submits = count_calls(monkeypatch, ProcessPoolExecutor, "submit")
+        cases = vf.sweep_cases("even", 2400, (TOTAL, UNIT), workers=2)
+        assert next(cases).ring == "Z_2"
+        sent = len(submits)
+        cases.close()
+        assert 0 < sent <= 2 * 2 + 1, sent
 
 
 class TestStructureCommand:
@@ -590,6 +615,64 @@ class TestIdentityCommand:
         assert code == 2
         assert captured.err == "error: circulant_max must be at least 0, got -3\n"
         assert captured.out == ""
+        assert not out.exists()
+
+
+def canned_structure(ring, *, ceiling=None):
+    """A StructureResult for ring, as a consistent ring's, with no graph read."""
+    return vf.StructureResult(ring.name, ring.order, ring.is_local, ring.is_local, True, True)
+
+
+class TestCheckStream:
+    """structure --max-n and identity are checked at the call, as sweep is,
+    and write each result as it is read."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_structure_broken_pipe_exits_4_and_stops(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(vf, "check_structure", canned_structure)
+        calls = count_calls(monkeypatch, vf, "check_structure")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["structure", "--max-n", "4000", "--format", fmt]) == 4
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert 0 < len(calls) < 100  # of 3999 rings
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_identity_broken_pipe_exits_4_before_its_last_case(self, monkeypatch, capsys, fmt):
+        calls = count_calls(monkeypatch, vf, "_identity_case")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["identity", "--max-n", "400", "--format", fmt]) == 4
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert 0 < len(calls) < 200  # of 60297 (n, k) pairs
+
+    def test_structure_peak_does_not_grow_with_the_ring_count(self, monkeypatch):
+        # A report held whole peaks about 0.5 KB a ring higher (920 KB more
+        # at 2400); streamed, the peaks differ by the interpreter's free
+        # lists, about 110 KB.
+        monkeypatch.setattr(vf, "check_structure", canned_structure)
+        peaks = json_peaks("structure", sizes=(600, 2400))
+        assert peaks[2400] < peaks[600] + (512 << 10), peaks
+
+    def test_identity_peak_does_not_grow_with_max_n(self, monkeypatch):
+        # 60 and 120 make 1392 and 5487 cases, with no circulant read; held
+        # whole, each case took about 0.3 KB
+        peaks = json_peaks("identity", "--circulant-max-n", "0", sizes=(60, 120))
+        assert peaks[120] < peaks[60] + (512 << 10), peaks
+
+    @pytest.mark.parametrize("argv, message", [
+        (["structure", "--max-n", "1"], "no rings with n <= 1"),
+        (["structure", "--max-n", "300", "--ceiling", "100"],
+         "Z_101 has 101 elements, above the ceiling 100"),
+        (["identity", "--max-n", "2"], "identity sweep needs max_n >= 3, got 2"),
+        (["identity", "--max-n", "401"], "identity sweep takes max_n <= 400, got 401"),
+        (["identity", "--max-n", "20000", "--circulant-max-n", "20000"],
+         "Z_20000 has 20000 elements, above the ceiling 16384"),
+    ], ids=["structure-empty", "structure-ceiling", "identity-empty", "identity-max-n",
+            "identity-ceiling"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_errors_exit_2_before_out_is_opened(self, tmp_path, capsys, argv, message, fmt):
+        out = tmp_path / "report"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

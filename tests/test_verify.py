@@ -15,20 +15,24 @@ from hypothesis import strategies as st
 from held import held, held_graph
 from ringsombor import graphs, rings, verify
 from ringsombor.cli import main
-from ringsombor.closed_forms import CORRECTED, PRINTED, UNIQUE, NotInFamilyError
-from ringsombor.graphs import TOTAL, UNIT, row_source, write_edge_list
-from ringsombor.radicals import RadicalSum
-from ringsombor.rings import PSI_13, TruncatedPolyRing, ZnRing, factorize
-from ringsombor.verify import (
+from ringsombor.closed_forms import (
+    CORRECTED,
     FORMULA_UNIT_LOCAL,
     FORMULA_UNIT_P2Q_EDGES,
     FORMULA_UNIT_PPOW,
+    PRINTED,
+    UNIQUE,
+    NotInFamilyError,
+)
+from ringsombor.graphs import TOTAL, UNIT, CeilingExceededError, row_source, write_edge_list
+from ringsombor.radicals import RadicalSum
+from ringsombor.rings import PSI_13, TruncatedPolyRing, ZnRing, factorize
+from ringsombor.verify import (
     IDENTITY_MAX_N,
     MAX_WORKERS,
     STRUCTURE_COLUMNS,
     SWEEP_COLUMNS,
     CaseResult,
-    CeilingExceededError,
     EmptySweepError,
     SweepResult,
     VariantResult,
@@ -36,10 +40,10 @@ from ringsombor.verify import (
     canonical_json_body,
     check_structure,
     errata_report,
-    identity_sweep,
+    identity_cases,
     regular_circulant,
-    structure_rows,
-    structure_sweep,
+    structure_cases,
+    structure_record,
     sweep,
     sweep_cases,
     verify_case,
@@ -287,19 +291,26 @@ class TestStructure:
         assert not check_structure(ZnRing(12)).duality_ok
 
     def test_sweep_range(self):
-        results = structure_sweep(40)
-        assert len(results) == 39
+        results = list(structure_cases(40))
+        assert [r.n for r in results] == list(range(2, 41))
         assert all(r.consistent for r in results)
 
     def test_sweep_empty(self):
+        # raised by the call itself: the stream is never read
         with pytest.raises(EmptySweepError):
-            structure_sweep(1)
+            structure_cases(1)
 
     def test_sweep_ceiling_checked_before_any_ring(self, monkeypatch):
         calls = count_calls(monkeypatch, "check_structure")
         with pytest.raises(CeilingExceededError, match="Z_101 has 101 elements"):
-            structure_sweep(300, ceiling=100)
+            structure_cases(300, ceiling=100)
         assert calls == []
+
+    def test_rings_run_as_they_are_read(self, monkeypatch):
+        calls = count_calls(monkeypatch, "check_structure")
+        results = structure_cases(4000)
+        assert calls == []
+        assert next(results).ring == "Z_2" and len(calls) == 1
 
     def test_sweep_ceiling_named_without_factoring(self, monkeypatch):
         # PSI_13 is a strong probable prime to every base rings proves with,
@@ -308,7 +319,7 @@ class TestStructure:
         monkeypatch.setattr(rings, "factorize", lambda n: calls.append(n))
         with pytest.raises(CeilingExceededError,
                            match=f"Z_{PSI_13} has {PSI_13} elements, above the ceiling"):
-            structure_sweep(4 * 10**24, ceiling=PSI_13 - 1)
+            structure_cases(4 * 10**24, ceiling=PSI_13 - 1)
         assert calls == []
 
 
@@ -517,7 +528,7 @@ class TestMemory:
 
 class TestIdentity:
     def test_small_sweep_all_zero(self):
-        cases = identity_sweep(20, circulant_max=20)
+        cases = list(identity_cases(20, circulant_max=20))
         assert cases
         assert all(c.residual_zero for c in cases)
         assert all(c.circulant_match for c in cases if c.circulant_checked)
@@ -531,10 +542,10 @@ class TestIdentity:
 
         monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
         with pytest.raises(CeilingExceededError, match="Z_20000 has 20000 elements"):
-            identity_sweep(20000, circulant_max=20000)
+            identity_cases(20000, circulant_max=20000)
         # the largest circulant is min(circulant_max, max_n)
         with pytest.raises(CeilingExceededError, match="Z_16385 has 16385 elements"):
-            identity_sweep(16385, circulant_max=10**6)
+            identity_cases(16385, circulant_max=10**6)
         assert calls == []
 
     def test_max_n_bounded_before_any_case(self, monkeypatch):
@@ -546,9 +557,10 @@ class TestIdentity:
 
         monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
         assert IDENTITY_MAX_N >= 200  # criterion 7's range
+        # raised by the call itself, with the stream never read
         for circulant_max in (None, 0, IDENTITY_MAX_N + 1):
             with pytest.raises(ValueError, match=f"max_n <= {IDENTITY_MAX_N}, got"):
-                identity_sweep(IDENTITY_MAX_N + 1, circulant_max=circulant_max)
+                identity_cases(IDENTITY_MAX_N + 1, circulant_max=circulant_max)
         assert calls == []
 
     def test_negative_circulant_max_refused_before_any_case(self, monkeypatch):
@@ -561,11 +573,11 @@ class TestIdentity:
         monkeypatch.setattr(verify.cf, "complement_identity_residual", residual)
         for circulant_max in (-1, -3):
             with pytest.raises(ValueError, match=f"at least 0, got {circulant_max}"):
-                identity_sweep(5, circulant_max=circulant_max)
+                identity_cases(5, circulant_max=circulant_max)
         assert calls == []
 
     def test_infeasible_pairs_skipped(self):
-        cases = identity_sweep(7, circulant_max=0)
+        cases = list(identity_cases(7, circulant_max=0))
         assert all((c.n * c.k) % 2 == 0 for c in cases)
         assert not any(c.circulant_checked for c in cases)
 
@@ -638,7 +650,7 @@ class TestResultTypes:
         result = sweep("pq", 40)
         case = result.cases[0]
         for obj, name in ((result, "cases"), (case, "micros"), (case.variants[0], "variant"),
-                          (check_structure(ZnRing(9)), "n"), (identity_sweep(4)[0], "k")):
+                          (check_structure(ZnRing(9)), "n"), (next(identity_cases(4)), "k")):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
 
@@ -756,7 +768,7 @@ class TestReports:
 
     def test_canonical_csv_keeps_structure_columns(self):
         buf = io.StringIO()
-        write_report(buf, "csv", STRUCTURE_COLUMNS, structure_rows(structure_sweep(4)))
+        write_report(buf, "csv", STRUCTURE_COLUMNS, map(structure_record, structure_cases(4)))
         assert canonical_csv_body(buf.getvalue()) == (
             "n,ring,local,zdiv_complete,degrees_ok,duality_ok\n"
             "2,Z_2,true,true,true,true\n"
