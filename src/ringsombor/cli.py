@@ -117,7 +117,9 @@ def cmd_compute(args) -> int:
     else:
         _, forms = cf.ring_forms(ring, args.graph, use_local)
 
-    # the form shown: a ring has either one unique form or a corrected/printed pair
+    # the form shown: a ring has either one unique form or a corrected/printed
+    # pair; ring_forms evaluates a form only as it is read, so the closed path
+    # stops at the form it shows
     shown = None
     if args.mode != "oracle":
         shown = next((f for f in forms if f[0] in (args.variant, cf.UNIQUE)), None)

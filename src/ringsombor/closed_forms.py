@@ -11,6 +11,7 @@ Inputs outside a family are rejected rather than computed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .graphs import UNIT, EdgePartition, predicted_degrees
@@ -303,14 +304,16 @@ ERRATA = {
 }
 
 
-def ring_forms(ring, kind: str, use_local_forms: bool = False) -> tuple[str, list]:
-    """The ring's family tag and every closed form that applies to it, as
-    (variant, value, edge partition or None) triples; none for a ring
-    outside every family.  F_p[x]/(x^k), and any local ring under
+def ring_forms(ring, kind: str, use_local_forms: bool = False) -> tuple[str, Iterator]:
+    """The ring's family tag and an iterator over every closed form that
+    applies to it, as (variant, value, edge partition or None) triples; none
+    for a ring outside every family.  F_p[x]/(x^k), and any local ring under
     use_local_forms, takes the local-ring formulas; Z_n takes its modulus
-    family's.  A corrected/printed pair comes exactly for the unit graph of
-    a ring where 2 is a unit, in a family of ERRATA; every other case has
-    one unique form.  A pq or p^2*q form is its edge partition, made once a
+    family's.  A corrected/printed pair, corrected first, comes exactly for
+    the unit graph of a ring where 2 is a unit, in a family of ERRATA; every
+    other case has one unique form.  The tag is found at the call, and each
+    form is evaluated only when it is read, so a caller that reads one
+    evaluates one.  A pq or p^2*q form is its edge partition, made once a
     variant, and its value is assembled from it with the predicted degrees."""
     unit = kind == UNIT
     if use_local_forms or isinstance(ring, TruncatedPolyRing):
@@ -332,12 +335,12 @@ def ring_forms(ring, kind: str, use_local_forms: bool = False) -> tuple[str, lis
         elif family == ODD_P2Q:
             form = unit_p2q_partition if unit else total_p2q_partition
         else:
-            return tag, []
+            return tag, iter(())
     if unit and ring.two_is_unit and family in ERRATA:
-        outputs = [(v, form(*args, v)) for v in (CORRECTED, PRINTED)]
+        outputs = ((v, form(*args, v)) for v in (CORRECTED, PRINTED))
     else:
-        outputs = [(UNIQUE, form(*args))]
+        outputs = ((v, form(*args)) for v in (UNIQUE,))
     if family not in (ODD_PQ, ODD_P2Q):
-        return tag, [(v, value, None) for v, value in outputs]
+        return tag, ((v, value, None) for v, value in outputs)
     degrees = predicted_degrees(ring, kind)
-    return tag, [(v, assemble_partition_sum(part, *degrees), part) for v, part in outputs]
+    return tag, ((v, assemble_partition_sum(part, *degrees), part) for v, part in outputs)

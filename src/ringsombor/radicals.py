@@ -15,12 +15,24 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import rings
 from .rings import _TRIAL_BOUND, CACHE_SIZE, _factor_cofactor, _trial_divide
 
 # A cofactor of _trial_divide below this, when not a square, is 1, a prime or
 # two distinct primes: it has no prime factor below _TRIAL_BOUND, so three of
 # them would make at least _TRIAL_BOUND**3.
 _SQUARE_FREE_BELOW = _TRIAL_BOUND**3
+
+# The base-2 Wieferich primes, p with 2^(p-1) = 1 (mod p^2), below
+# 6.7*10^15: Dorais and Klyve, "A Wieferich prime search up to 6.7x10^15",
+# J. Integer Sequences 14 (2011), art. 11.9.2, found only these two.  If a
+# prime p has p^2 dividing an r with 2^(r-1) = 1 (mod r), the order of 2 mod
+# p^2 divides r - 1 and p(p - 1), and p does not divide r - 1, so it
+# divides p - 1: p is a Wieferich prime.  Below SQUARE_FREE_PROOF_BELOW such
+# a p is below 6.7*10^15, so an r there that 1093 and 3511 do not divide,
+# and that passes the base-2 strong test, is square-free, prime or not.
+WIEFERICH_PRIMES = (1093, 3511)
+SQUARE_FREE_PROOF_BELOW = 6_700_000_000_000_000**2
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -30,10 +42,12 @@ def radical_normalize(m: int) -> tuple[int, int]:
     c = prod p^(e // 2) and s = prod p^(e % 2) over the primes p^e that
     rings._trial_divide takes out of m.  The cofactor r it leaves goes into
     c as isqrt(r) when r is a square, into s whole when it is below
-    _SQUARE_FREE_BELOW, and otherwise is factored (rings._factor_cofactor).
-    Raises ValueError when that factoring needs a primality proof beyond
-    rings.PSI_13, more than rings.RHO_STEPS rho squarings on one cofactor,
-    or a non-square cofactor of more than rings.FACTOR_BITS bits.
+    _SQUARE_FREE_BELOW, is split into square-free parts when it is below
+    SQUARE_FREE_PROOF_BELOW (_square_free_parts), and otherwise is factored
+    (rings._factor_cofactor).  Raises ValueError when that factoring needs a
+    primality proof beyond rings.PSI_13, when rho needs more than
+    rings.RHO_STEPS squarings on one cofactor or part, or when a non-square
+    cofactor has more than rings.FACTOR_BITS bits.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")
@@ -44,6 +58,8 @@ def radical_normalize(m: int) -> tuple[int, int]:
         c *= root
     elif r < _SQUARE_FREE_BELOW:
         s *= r
+    elif r < SQUARE_FREE_PROOF_BELOW:
+        _square_free_parts(r, factors)
     else:
         _factor_cofactor(r, factors)
     for p, e in factors.items():
@@ -51,6 +67,41 @@ def radical_normalize(m: int) -> tuple[int, int]:
         if e & 1:
             s *= p
     return c, s
+
+
+def _square_free_parts(r: int, factors: dict[int, int]) -> None:
+    """Add r, below SQUARE_FREE_PROOF_BELOW, to factors as square-free parts,
+    each to the power it divides r, pairwise coprime and coprime to the
+    primes already in factors.  The WIEFERICH_PRIMES are divided out; then
+    a square part is taken by its root at twice the power, a part that
+    passes the base-2 strong test is taken whole, and any other part is
+    split by rings._rho_divisor.  Two parts taken whole may share a prime,
+    so a part x that meets a y in factors is refined by their gcd g into g,
+    x // g and y // g."""
+    for p in WIEFERICH_PRIMES:
+        while r % p == 0:
+            r //= p
+            factors[p] = factors.get(p, 0) + 1
+    pending = [(r, 1)]  # (part, multiplicity)
+    while pending:
+        x, mult = pending.pop()
+        if x == 1:
+            continue
+        root = math.isqrt(x)
+        if root * root == x:
+            pending.append((root, 2 * mult))
+        elif not rings._strong_probable_prime(x, (2,)):
+            d = rings._rho_divisor(x)
+            pending += [(d, mult), (x // d, mult)]
+        else:
+            for y, other in factors.items():
+                g = math.gcd(x, y)
+                if g > 1:
+                    del factors[y]
+                    pending += [(g, mult + other), (x // g, mult), (y // g, other)]
+                    break
+            else:
+                factors[x] = mult
 
 
 def _canon(c):

@@ -81,17 +81,12 @@ _PSI = (
 )
 
 
-def _passes_miller_rabin(m: int) -> bool:
-    """Strong probable-prime test of an odd m > 41 on the first k bases of
-    _MR_BASES, for the least psi_k above m (all 13 from PSI_13 on).
-
-    False is a proof that m is composite.  True is a proof that m is prime
-    below PSI_13; at or above it no primality is claimed and ValueError is
-    raised instead.
-    """
+def _strong_probable_prime(m: int, bases) -> bool:
+    """Whether the odd m is a strong probable prime to every base in bases,
+    each below m; False is a proof that m is composite."""
     s = ((m - 1) & (1 - m)).bit_length() - 1
     d = (m - 1) >> s
-    for a in _MR_BASES[:bisect_right(_PSI, m) + 1]:
+    for a in bases:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -101,6 +96,19 @@ def _passes_miller_rabin(m: int) -> bool:
                 break
         else:
             return False
+    return True
+
+
+def _passes_miller_rabin(m: int) -> bool:
+    """Strong probable-prime test of an odd m > 41 on the first k bases of
+    _MR_BASES, for the least psi_k above m (all 13 from PSI_13 on).
+
+    False is a proof that m is composite.  True is a proof that m is prime
+    below PSI_13; at or above it no primality is claimed and ValueError is
+    raised instead.
+    """
+    if not _strong_probable_prime(m, _MR_BASES[:bisect_right(_PSI, m) + 1]):
+        return False
     if m >= PSI_13:
         raise ValueError(
             f"{m} is a strong probable prime to the bases 2..41, which proves "
@@ -109,10 +117,18 @@ def _passes_miller_rabin(m: int) -> bool:
     return True
 
 
+# Entries each of the lru caches (is_prime, factorize, euler_phi and
+# radicals.radical_normalize) keeps: far more than one sweep or batch of
+# closed queries looks up, so a long-lived process stays bounded.
+CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Exact primality: trial division by the primes below 1000
     (_trial_divide), then deterministic Miller-Rabin.  Raises ValueError for
-    an n >= PSI_13 that no base proves composite."""
+    an n >= PSI_13 that no base proves composite.  Cached, so a family's
+    primes are proven once per process."""
     if n < 2:
         return False
     factors, r = _trial_divide(n)
@@ -235,12 +251,6 @@ def _modulus(n: int) -> Modulus:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors, r = _trial_divide(n)
     return Modulus(n, tuple(sorted(_factor_cofactor(r, factors).items())))
-
-
-# Entries each of the lru caches (factorize, euler_phi and
-# radicals.radical_normalize) keeps: far more than one sweep or batch of
-# closed queries looks up, so a long-lived process stays bounded.
-CACHE_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -471,6 +471,25 @@ MUTANTS = {
         "    return cases()\n",
         ("test_verify.py::TestIdentity::test_max_n_bounded_before_any_case",),
     ),
+    "BW _square_free_parts: 1093 and 3511 left in the cofactor": (
+        "radicals.py",
+        "for p in WIEFERICH_PRIMES:",
+        "for p in ():",
+        ("test_radicals.py::TestSquareFreeParts::test_wieferich_square_is_divided_out[1-1093-4733]",),
+    ),
+    "BX _square_free_parts: no gcd refinement, only equal parts merged": (
+        "radicals.py",
+        "if g > 1:",
+        "if g == x == y:",
+        ("test_radicals.py::TestSquareFreeParts::"
+         "test_two_whole_parts_that_share_a_prime[1013-1657-25301]",),
+    ),
+    "BY ring_forms: every variant's form evaluated at the call": (
+        "closed_forms.py",
+        "outputs = ((v, form(*args, v)) for v in (CORRECTED, PRINTED))",
+        "outputs = iter([(v, form(*args, v)) for v in (CORRECTED, PRINTED)])",
+        ("test_cli.py::TestCompute::test_closed_path_evaluates_only_the_shown_form[flags0-1]",),
+    ),
 }
 
 

@@ -219,6 +219,22 @@ class TestCompute:
         assert main(["compute", "--ring", "zn", "--n", "45", "--graph", "unit", *flags]) == 0
         assert (len(cases), len(dispatches)) == calls
 
+    @pytest.mark.parametrize("flags, partitions", [
+        (["--mode", "closed"], 1),
+        (["--mode", "closed", "--variant", "printed"], 2),
+        (["--mode", "closed", "--variant", "printed", "--ceiling", "10"], 2),
+        (["--mode", "both"], 2),
+    ])
+    def test_closed_path_evaluates_only_the_shown_form(self, monkeypatch, capsys, flags,
+                                                       partitions):
+        # Z_45 = 3^2 * 5 has a corrected/printed pair on its unit graph; the
+        # closed path shows the corrected form and stops there, --variant
+        # printed reads the printed form after the corrected one, and the
+        # oracle checks both
+        calls = count_calls(monkeypatch, cf, "unit_p2q_partition")
+        assert main(["compute", "--ring", "zn", "--n", "45", "--graph", "unit", *flags]) == 0
+        assert len(calls) == partitions
+
 
 @pytest.fixture
 def broken_total_pq(monkeypatch):
@@ -336,11 +352,27 @@ class TestClosedModeLargeModuli:
         payload = json.loads(out)
         assert payload["n"] == n and payload["closed_exact"]
 
+    def test_probable_prime_cofactor_below_the_wieferich_bound(self, capsys):
+        # the unit-graph radicand 3380000000569400000023981 of this prime
+        # modulus is a strong probable prime to every base up to 41 above
+        # PSI_13, so it cannot be proven prime; below
+        # radicals.SQUARE_FREE_PROOF_BELOW it only needs to be square-free,
+        # which its base-2 test proves
+        code, seconds, out, _ = timed_closed(capsys, 1300000000111, "unit")
+        assert code == 0 and seconds < 1.0
+        assert json.loads(out)["closed_exact"] == (
+            "1098500000276315000023167300000647460*sqrt(2) + "
+            "1300000000110*sqrt(3380000000569400000023981)"
+        )
+
     def test_unproven_cofactor_exits_2(self, capsys):
-        # the unit-graph radicand of this prime modulus is a strong probable
-        # prime to every base up to 41 above PSI_13, so it has no proof
-        code, _, out, err = timed_closed(capsys, 1300000000111, "unit")
-        assert code == 2
+        # the unit-graph radicand 50000000000028950000000004190513 of this
+        # prime modulus is a strong probable prime to every base up to 41,
+        # above both PSI_13 and radicals.SQUARE_FREE_PROOF_BELOW, so neither
+        # its primality nor its square-freeness has a proof
+        code, seconds, out, err = timed_closed(capsys, 5000000000001449, "unit")
+        assert code == 2 and seconds < 1.0
+        assert "50000000000028950000000004190513 is a strong probable prime" in err
         assert str(PSI_13) in err
         assert out == ""
 

@@ -330,7 +330,7 @@ class TestAssemblyPattern:
         p, q = 3, 7
         n = p * p * q
         d_zero, d_unit = degree_pair(UNIT, n, euler_phi(n), True)
-        _, forms = ring_forms(ZnRing(n), UNIT)
+        forms = list(ring_forms(ZnRing(n), UNIT)[1])
         assert [v for v, _, _ in forms] == [CORRECTED, PRINTED]
         for variant, value, closed_part in forms:
             part = unit_p2q_partition(p, q, variant)
@@ -360,7 +360,7 @@ class TestRingForms:
         calls = []
         real = getattr(cf, name)
         monkeypatch.setattr(cf, name, lambda *args: calls.append(args) or real(*args))
-        _, forms = ring_forms(ZnRing(n), kind)
+        forms = list(ring_forms(ZnRing(n), kind)[1])
         assert len(forms) == len(calls) == variants
         assert [part for _, _, part in forms] == [real(*args) for args in calls]
 

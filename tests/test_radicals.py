@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 import time
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsombor import rings
-from ringsombor.radicals import RadicalSum, radical_normalize, rational_sqrt
+from ringsombor.radicals import (
+    SQUARE_FREE_PROOF_BELOW,
+    WIEFERICH_PRIMES,
+    RadicalSum,
+    radical_normalize,
+    rational_sqrt,
+)
 from ringsombor.rings import PSI_13, factorize, primes_up_to
 
 
@@ -93,11 +100,13 @@ BIG_PRIMES = [p for p in primes_up_to(40000) if p > 1000]
 
 @pytest.fixture
 def no_factoring(monkeypatch):
-    """Make Miller-Rabin and Pollard rho raise, so a radicand that reaches
-    them fails; radical_normalize's cache is bypassed through __wrapped__."""
+    """Make Miller-Rabin, the base-2 strong test and Pollard rho raise, so a
+    radicand that reaches them fails; radical_normalize's cache is bypassed
+    through __wrapped__."""
     def refuse(m):
         raise AssertionError(f"factoring reached for {m}")
     monkeypatch.setattr(rings, "_passes_miller_rabin", refuse)
+    monkeypatch.setattr(rings, "_strong_probable_prime", refuse)
     monkeypatch.setattr(rings, "_rho_divisor", refuse)
     return radical_normalize.__wrapped__
 
@@ -145,6 +154,84 @@ class TestSquarePart:
         assert radical_normalize(PSI_13**2 * 12) == (2 * PSI_13, 3)
         with pytest.raises(ValueError, match=str(PSI_13)):
             factorize(PSI_13**2)
+
+
+def normalize_by_factorize(m):
+    """The reference c = prod p^(e // 2), s = prod p^(e % 2) over the proven
+    primes of m."""
+    factors = factorize(m).factors if m > 1 else ()
+    return (math.prod(p ** (e // 2) for p, e in factors),
+            math.prod(p ** (e % 2) for p, e in factors))
+
+
+class TestSquareFreeParts:
+    # a cofactor r with 1000^3 <= r < SQUARE_FREE_PROOF_BELOW that is not a
+    # square is split into square-free parts, not into primes
+
+    def test_bound(self):
+        assert SQUARE_FREE_PROOF_BELOW == 6_700_000_000_000_000**2
+        assert PSI_13 < SQUARE_FREE_PROOF_BELOW < 4.5e31
+        assert WIEFERICH_PRIMES == (1093, 3511)
+        for p in WIEFERICH_PRIMES:
+            assert pow(2, p - 1, p * p) == 1
+
+    def test_agrees_with_factorize_below_psi_13(self):
+        # log-uniform m, and m = a^2 * b, below PSI_13
+        rng = random.Random(3317)
+        samples = []
+        for _ in range(400):
+            samples.append(int(math.exp(rng.uniform(math.log(10**9), math.log(PSI_13)))))
+            a = rng.randrange(2, 10**rng.randrange(2, 10))
+            samples.append(a * a * rng.randrange(1, PSI_13 // (a * a)))
+        for m in samples:
+            assert radical_normalize.__wrapped__(m) == normalize_by_factorize(m), m
+
+    @pytest.mark.parametrize("w, r", [(1093, 4733), (1093, 21841), (3511, 1969111),
+                                      (3511, 6553 * 13807)])
+    @pytest.mark.parametrize("k", [1, 6, 1093 * 3511])
+    def test_wieferich_square_is_divided_out(self, w, r, k):
+        # w^2 * r is a strong probable prime to base 2, so taken whole it
+        # would leave the square w^2 under the radical
+        assert rings._strong_probable_prime(w * w * r, (2,))
+        m = k * w * w * r
+        assert radical_normalize.__wrapped__(m) == normalize_by_factorize(m) == (w, k * r)
+
+    @pytest.mark.parametrize("p, q, t", [(1013, 1657, 25301), (1021, 3061, 4421)])
+    def test_two_whole_parts_that_share_a_prime(self, monkeypatch, p, q, t):
+        # p*q and p*t are strong pseudoprimes to base 2, so each is taken
+        # whole; a rho that splits p^2*q*t into them leaves the two parts to
+        # be refined by their gcd p
+        a, b = p * q, p * t
+        assert rings._strong_probable_prime(a, (2,)) and rings._strong_probable_prime(b, (2,))
+        expected = (p, q * t)
+        assert radical_normalize.__wrapped__(a * b) == normalize_by_factorize(a * b) == expected
+        real = rings._rho_divisor
+        monkeypatch.setattr(rings, "_rho_divisor",
+                            lambda n: a if n == a * b else real(n))
+        assert radical_normalize.__wrapped__(a * b) == expected
+
+    def test_probable_prime_past_psi_13_goes_under_the_radical(self, monkeypatch):
+        # 3380000000569400000023981, the unit-graph radicand of the prime
+        # modulus 1300000000111, is above PSI_13 and a strong probable prime
+        # to every base up to 41: factorize cannot prove it prime, but one
+        # base-2 test proves it square-free
+        r = 3380000000569400000023981
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            factorize(r)
+        tested = []
+        real = rings._strong_probable_prime
+        monkeypatch.setattr(rings, "_strong_probable_prime",
+                            lambda m, bases: tested.append((m, bases)) or real(m, bases))
+        assert radical_normalize.__wrapped__(4 * r) == (2, r)
+        assert tested == [(r, (2,))]
+
+    def test_above_the_bound_still_needs_a_proof(self):
+        # the unit-graph radicand of the prime modulus 5000000000001449 is a
+        # probable prime above SQUARE_FREE_PROOF_BELOW, so it raises as before
+        r = 50000000000028950000000004190513
+        assert r > SQUARE_FREE_PROOF_BELOW
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            radical_normalize.__wrapped__(r)
 
 
 def rsums(max_terms=4):

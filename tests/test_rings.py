@@ -248,7 +248,7 @@ class TestModulus:
 
 
 class TestCaches:
-    @pytest.mark.parametrize("fn", [factorize, euler_phi, radical_normalize],
+    @pytest.mark.parametrize("fn", [is_prime, factorize, euler_phi, radical_normalize],
                              ids=lambda fn: fn.__name__)
     def test_bounded(self, fn):
         fn.cache_clear()
@@ -260,7 +260,7 @@ class TestCaches:
             assert info.currsize == CACHE_SIZE
             assert fn(CACHE_SIZE + 99) == fn.__wrapped__(CACHE_SIZE + 99)
         finally:
-            for cached in (factorize, euler_phi, radical_normalize):
+            for cached in (is_prime, factorize, euler_phi, radical_normalize):
                 cached.cache_clear()
 
 
