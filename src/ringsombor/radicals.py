@@ -12,8 +12,9 @@ closed forms, whose coefficients lie in (1/2)Z, run on ints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import rings
 from .rings import _TRIAL_BOUND, CACHE_SIZE, _factor_cofactor, _trial_divide
@@ -34,6 +35,12 @@ _SQUARE_FREE_BELOW = _TRIAL_BOUND**3
 WIEFERICH_PRIMES = (1093, 3511)
 SQUARE_FREE_PROOF_BELOW = 6_700_000_000_000_000**2
 
+# The argument of _SQUARE_FREE_BELOW with its bound raised to 2^16: a part
+# below _GCD_PROOF_BELOW = (2^16)^3 with no prime factor below 2^16 is, when
+# not a square, 1, a prime or two distinct primes (_small_prime_part).
+_GCD_PROOF_PRIMES_BELOW = 1 << 16
+_GCD_PROOF_BELOW = _GCD_PROOF_PRIMES_BELOW**3
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def radical_normalize(m: int) -> tuple[int, int]:
@@ -43,11 +50,13 @@ def radical_normalize(m: int) -> tuple[int, int]:
     rings._trial_divide takes out of m.  The cofactor r it leaves goes into
     c as isqrt(r) when r is a square, into s whole when it is below
     _SQUARE_FREE_BELOW, is split into square-free parts when it is below
-    SQUARE_FREE_PROOF_BELOW (_square_free_parts), and otherwise is factored
-    (rings._factor_cofactor).  Raises ValueError when that factoring needs a
-    primality proof beyond rings.PSI_13, when rho needs more than
-    rings.RHO_STEPS squarings on one cofactor or part, or when a non-square
-    cofactor has more than rings.FACTOR_BITS bits.
+    SQUARE_FREE_PROOF_BELOW (_square_free_parts, where a composite part
+    below _GCD_PROOF_BELOW = 2^48 is split by gcds with the primes below
+    2^16, not by rho), and otherwise is factored (rings._factor_cofactor).
+    Raises ValueError when that factoring needs a primality proof beyond
+    rings.PSI_13, when rho needs more than rings.RHO_STEPS squarings on one
+    cofactor or part, or when a non-square cofactor has more than
+    rings.FACTOR_BITS bits.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")
@@ -73,11 +82,15 @@ def _square_free_parts(r: int, factors: dict[int, int]) -> None:
     """Add r, below SQUARE_FREE_PROOF_BELOW, to factors as square-free parts,
     each to the power it divides r, pairwise coprime and coprime to the
     primes already in factors.  The WIEFERICH_PRIMES are divided out; then
-    a square part is taken by its root at twice the power, a part that
-    passes the base-2 strong test is taken whole, and any other part is
-    split by rings._rho_divisor.  Two parts taken whole may share a prime,
-    so a part x that meets a y in factors is refined by their gcd g into g,
-    x // g and y // g."""
+    a square part is taken by its root at twice the power and a part that
+    passes the base-2 strong test is taken whole.  Any other part x below
+    _GCD_PROOF_BELOW is taken whole or split without rho: the product d of
+    its small prime factors (_small_prime_part) is square-free, so d is
+    taken whole and x // d goes on, and d = 1 proves x square-free, so x is
+    taken whole.  A part at or above _GCD_PROOF_BELOW is split by
+    rings._rho_divisor.  Two parts taken whole may share a prime, so a part
+    x that meets a y in factors is refined by their gcd g into g, x // g
+    and y // g."""
     for p in WIEFERICH_PRIMES:
         while r % p == 0:
             r //= p
@@ -90,18 +103,56 @@ def _square_free_parts(r: int, factors: dict[int, int]) -> None:
         root = math.isqrt(x)
         if root * root == x:
             pending.append((root, 2 * mult))
-        elif not rings._strong_probable_prime(x, (2,)):
-            d = rings._rho_divisor(x)
-            pending += [(d, mult), (x // d, mult)]
+            continue
+        if not rings._strong_probable_prime(x, (2,)):
+            if x >= _GCD_PROOF_BELOW:
+                d = rings._rho_divisor(x)
+                pending += [(d, mult), (x // d, mult)]
+                continue
+            d = _small_prime_part(x)
+            if d > 1:
+                pending.append((x // d, mult))
+                x = d
+        for y, other in factors.items():
+            g = math.gcd(x, y)
+            if g > 1:
+                del factors[y]
+                pending += [(g, mult + other), (x // g, mult), (y // g, other)]
+                break
         else:
-            for y, other in factors.items():
-                g = math.gcd(x, y)
-                if g > 1:
-                    del factors[y]
-                    pending += [(g, mult + other), (x // g, mult), (y // g, other)]
-                    break
-            else:
-                factors[x] = mult
+            factors[x] = mult
+
+
+# Primes per product in _gcd_proof_chunks: a part reads only the chunks whose
+# least prime p has p^3 <= it, and each chunk read costs a gcd call.
+_GCD_PROOF_CHUNK = 256
+
+
+@cache
+def _gcd_proof_chunks() -> tuple[tuple[int, int], ...]:
+    """(least prime, product) for each run of _GCD_PROOF_CHUNK consecutive
+    primes from _TRIAL_BOUND up to _GCD_PROOF_PRIMES_BELOW, ascending;
+    built at the first part that needs them."""
+    primes = rings.primes_up_to(_GCD_PROOF_PRIMES_BELOW)
+    primes = primes[bisect_left(primes, _TRIAL_BOUND):]
+    return tuple((primes[i], math.prod(primes[i:i + _GCD_PROOF_CHUNK]))
+                 for i in range(0, len(primes), _GCD_PROOF_CHUNK))
+
+
+def _small_prime_part(x: int) -> int:
+    """The square-free product of the primes in the chunks of
+    _gcd_proof_chunks that divide x, a part below _GCD_PROOF_BELOW with no
+    prime factor below _TRIAL_BOUND: one gcd per chunk, read while the
+    chunk's least prime p has p^3 <= x.  When it is 1, x has no prime
+    factor below the first chunk left unread (65537 once all are read) and
+    is below that prime's cube, so x, if not a square, is 1, a prime or two
+    distinct primes."""
+    d = 1
+    for least, product in _gcd_proof_chunks():
+        if least**3 > x:
+            break
+        d *= math.gcd(x, product)
+    return d
 
 
 def _canon(c):

@@ -28,7 +28,7 @@ def primes_up_to(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 class Modulus(namedtuple("Modulus", "n factors")):
@@ -127,8 +127,10 @@ CACHE_SIZE = 1 << 16
 def is_prime(n: int) -> bool:
     """Exact primality: trial division by the primes below 1000
     (_trial_divide), then deterministic Miller-Rabin.  Raises ValueError for
-    an n >= PSI_13 that no base proves composite.  Cached, so a family's
-    primes are proven once per process."""
+    an n >= PSI_13 that no base proves composite.  Cached, and
+    _factor_cofactor proves its cofactors prime through it, so each prime is
+    proven once per process, whether factorize or a family check meets it
+    first."""
     if n < 2:
         return False
     factors, r = _trial_divide(n)
@@ -219,11 +221,11 @@ def _trial_divide(m: int) -> tuple[dict[int, int], int]:
 
 def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
     """factors with the prime factorization of a _trial_divide cofactor r
-    added.  r is split as an exact square, declared prime by is_prime's
-    Miller-Rabin test, or split by Pollard rho.  Raises ValueError for a
-    cofactor that is not a square and has more than FACTOR_BITS bits, where
-    is_prime does, or where rho does not split a cofactor within RHO_STEPS
-    squarings."""
+    added.  r is split as an exact square, declared prime by is_prime (whose
+    trial division finds nothing in r, so Miller-Rabin decides), or split by
+    Pollard rho.  Raises ValueError for a cofactor that is not a square and
+    has more than FACTOR_BITS bits, where is_prime does, or where rho does
+    not split a cofactor within RHO_STEPS squarings."""
     pending = [(r, 1)]  # (cofactor, multiplicity)
     while pending:
         r, mult = pending.pop()
@@ -235,7 +237,7 @@ def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
         elif r.bit_length() > FACTOR_BITS:
             raise ValueError(f"a {r.bit_length()}-bit cofactor is left to factor, "
                              f"above the {FACTOR_BITS}-bit bound")
-        elif r < _TRIAL_SQUARE or _passes_miller_rabin(r):
+        elif r < _TRIAL_SQUARE or is_prime(r):
             factors[r] = factors.get(r, 0) + mult
         else:
             d = _rho_divisor(r)

@@ -490,6 +490,18 @@ MUTANTS = {
         "outputs = iter([(v, form(*args, v)) for v in (CORRECTED, PRINTED)])",
         ("test_cli.py::TestCompute::test_closed_path_evaluates_only_the_shown_form[flags0-1]",),
     ),
+    "BZ _square_free_parts: the 2^48 bound dropped, a gcd proof at any size": (
+        "radicals.py",
+        "if x >= _GCD_PROOF_BELOW:",
+        "if False:",
+        ("test_radicals.py::TestGcdProof::test_p2q_above_the_bound_is_split_by_rho",),
+    ),
+    "CA _gcd_proof_chunks: the top prime 65521 left out of the products": (
+        "radicals.py",
+        "rings.primes_up_to(_GCD_PROOF_PRIMES_BELOW)",
+        "rings.primes_up_to(_GCD_PROOF_PRIMES_BELOW - 16)",
+        ("test_radicals.py::TestGcdProof::test_p2q_below_the_bound[65521-65537]",),
+    ),
 }
 
 

@@ -376,6 +376,18 @@ class TestClosedModeLargeModuli:
         assert str(PSI_13) in err
         assert out == ""
 
+    @pytest.mark.parametrize("n, prime", [(999999937, 999999937), (999999999927, 111111111103)])
+    def test_each_prime_proven_once(self, capsys, monkeypatch, n, prime):
+        # factorize proves n's large prime through is_prime's cache, so the
+        # closed form's own is_prime check does not test it again
+        calls = count_calls(monkeypatch, rings, "_passes_miller_rabin")
+        rings.is_prime.cache_clear()
+        rings.factorize.cache_clear()
+        code, _, out, _ = timed_closed(capsys, n, "total")
+        rings.is_prime.cache_clear()
+        assert code == 0 and out
+        assert calls.count((prime,)) == 1
+
     def test_rho_budget_exits_2(self, capsys, monkeypatch):
         # 3^100's unit-graph radicands leave a composite cofactor that rho
         # does not split within the budget (2^22 squarings takes about 4 s)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsombor import rings
+from ringsombor import cli, radicals, rings
 from ringsombor.radicals import (
     SQUARE_FREE_PROOF_BELOW,
     WIEFERICH_PRIMES,
@@ -17,7 +18,7 @@ from ringsombor.radicals import (
     radical_normalize,
     rational_sqrt,
 )
-from ringsombor.rings import PSI_13, factorize, primes_up_to
+from ringsombor.rings import PSI_13, _trial_divide, factorize, is_prime, primes_up_to
 
 
 def squarefree_by_trial(s):
@@ -108,6 +109,7 @@ def no_factoring(monkeypatch):
     monkeypatch.setattr(rings, "_passes_miller_rabin", refuse)
     monkeypatch.setattr(rings, "_strong_probable_prime", refuse)
     monkeypatch.setattr(rings, "_rho_divisor", refuse)
+    is_prime.cache_clear()  # so that no cached answer stands in for a test
     return radical_normalize.__wrapped__
 
 
@@ -200,15 +202,20 @@ class TestSquareFreeParts:
     def test_two_whole_parts_that_share_a_prime(self, monkeypatch, p, q, t):
         # p*q and p*t are strong pseudoprimes to base 2, so each is taken
         # whole; a rho that splits p^2*q*t into them leaves the two parts to
-        # be refined by their gcd p
+        # be refined by their gcd p.  p^2*q*t is below 2^48, where the gcd
+        # proof splits it into p*q*t and p instead, which are refined the
+        # same way; with that bound lowered to 0, rho splits it
         a, b = p * q, p * t
         assert rings._strong_probable_prime(a, (2,)) and rings._strong_probable_prime(b, (2,))
         expected = (p, q * t)
         assert radical_normalize.__wrapped__(a * b) == normalize_by_factorize(a * b) == expected
+        split = []
         real = rings._rho_divisor
         monkeypatch.setattr(rings, "_rho_divisor",
-                            lambda n: a if n == a * b else real(n))
+                            lambda n: split.append(n) or (a if n == a * b else real(n)))
+        monkeypatch.setattr(radicals, "_GCD_PROOF_BELOW", 0)
         assert radical_normalize.__wrapped__(a * b) == expected
+        assert split == [a * b]
 
     def test_probable_prime_past_psi_13_goes_under_the_radical(self, monkeypatch):
         # 3380000000569400000023981, the unit-graph radicand of the prime
@@ -232,6 +239,139 @@ class TestSquareFreeParts:
         assert r > SQUARE_FREE_PROOF_BELOW
         with pytest.raises(ValueError, match=str(PSI_13)):
             radical_normalize.__wrapped__(r)
+
+
+def refuse_rho_below_the_bound(monkeypatch):
+    """Make rings._rho_divisor raise on any number below 2^48; returns the
+    record of the numbers at or above it that it splits."""
+    split = []
+    real = rings._rho_divisor
+
+    def rho(n):
+        if n < radicals._GCD_PROOF_BELOW:
+            raise AssertionError(f"rho reached on {n}, below 2^48")
+        split.append(n)
+        return real(n)
+
+    monkeypatch.setattr(rings, "_rho_divisor", rho)
+    return split
+
+
+def prime_from(start):
+    return next(m for m in itertools.count(start | 1, 2) if is_prime(m))
+
+
+def semiprimes(rng):
+    # p * q with 2^16 <= p < q
+    out = []
+    while len(out) < 30:
+        p = prime_from(rng.randrange(1 << 16, 1 << 24))
+        q = prime_from(rng.randrange(p + 1, max(p + 2, (1 << 48) // p)))
+        if 10**9 <= p * q < 1 << 48:
+            out.append(p * q)
+    return out
+
+
+def p2q_across_2_16(rng):
+    # p^2 * q with 1000 < p < 2^16 <= q, after 65521^2 * 65537: the largest
+    # prime below 2^16, squared, times the least above it
+    out = [65521**2 * 65537]
+    while len(out) < 30:
+        p = rng.choice(MID_PRIMES)
+        q = prime_from(rng.randrange(1 << 16, (1 << 48) // (p * p)))
+        if 10**9 <= p * p * q < 1 << 48:
+            out.append(p * p * q)
+    return out
+
+
+def smooth_square_free(rng):
+    # products of distinct primes in (1000, 2^16)
+    out = []
+    while len(out) < 30:
+        m = math.prod(rng.sample(MID_PRIMES, rng.choice((3, 4))))
+        if 10**9 <= m < 1 << 48:
+            out.append(m)
+    return out
+
+
+def with_a_wieferich_prime(rng):
+    # w^e * p * q with w = 1093 or 3511, 1000 < p < 2^16 and q > p
+    out = []
+    while len(out) < 30:
+        m = rng.choice(WIEFERICH_PRIMES) ** rng.randint(1, 3) * rng.choice(MID_PRIMES)
+        top = (1 << 48) // m
+        if top > 1 << 17:
+            m *= prime_from(rng.randrange(1 << 16, top))
+            if 10**9 <= m < 1 << 48:
+                out.append(m)
+    return out
+
+
+# primes strictly between the trial bound and 2^16
+MID_PRIMES = [p for p in primes_up_to(1 << 16) if p > 1000]
+
+
+class TestGcdProof:
+    # a cofactor part below 2^48 that is composite and not a square is split
+    # by its gcds with products of the primes from 1000 to 2^16, never by rho
+
+    def test_bound(self):
+        assert radicals._GCD_PROOF_BELOW == 2**48 == radicals._GCD_PROOF_PRIMES_BELOW**3
+        chunks = radicals._gcd_proof_chunks()
+        assert math.prod(product for _, product in chunks) == math.prod(MID_PRIMES)
+        assert [least for least, _ in chunks] == MID_PRIMES[::radicals._GCD_PROOF_CHUNK]
+
+    @pytest.mark.parametrize("cofactors", [semiprimes, p2q_across_2_16, smooth_square_free,
+                                           with_a_wieferich_prime])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_agrees_with_factorize_without_rho(self, monkeypatch, cofactors, k):
+        ms = [k * r for r in cofactors(random.Random(cofactors.__name__))]
+        expected = [normalize_by_factorize(m) for m in ms]
+        split = refuse_rho_below_the_bound(monkeypatch)
+        assert [radical_normalize.__wrapped__(m) for m in ms] == expected
+        assert split == []
+
+    @pytest.mark.parametrize("p, q", [(65521, 65537), (1009, 65537), (65519, 65543),
+                                      (1093, 100003)])
+    def test_p2q_below_the_bound(self, monkeypatch, p, q):
+        # the square of a prime below 2^16 times one above it: 65521^2 * 65537
+        # is just below 2^48, and 1093 is a Wieferich prime
+        m = p * p * q
+        assert 10**9 <= m < 1 << 48
+        split = refuse_rho_below_the_bound(monkeypatch)
+        assert radical_normalize.__wrapped__(m) == (p, q)
+        assert radical_normalize.__wrapped__(30 * m) == (p, 30 * q)
+        assert split == []
+
+    def test_p2q_above_the_bound_is_split_by_rho(self, monkeypatch):
+        # 65537^2 * 65539 is just above 2^48, so rho splits it as before
+        m = 65537**2 * 65539
+        assert m >= 1 << 48
+        split = refuse_rho_below_the_bound(monkeypatch)
+        assert radical_normalize.__wrapped__(m) == (65537, 65539) == normalize_by_factorize(m)
+        assert m in split
+
+    @pytest.mark.parametrize("n, graph", [(20842763, "unit"), (33107647, "total"),
+                                          (12343727, "unit"), (188362373, "unit"),
+                                          (34214857, "unit")])
+    def test_panel_radicands_need_no_rho(self, monkeypatch, capsys, n, graph):
+        # closed queries whose radicands leave cofactors of 40 to 48 bits,
+        # each two primes above 2^17, which rho used to split
+        radicands = []
+        real = radicals.radical_normalize
+        monkeypatch.setattr(radicals, "radical_normalize", lambda m: radicands.append(m) or real(m))
+        assert cli.main(["compute", "--ring", "zn", "--n", str(n), "--graph", graph,
+                         "--mode", "closed"]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        expected = [normalize_by_factorize(m) for m in radicands]
+        assert any(2**39 <= _trial_divide(m)[1] < 2**48 for m in radicands)
+
+        def refuse(m):
+            raise AssertionError(f"rho reached on {m}")
+
+        monkeypatch.setattr(rings, "_rho_divisor", refuse)
+        assert [radical_normalize.__wrapped__(m) for m in radicands] == expected
 
 
 def rsums(max_terms=4):

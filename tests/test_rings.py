@@ -152,20 +152,30 @@ class TestFactorize:
         assert factorize(p**3 * q**2 * 3**5).factors == ((3, 5), (p, 3), (q, 2))
 
 
+# the largest FACTOR_BITS-bit number with no prime factor below 1000, as a
+# cofactor of rings._trial_divide has
+TOP_COFACTOR = next(m for m in range((1 << FACTOR_BITS) - 1, 0, -2)
+                    if math.gcd(m, rings._TRIAL_PRODUCT) == 1)
+
+
+@pytest.fixture
+def primality_calls(monkeypatch):
+    """Record each number given to Miller-Rabin, which declares it prime,
+    and make rho raise; is_prime's cache is cleared before and after, so
+    no cached answer hides a call and no fake one outlives the test."""
+    calls = []
+
+    def rho(m):
+        raise AssertionError(f"rho reached on {m}")
+
+    monkeypatch.setattr(rings, "_passes_miller_rabin", lambda m: calls.append(m) or True)
+    monkeypatch.setattr(rings, "_rho_divisor", rho)
+    is_prime.cache_clear()
+    yield calls
+    is_prime.cache_clear()
+
+
 class TestFactorBound:
-    @pytest.fixture
-    def primality_calls(self, monkeypatch):
-        """Record each cofactor given to Miller-Rabin, which declares it
-        prime, and make rho raise."""
-        calls = []
-
-        def rho(m):
-            raise AssertionError(f"rho reached on {m}")
-
-        monkeypatch.setattr(rings, "_passes_miller_rabin", lambda m: calls.append(m) or True)
-        monkeypatch.setattr(rings, "_rho_divisor", rho)
-        return calls
-
     def test_cofactor_above_the_bound_refused(self, primality_calls):
         assert FACTOR_BITS == 320
         r = (1 << FACTOR_BITS) + 1
@@ -174,12 +184,13 @@ class TestFactorBound:
         assert primality_calls == []
 
     def test_cofactor_at_the_bound_tested(self, primality_calls):
-        r = (1 << FACTOR_BITS) - 1
+        r = TOP_COFACTOR
+        assert r.bit_length() == FACTOR_BITS
         assert _factor_cofactor(r, {}) == {r: 1}
         assert primality_calls == [r]
 
     def test_square_above_the_bound_read_by_its_root(self, primality_calls):
-        root = (1 << FACTOR_BITS) - 1
+        root = TOP_COFACTOR
         assert _factor_cofactor(root * root, {}) == {root: 2}
         assert primality_calls == [root]
 
