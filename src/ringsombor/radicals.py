@@ -17,12 +17,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from . import rings
-from .rings import _TRIAL_BOUND, CACHE_SIZE, _factor_cofactor, _trial_divide
-
-# A cofactor of _trial_divide below this, when not a square, is 1, a prime or
-# two distinct primes: it has no prime factor below _TRIAL_BOUND, so three of
-# them would make at least _TRIAL_BOUND**3.
-_SQUARE_FREE_BELOW = _TRIAL_BOUND**3
+from .rings import _TRIAL_BOUND, CACHE_SIZE, _trial_divide
 
 # The base-2 Wieferich primes, p with 2^(p-1) = 1 (mod p^2), below
 # 6.7*10^15: Dorais and Klyve, "A Wieferich prime search up to 6.7x10^15",
@@ -35,9 +30,9 @@ _SQUARE_FREE_BELOW = _TRIAL_BOUND**3
 WIEFERICH_PRIMES = (1093, 3511)
 SQUARE_FREE_PROOF_BELOW = 6_700_000_000_000_000**2
 
-# The argument of _SQUARE_FREE_BELOW with its bound raised to 2^16: a part
-# below _GCD_PROOF_BELOW = (2^16)^3 with no prime factor below 2^16 is, when
-# not a square, 1, a prime or two distinct primes (_small_prime_part).
+# A part below _GCD_PROOF_BELOW = (2^16)^3 with no prime factor below 2^16
+# is, when not a square, 1, a prime or two distinct primes: three of them
+# would make at least (2^16)^3 (_small_prime_part).
 _GCD_PROOF_PRIMES_BELOW = 1 << 16
 _GCD_PROOF_BELOW = _GCD_PROOF_PRIMES_BELOW**3
 
@@ -48,15 +43,12 @@ def radical_normalize(m: int) -> tuple[int, int]:
 
     c = prod p^(e // 2) and s = prod p^(e % 2) over the primes p^e that
     rings._trial_divide takes out of m.  The cofactor r it leaves goes into
-    c as isqrt(r) when r is a square, into s whole when it is below
-    _SQUARE_FREE_BELOW, is split into square-free parts when it is below
-    SQUARE_FREE_PROOF_BELOW (_square_free_parts, where a composite part
-    below _GCD_PROOF_BELOW = 2^48 is split by gcds with the primes below
-    2^16, not by rho), and otherwise is factored (rings._factor_cofactor).
-    Raises ValueError when that factoring needs a primality proof beyond
-    rings.PSI_13, when rho needs more than rings.RHO_STEPS squarings on one
-    cofactor or part, or when a non-square cofactor has more than
-    rings.FACTOR_BITS bits.
+    c as isqrt(r) when r is a square, and is otherwise split into
+    square-free parts (_square_free_parts).  Raises ValueError when a
+    non-square cofactor has more than rings.FACTOR_BITS bits, when a part
+    at or above SQUARE_FREE_PROOF_BELOW needs a primality proof beyond
+    rings.PSI_13, or when rho needs more than rings.RHO_STEPS squarings on
+    one part.
     """
     if m < 1:
         raise ValueError(f"radicand must be positive, got {m}")
@@ -65,12 +57,8 @@ def radical_normalize(m: int) -> tuple[int, int]:
     root = math.isqrt(r)
     if root * root == r:
         c *= root
-    elif r < _SQUARE_FREE_BELOW:
-        s *= r
-    elif r < SQUARE_FREE_PROOF_BELOW:
-        _square_free_parts(r, factors)
     else:
-        _factor_cofactor(r, factors)
+        _square_free_parts(r, factors)
     for p, e in factors.items():
         c *= p ** (e // 2)
         if e & 1:
@@ -79,11 +67,15 @@ def radical_normalize(m: int) -> tuple[int, int]:
 
 
 def _square_free_parts(r: int, factors: dict[int, int]) -> None:
-    """Add r, below SQUARE_FREE_PROOF_BELOW, to factors as square-free parts,
-    each to the power it divides r, pairwise coprime and coprime to the
-    primes already in factors.  The WIEFERICH_PRIMES are divided out; then
-    a square part is taken by its root at twice the power and a part that
-    passes the base-2 strong test is taken whole.  Any other part x below
+    """Add r, a non-square _trial_divide cofactor, to factors as
+    square-free parts, each to the power it divides r, pairwise coprime and
+    coprime to the primes already in factors.  An r of more than
+    rings.FACTOR_BITS bits is refused before any test.  The WIEFERICH_PRIMES
+    are divided out; then a square part is taken by its root at twice the
+    power and a part that passes the base-2 strong test is taken whole,
+    except at or above SQUARE_FREE_PROOF_BELOW, where rings.is_prime
+    decides: it raises on a probable prime there, past rings.PSI_13, so
+    only a composite goes on.  Any other part x below
     _GCD_PROOF_BELOW is taken whole or split without rho: the product d of
     its small prime factors (_small_prime_part) is square-free, so d is
     taken whole and x // d goes on, and d = 1 proves x square-free, so x is
@@ -91,6 +83,9 @@ def _square_free_parts(r: int, factors: dict[int, int]) -> None:
     rings._rho_divisor.  Two parts taken whole may share a prime, so a part
     x that meets a y in factors is refined by their gcd g into g, x // g
     and y // g."""
+    if r.bit_length() > rings.FACTOR_BITS:
+        raise ValueError(f"a {r.bit_length()}-bit cofactor is left to factor, "
+                         f"above the {rings.FACTOR_BITS}-bit bound")
     for p in WIEFERICH_PRIMES:
         while r % p == 0:
             r //= p
@@ -104,7 +99,8 @@ def _square_free_parts(r: int, factors: dict[int, int]) -> None:
         if root * root == x:
             pending.append((root, 2 * mult))
             continue
-        if not rings._strong_probable_prime(x, (2,)):
+        if (not rings._strong_probable_prime(x, (2,))
+                or x >= SQUARE_FREE_PROOF_BELOW and not rings.is_prime(x)):
             if x >= _GCD_PROOF_BELOW:
                 d = rings._rho_divisor(x)
                 pending += [(d, mult), (x // d, mult)]

@@ -377,8 +377,10 @@ class IdentityCase(namedtuple(
 
 
 def regular_circulant(n: int, k: int) -> CirculantRows:
-    """A k-regular circulant on n vertices (n*k must be even): offsets 1 to
-    k // 2 either way, and n / 2 when k is odd."""
+    """A k-regular circulant on n vertices (0 <= k < n, n*k even): offsets
+    1 to k // 2 either way, and n / 2 when k is odd."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"degree {k} out of range for {n} vertices")
     if (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices")
     near = (1 << (k // 2)) - 1

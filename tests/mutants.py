@@ -136,12 +136,6 @@ MUTANTS = {
         "3825123056546413051, 318665857834031151167461, 318665857834031151167461,",
         ("test_rings.py::TestPrimes::test_strong_pseudoprimes_are_composite[3825123056546413051]",),
     ),
-    "U radical_normalize: the square-free cofactor bound raised to 10**12": (
-        "radicals.py",
-        "_SQUARE_FREE_BELOW = _TRIAL_BOUND**3",
-        "_SQUARE_FREE_BELOW = 10**12",
-        ("test_radicals.py::TestSquarePart::test_p2q_cofactor_above_cube_is_factored",),
-    ),
     "V radical_normalize: a square cofactor's root put into s": (
         "radicals.py",
         "c *= root",
@@ -501,6 +495,20 @@ MUTANTS = {
         "rings.primes_up_to(_GCD_PROOF_PRIMES_BELOW)",
         "rings.primes_up_to(_GCD_PROOF_PRIMES_BELOW - 16)",
         ("test_radicals.py::TestGcdProof::test_p2q_below_the_bound[65521-65537]",),
+    ),
+    "CB _square_free_parts: a part above the Wieferich bound taken whole on base 2": (
+        "radicals.py",
+        "or x >= SQUARE_FREE_PROOF_BELOW and not rings.is_prime(x)):",
+        "or False):",
+        ("test_radicals.py::TestSquareFreeParts::test_above_the_bound_still_needs_a_proof",
+         "test_cli.py::TestClosedModeLargeModuli::test_unproven_cofactor_exits_2"),
+    ),
+    "CC _square_free_parts: a cofactor one bit above FACTOR_BITS tested and split": (
+        "radicals.py",
+        "if r.bit_length() > rings.FACTOR_BITS:",
+        "if r.bit_length() > rings.FACTOR_BITS + 1:",
+        ("test_radicals.py::TestSquareFreeParts::"
+         "test_cofactor_above_the_bits_bound_refused_before_any_test",),
     ),
 }
 

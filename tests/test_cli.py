@@ -376,6 +376,19 @@ class TestClosedModeLargeModuli:
         assert str(PSI_13) in err
         assert out == ""
 
+    def test_composite_cofactor_above_the_wieferich_bound(self, capsys):
+        # the unit-graph radicand 22409750722209842944549021414186705 of
+        # this prime modulus leaves, after 5, a composite cofactor above
+        # radicals.SQUARE_FREE_PROOF_BELOW; rho splits off 58677793, and the
+        # part left is a probable prime above PSI_13 but below the bound,
+        # so its base-2 test proves it square-free
+        code, seconds, out, _ = timed_closed(capsys, 105853083852596953, "unit")
+        assert code == 0 and seconds < 1.0
+        assert json.loads(out)["closed_exact"] == (
+            "593035305578468391160680328956549334807175640238200*sqrt(2) + "
+            "105853083852596952*sqrt(22409750722209842944549021414186705)"
+        )
+
     @pytest.mark.parametrize("n, prime", [(999999937, 999999937), (999999999927, 111111111103)])
     def test_each_prime_proven_once(self, capsys, monkeypatch, n, prime):
         # factorize proves n's large prime through is_prime's cache, so the

@@ -115,7 +115,9 @@ def no_factoring(monkeypatch):
 
 class TestSquarePart:
     # radical_normalize reads the trial-division cofactor r without
-    # factoring it when r is a square, or when r < 1000^3 is not one
+    # factoring it when r is a square; a non-square r below 1000^3, which is
+    # a prime or two distinct primes, goes through _square_free_parts like
+    # any other, where a base-2 test or a gcd proof splits it without rho
 
     @pytest.mark.parametrize("p, q", [
         (1009, 1013), (10007, 39989), (999983, 1000003), (10**9 + 7, 10**9 + 9),
@@ -128,18 +130,21 @@ class TestSquarePart:
         t = p * q
         assert no_factoring(t * t * k) == (t * c_k, s_k)
 
-    def test_square_free_cofactor_below_cube_is_not_factored(self, no_factoring):
+    def test_square_free_cofactor_below_cube_is_not_factored(self, monkeypatch):
+        split = refuse_rho_below_the_bound(monkeypatch)
+        normalize = radical_normalize.__wrapped__
         rng = random.Random(1000)
         for _ in range(200):
             p, q = sorted(rng.sample(BIG_PRIMES, 2))
             if p * q < 10**9:
-                assert no_factoring(p * q) == (1, p * q)
-                assert no_factoring(12 * p * q) == (2, 3 * p * q)
-        assert no_factoring(999999937 * 98) == (7, 2 * 999999937)  # a prime cofactor
+                assert normalize(p * q) == (1, p * q)
+                assert normalize(12 * p * q) == (2, 3 * p * q)
+        assert normalize(999999937 * 98) == (7, 2 * 999999937)  # a prime cofactor
+        assert split == []
 
     def test_p2q_cofactor_above_cube_is_factored(self):
-        # p^2 q in (10^9, 10^12) with p, q above 1000: not square, not below
-        # the cube bound, so the square part comes from factoring it
+        # p^2 q in (10^9, 10^12) with p, q above 1000: not a square, so the
+        # square part comes from splitting it
         rng = random.Random(10**12)
         cases = [(1009, 1013), (1013, 1009), (39989, 1009), (9973, 10007)]
         cases += [tuple(rng.sample(BIG_PRIMES, 2)) for _ in range(40)]
@@ -167,8 +172,9 @@ def normalize_by_factorize(m):
 
 
 class TestSquareFreeParts:
-    # a cofactor r with 1000^3 <= r < SQUARE_FREE_PROOF_BELOW that is not a
-    # square is split into square-free parts, not into primes
+    # a cofactor r that is not a square is split into square-free parts, not
+    # into primes; only a part at or above SQUARE_FREE_PROOF_BELOW needs a
+    # primality proof
 
     def test_bound(self):
         assert SQUARE_FREE_PROOF_BELOW == 6_700_000_000_000_000**2
@@ -239,6 +245,34 @@ class TestSquareFreeParts:
         assert r > SQUARE_FREE_PROOF_BELOW
         with pytest.raises(ValueError, match=str(PSI_13)):
             radical_normalize.__wrapped__(r)
+
+    def test_cofactor_above_the_bound_is_split_by_rho(self):
+        # the unit-graph radicand (n-1)^2 + (n-2)^2 of the prime modulus
+        # n = 105853083852596953 leaves, after 5, a composite cofactor above
+        # SQUARE_FREE_PROOF_BELOW; rho splits it into 58677793 and a
+        # probable prime between PSI_13 and the bound, which needs only the
+        # base-2 test, not a primality proof
+        n = 105853083852596953
+        m = (n - 1) ** 2 + (n - 2) ** 2
+        assert m == 22409750722209842944549021414186705
+        r = 4481950144441968588909804282837341
+        assert _trial_divide(m) == ({5: 1}, r) and r >= SQUARE_FREE_PROOF_BELOW
+        part = 76382391281178018895663037
+        assert r == part * 58677793 and PSI_13 < part < SQUARE_FREE_PROOF_BELOW
+        assert rings._strong_probable_prime(part, rings._MR_BASES)
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            factorize(part)
+        assert radical_normalize.__wrapped__(m) == (1, m)
+
+    def test_cofactor_above_the_bits_bound_refused_before_any_test(self, no_factoring):
+        # a 321-bit cofactor is refused before the base-2 test or rho, with
+        # rings._factor_cofactor's message
+        r = next(m for m in itertools.count((1 << rings.FACTOR_BITS) + 1, 2)
+                 if math.gcd(m, rings._TRIAL_PRODUCT) == 1)
+        assert r.bit_length() == rings.FACTOR_BITS + 1 and math.isqrt(r) ** 2 != r
+        with pytest.raises(ValueError, match="a 321-bit cofactor is left to factor, "
+                                             "above the 320-bit bound"):
+            no_factoring(12 * r)
 
 
 def refuse_rho_below_the_bound(monkeypatch):

@@ -593,6 +593,11 @@ class TestIdentity:
         with pytest.raises(ValueError):
             regular_circulant(5, 3)
 
+    @pytest.mark.parametrize("n, k", [(4, 5), (6, 6), (5, -2)])
+    def test_regular_circulant_rejects_degree_out_of_range(self, n, k):
+        with pytest.raises(ValueError, match=f"degree {k} out of range for {n} vertices"):
+            regular_circulant(n, k)
+
 
 class TestErrata:
     def test_all_three_formulas_detected(self):
