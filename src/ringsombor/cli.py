@@ -9,9 +9,10 @@ output is read off the CaseResults of verify_case.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import closed_forms as cf
 from . import verify as vf
@@ -45,15 +46,6 @@ _RING_KINDS = {
     "fpxk": (("p", "k"), TruncatedPolyRing, True),
 }
 _RING_FLAGS = ("n", "p", "alpha", "k")
-
-
-def _add_ring_flags(parser, required=True):
-    parser.add_argument("--ring", choices=tuple(_RING_KINDS), required=required,
-                        help="ring kind: Z_n, Z_{p^alpha}, or F_p[x]/(x^k)")
-    parser.add_argument("--n", type=int, help="modulus for --ring zn")
-    parser.add_argument("--p", type=int, help="prime for zppow/fpxk")
-    parser.add_argument("--alpha", type=int, help="exponent for zppow")
-    parser.add_argument("--k", type=int, help="truncation degree for fpxk")
 
 
 def _given(args, names) -> list[str]:
@@ -114,12 +106,12 @@ def cmd_compute(args) -> int:
         case = vf.verify_case(ring, args.graph, use_local_forms=use_local,
                               ceiling=args.ceiling)
         forms = case.variants  # a VariantResult starts with the ring_forms triple
-    else:
-        _, forms = cf.ring_forms(ring, args.graph, use_local)
+    else:  # the shown variant alone, of a pair
+        _, forms = cf.ring_forms(ring, args.graph, use_local, pair=(args.variant,))
 
     # the form shown: a ring has either one unique form or a corrected/printed
     # pair; ring_forms evaluates a form only as it is read, so the closed path
-    # stops at the form it shows
+    # evaluates the form it shows and no other
     shown = None
     if args.mode != "oracle":
         shown = next((f for f in forms if f[0] in (args.variant, cf.UNIQUE)), None)
@@ -262,140 +254,180 @@ def cmd_identity(args) -> int:
 
 
 # ----------------------------------------------------------------------
+# The flag schema: each command once, as data.  build_parser declares it to
+# argparse, and _read_exact reads an exact-form argv straight off it.
 
-def _read_exact(sub, argv):
-    """The Namespace sub.parse_args(argv) makes, read off sub's action table
-    when argv is in exact form: exact `--flag value` and `--switch` tokens
-    alone, each flag at most once, each value converting and in its
-    choices, each required flag given.  None for any other argv, such as
-    an abbreviation, `--flag=value`, a repeat, a value starting with "-",
-    an unknown token, help, or an action other than plain store or
-    store_true.  Reads argparse's private _actions, _option_string_actions
-    and _defaults; tests/test_cli.py checks it against argparse's parse."""
+class _Flag(namedtuple("_Flag", "option type choices default required switch metavar help",
+                       defaults=(None, None, None, False, False, None, None))):
+    """One flag: a `--switch` (store true) or a `--flag value` of type
+    (str when None) among choices (any when None)."""
+
+    __slots__ = ()
+
+    @property
+    def dest(self) -> str:
+        return self.option[2:].replace("-", "_")
+
+
+# flags: option -> _Flag, in order; defaults: dest -> default, for every flag;
+# required: the dests of the required flags
+_Command = namedtuple("_Command", "help fn flags defaults required")
+
+_CEILING = _Flag("--ceiling", int, default=DEFAULT_CEILING, help=(
+    "largest ring order to read, a bound on time (n rows of n bits), not memory "
+    f"(default 2^{DEFAULT_CEILING.bit_length() - 1} = {DEFAULT_CEILING})"))
+_REPORT_FORMAT = _Flag("--format", choices=("csv", "json"), default="csv")
+_OUT = _Flag("--out", metavar="FILE")
+_GRAPHS = _Flag("--graph", choices=("total", "unit", "both"), default="both")
+
+
+def _ring_flags(required=True) -> tuple[_Flag, ...]:
+    return (
+        _Flag("--ring", choices=tuple(_RING_KINDS), required=required,
+              help="ring kind: Z_n, Z_{p^alpha}, or F_p[x]/(x^k)"),
+        _Flag("--n", int, help="modulus for --ring zn"),
+        _Flag("--p", int, help="prime for zppow/fpxk"),
+        _Flag("--alpha", int, help="exponent for zppow"),
+        _Flag("--k", int, help="truncation degree for fpxk"),
+    )
+
+
+def _command(help, fn, *flags) -> _Command:
+    return _Command(help, fn, {flag.option: flag for flag in flags},
+                    {flag.dest: flag.default for flag in flags},
+                    frozenset(flag.dest for flag in flags if flag.required))
+
+
+_COMMANDS = {
+    "compute": _command(
+        "one ring, one graph: oracle and/or closed form", cmd_compute,
+        *_ring_flags(),
+        _Flag("--graph", choices=(TOTAL, UNIT), required=True),
+        _Flag("--mode", choices=("oracle", "closed", "both"), default="both"),
+        _Flag("--variant", choices=(cf.PRINTED, cf.CORRECTED), default=cf.CORRECTED),
+        _Flag("--format", choices=("text", "json", "csv"), default="text"),
+        _Flag("--float", switch=True, default=False,
+              help="print 12-significant-digit floats instead of exact radical text"),
+        _Flag("--dump-graph", metavar="FILE", help="write a DIMACS-like edge list"),
+        _CEILING,
+    ),
+    "verify": _command(
+        "verify one ring against its closed forms", cmd_verify,
+        *_ring_flags(),
+        _GRAPHS,
+        _REPORT_FORMAT,
+        _OUT._replace(help="report file (default stdout)"),
+        _CEILING,
+    ),
+    "sweep": _command(
+        "verify a whole family up to a bound", cmd_sweep,
+        _Flag("--family", choices=vf.FAMILIES, required=True),
+        _Flag("--max-n", int, required=True),
+        _GRAPHS._replace(default="total"),
+        _Flag("--workers", int, default=1,
+              help=f"worker processes, 1..{vf.MAX_WORKERS} (default 1)"),
+        _REPORT_FORMAT,
+        _OUT,
+        _CEILING,
+    ),
+    "structure": _command(
+        "degree, duality, and zero-divisor-clique checks", cmd_structure,
+        _Flag("--max-n", int, help="check Z_n for all 2 <= n <= max-n"),
+        *_ring_flags(required=False),
+        _REPORT_FORMAT,
+        _OUT,
+        _CEILING,
+    ),
+    "identity": _command(
+        "complement identity for regular graphs", cmd_identity,
+        _Flag("--max-n", int, required=True, help=f"largest n, at most {vf.IDENTITY_MAX_N}"),
+        _Flag("--circulant-max-n", int,
+              help="explicit circulant checks up to this order (default min(max-n, 100))"),
+        _REPORT_FORMAT,
+        _OUT,
+    ),
+}
+
+
+def _read_exact(argv):
+    """The namespace the full parse of argv makes, with the same vars(),
+    read off _COMMANDS when argv is in exact form: a known command, then
+    exact `--flag value` and `--switch` tokens alone, each flag at most
+    once, each value converting to its type and among its choices, and
+    each required flag given.  None for any other argv, such as an
+    abbreviation, `--flag=value`, a repeat, a value starting with "-", an
+    unknown token or help, all of which argparse reads or reports."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
     values = {}
-    tokens = iter(argv)
+    tokens = iter(argv[1:])
     for token in tokens:
-        action = sub._option_string_actions.get(token)
-        if action is None or action.dest in values:
+        flag = command.flags.get(token)
+        if flag is None or (dest := flag.dest) in values:
             return None
-        kind = type(action)
-        if kind is argparse._StoreTrueAction:
-            values[action.dest] = action.const
-        elif kind is argparse._StoreAction and action.nargs is None:
-            value = next(tokens, "-")  # a missing value reads as "-", refused
-            if value.startswith("-"):
+        if flag.switch:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-", refused
+        if value.startswith("-"):
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except ValueError:
                 return None
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except (TypeError, ValueError):
-                    return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            values[action.dest] = value
-        else:
-            return None  # help, or an action that argparse alone reads
-    for action in sub._actions:
-        if action.dest not in values:
-            if action.required:
-                return None
-            if action.default is not argparse.SUPPRESS:
-                values[action.dest] = action.default
-    return argparse.Namespace(**{**sub._defaults, **values})
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[dest] = value
+    if not command.required <= values.keys():
+        return None
+    return SimpleNamespace(command=argv[0], fn=command.fn, **{**command.defaults, **values})
 
 
-class _Parser(argparse.ArgumentParser):
-    """The top-level parser.  parse_args reads a known command's arguments
-    in exact form straight off its subparser's action table (_read_exact);
-    any other call takes argparse's full two-level parse, which reports
-    errors and help as usual.  build_parser sets commands, the subparser
-    of each command name."""
+def build_parser():
+    """A fresh argparse parser declared from _COMMANDS on every call; main
+    builds one, through _parser, only for an argv that _read_exact leaves."""
+    import argparse
 
-    def parse_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        sub = self.commands.get(args[0]) if args and namespace is None else None
-        parsed = _read_exact(sub, args[1:]) if sub is not None else None
-        if parsed is None:
-            return super().parse_args(args, namespace)
-        parsed.command = args[0]
-        return parsed
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser on every call; main reuses one through _parser."""
-    ceiling_help = ("largest ring order to read, a bound on time (n rows of n bits), not memory "
-                    f"(default 2^{DEFAULT_CEILING.bit_length() - 1} = {DEFAULT_CEILING})")
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ringsombor",
         description="Sombor index of total and unit graphs of finite commutative "
         "rings: exact brute force, closed forms, and cross-verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
-    parser.commands = sub.choices
-
-    p = sub.add_parser("compute", help="one ring, one graph: oracle and/or closed form")
-    _add_ring_flags(p)
-    p.add_argument("--graph", choices=(TOTAL, UNIT), required=True)
-    p.add_argument("--mode", choices=("oracle", "closed", "both"), default="both")
-    p.add_argument("--variant", choices=(cf.PRINTED, cf.CORRECTED), default=cf.CORRECTED)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--float", action="store_true",
-                   help="print 12-significant-digit floats instead of exact radical text")
-    p.add_argument("--dump-graph", metavar="FILE", help="write a DIMACS-like edge list")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
-    p.set_defaults(fn=cmd_compute)
-
-    p = sub.add_parser("verify", help="verify one ring against its closed forms")
-    _add_ring_flags(p)
-    p.add_argument("--graph", choices=("total", "unit", "both"), default="both")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="FILE", help="report file (default stdout)")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("sweep", help="verify a whole family up to a bound")
-    p.add_argument("--family", choices=vf.FAMILIES, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--graph", choices=("total", "unit", "both"), default="total")
-    p.add_argument("--workers", type=int, default=1,
-                   help=f"worker processes, 1..{vf.MAX_WORKERS} (default 1)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("structure", help="degree, duality, and zero-divisor-clique checks")
-    p.add_argument("--max-n", type=int, help="check Z_n for all 2 <= n <= max-n")
-    _add_ring_flags(p, required=False)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help=ceiling_help)
-    p.set_defaults(fn=cmd_structure)
-
-    p = sub.add_parser("identity", help="complement identity for regular graphs")
-    p.add_argument("--max-n", type=int, required=True,
-                   help=f"largest n, at most {vf.IDENTITY_MAX_N}")
-    p.add_argument("--circulant-max-n", type=int, default=None,
-                   help="explicit circulant checks up to this order (default min(max-n, 100))")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_identity)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags.values():
+            if flag.switch:
+                p.add_argument(flag.option, action="store_true", default=flag.default,
+                               help=flag.help)
+            else:
+                p.add_argument(flag.option, type=flag.type, choices=flag.choices,
+                               default=flag.default, required=flag.required,
+                               metavar=flag.metavar, help=flag.help)
+        p.set_defaults(fn=command.fn)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every main call uses, built on first use.  parse_args
-    keeps no state between calls: each makes a fresh Namespace, and an
-    error writes to the sys.stderr of that moment."""
+def _parser():
+    """The parser every main call that needs one uses, built on first use.
+    parse_args keeps no state between calls: each makes a fresh Namespace,
+    and an error writes to the sys.stderr of that moment."""
     return build_parser()
+
+
+def _parse_args(argv):
+    """argv's namespace: read off _COMMANDS when argv is in exact form, else
+    parsed by argparse, which exits with its message on an error or help."""
+    args = _read_exact(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -304,17 +304,19 @@ ERRATA = {
 }
 
 
-def ring_forms(ring, kind: str, use_local_forms: bool = False) -> tuple[str, Iterator]:
+def ring_forms(ring, kind: str, use_local_forms: bool = False,
+               pair: tuple[str, ...] = (CORRECTED, PRINTED)) -> tuple[str, Iterator]:
     """The ring's family tag and an iterator over every closed form that
     applies to it, as (variant, value, edge partition or None) triples; none
     for a ring outside every family.  F_p[x]/(x^k), and any local ring under
     use_local_forms, takes the local-ring formulas; Z_n takes its modulus
     family's.  A corrected/printed pair, corrected first, comes exactly for
     the unit graph of a ring where 2 is a unit, in a family of ERRATA; every
-    other case has one unique form.  The tag is found at the call, and each
-    form is evaluated only when it is read, so a caller that reads one
-    evaluates one.  A pq or p^2*q form is its edge partition, made once a
-    variant, and its value is assembled from it with the predicted degrees."""
+    other case has one unique form; pair names the variants of a pair to
+    give, in that order.  The tag is found at the call, and each form is
+    evaluated only when it is read, so a caller that reads one evaluates
+    one.  A pq or p^2*q form is its edge partition, made once a variant, and
+    its value is assembled from it with the predicted degrees."""
     unit = kind == UNIT
     if use_local_forms or isinstance(ring, TruncatedPolyRing):
         if not ring.is_local:
@@ -337,7 +339,7 @@ def ring_forms(ring, kind: str, use_local_forms: bool = False) -> tuple[str, Ite
         else:
             return tag, iter(())
     if unit and ring.two_is_unit and family in ERRATA:
-        outputs = ((v, form(*args, v)) for v in (CORRECTED, PRINTED))
+        outputs = ((v, form(*args, v)) for v in pair)
     else:
         outputs = ((v, form(*args)) for v in (UNIQUE,))
     if family not in (ODD_PQ, ODD_P2Q):

@@ -244,18 +244,6 @@ MUTANTS = {
         'predicted_degrees(ring, "total")',
         ("test_closed_forms.py::TestUnitPQ::test_value_3_5",),
     ),
-    "AN _Parser.parse_args: no command looked up, so every call takes the full pass": (
-        "cli.py",
-        "self.commands.get(args[0])",
-        "None",
-        ("test_cli.py::TestParseOnce::test_one_parse_per_valid_command",),
-    ),
-    "AP _Parser.parse_args: command left unset": (
-        "cli.py",
-        "parsed.command = args[0]",
-        "pass",
-        ("test_cli.py::TestParseOnce::test_same_outcome_as_the_full_parse",),
-    ),
     "AQ CirculantRows: the offsets rotated down, a sum graph with self-loops": (
         "graphs.py",
         "(doubled >> (n - x))",
@@ -282,13 +270,13 @@ MUTANTS = {
     ),
     "AU _read_exact: an out-of-choice value read": (
         "cli.py",
-        "if action.choices is not None and value not in action.choices:",
+        "if flag.choices is not None and value not in flag.choices:",
         "if False:",
         ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv4]",),
     ),
     "AV _read_exact: a required flag left out read": (
         "cli.py",
-        "if action.required:",
+        "if not command.required <= values.keys():",
         "if False:",
         ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv5]",),
     ),
@@ -300,20 +288,22 @@ MUTANTS = {
     ),
     "AX _read_exact: a help token skipped, not refused": (
         "cli.py",
-        "return None  # help, or an action that argparse alone reads",
-        "continue",
+        "        flag = command.flags.get(token)\n",
+        '        if token in ("-h", "--help"):\n'
+        "            continue\n"
+        "        flag = command.flags.get(token)\n",
         ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv8]",),
     ),
-    "AY _read_exact: the help action's SUPPRESS default put in the Namespace": (
+    "AY _read_exact: a switch given a value reads it": (
         "cli.py",
-        "if action.default is not argparse.SUPPRESS:",
-        "if True:",
-        ("test_cli.py::TestParseOnce::test_one_parse_per_valid_command[argv0]",),
+        "            values[dest] = True\n            continue\n",
+        "            values[dest] = True\n",
+        ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv9]",),
     ),
     "AZ _read_exact: a repeated flag read": (
         "cli.py",
-        "if action is None or action.dest in values:",
-        "if action is None:",
+        "if flag is None or (dest := flag.dest) in values:",
+        "if flag is None or not (dest := flag.dest):",
         ("test_cli.py::TestParseOnce::test_other_forms_take_one_full_parse[argv2]",),
     ),
     "BA SweepFold.add: the errata keep the last counterexample, not the smallest": (
@@ -480,9 +470,10 @@ MUTANTS = {
     ),
     "BY ring_forms: every variant's form evaluated at the call": (
         "closed_forms.py",
-        "outputs = ((v, form(*args, v)) for v in (CORRECTED, PRINTED))",
-        "outputs = iter([(v, form(*args, v)) for v in (CORRECTED, PRINTED)])",
-        ("test_cli.py::TestCompute::test_closed_path_evaluates_only_the_shown_form[flags0-1]",),
+        "outputs = ((v, form(*args, v)) for v in pair)",
+        "outputs = iter([(v, form(*args, v)) for v in pair])",
+        ("test_closed_forms.py::TestRingForms::"
+         "test_pair_names_the_variants_each_evaluated_as_read[pair0]",),
     ),
     "BZ _square_free_parts: the 2^48 bound dropped, a gcd proof at any size": (
         "radicals.py",
@@ -509,6 +500,19 @@ MUTANTS = {
         "if r.bit_length() > rings.FACTOR_BITS + 1:",
         ("test_radicals.py::TestSquareFreeParts::"
          "test_cofactor_above_the_bits_bound_refused_before_any_test",),
+    ),
+    "CD cli: argparse imported with the module, not only for a full parse": (
+        "cli.py",
+        "import functools\n",
+        "import argparse\nimport functools\n",
+        ("test_cli.py::test_import_loads_no_costly_stdlib_modules",
+         "test_cli.py::test_exact_form_closed_query_never_imports_argparse"),
+    ),
+    "CE primes_up_to: the odd sieve starts one index late, at 5 not 3": (
+        "rings.py",
+        "for i in range(1, (math.isqrt(limit) + 1) // 2):",
+        "for i in range(2, (math.isqrt(limit) + 1) // 2):",
+        ("test_rings.py::TestPrimes::test_primes_up_to_against_a_plain_sieve",),
     ),
 }
 

@@ -222,15 +222,14 @@ class TestCompute:
     @pytest.mark.parametrize("flags, partitions", [
         (["--mode", "closed"], 1),
         (["--mode", "closed", "--variant", "printed"], 2),
-        (["--mode", "closed", "--variant", "printed", "--ceiling", "10"], 2),
+        (["--mode", "closed", "--variant", "printed", "--ceiling", "10"], 1),
         (["--mode", "both"], 2),
     ])
     def test_closed_path_evaluates_only_the_shown_form(self, monkeypatch, capsys, flags,
                                                        partitions):
         # Z_45 = 3^2 * 5 has a corrected/printed pair on its unit graph; the
-        # closed path shows the corrected form and stops there, --variant
-        # printed reads the printed form after the corrected one, and the
-        # oracle checks both
+        # closed path evaluates the form it shows, corrected or printed, and
+        # no other, while the oracle checks both
         calls = count_calls(monkeypatch, cf, "unit_p2q_partition")
         assert main(["compute", "--ring", "zn", "--n", "45", "--graph", "unit", *flags]) == 0
         assert len(calls) == partitions
@@ -771,7 +770,8 @@ class TestParserReuse:
         for argv in self.SEQUENCE:
             cli._parser.cache_clear()
             fresh.append(self.outcome(capsys, argv))
-        assert len(calls) == 1 + len(self.SEQUENCE)
+        # only the first three calls are not in exact form and need a parser
+        assert len(calls) == 1 + 3
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 2, 2, 0, 0, 0, 0, 2, 0]
         assert "invalid choice: 'nope'" in reused[1][2]
@@ -781,48 +781,51 @@ class TestParserReuse:
 
 PARSER = cli.build_parser()
 # values that argparse refuses or reads apart from the exact form, beside
-# each action's own good values
+# each flag's own good values
 ODD_VALUES = ("-5", "", "x", "nope", "-", "--")
 
 
 @st.composite
 def table_argv(draw):
-    """(command, argv, exact) drawn from a subparser's action table: flags
-    in exact, abbreviated and `--flag=value` form, repeats, unknown tokens,
-    help, good and odd values, and required flags left out.  exact is true
-    when argv is in the exact form that cli._read_exact must read."""
-    command = draw(st.sampled_from(sorted(PARSER.commands)))
-    sub = PARSER.commands[command]
+    """(argv, exact) drawn from a command's flags in cli._COMMANDS: flags in
+    exact, abbreviated and `--flag=value` form, repeats, unknown tokens,
+    help, good and odd values, switches given a value, and required flags
+    left out.  exact is true when argv is in the exact form that
+    cli._read_exact must read."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = list(cli._COMMANDS[command].flags.values())
     # each required flag is left out one time in eight, and each flag is in
     # exact form with a good value about three times in four
-    picked = [a for a in sub._actions if a.required and draw(st.integers(0, 7))]
-    picked += draw(st.lists(st.sampled_from([*sub._actions, None]), max_size=5))
-    argv, seen, exact = [], set(), True
-    for action in draw(st.permutations(picked)):
-        if action is None:
-            argv.append(draw(st.sampled_from(("--bogus", "stray", "--"))))
+    picked = [f for f in flags if f.required and draw(st.integers(0, 7))]
+    picked += draw(st.lists(st.sampled_from([*flags, None]), max_size=5))
+    argv, seen, exact = [command], set(), True
+    for flag in draw(st.permutations(picked)):
+        if flag is None:
+            argv.append(draw(st.sampled_from(("--bogus", "stray", "--", "-h", "--help"))))
             exact = False
             continue
-        flag = draw(st.sampled_from(action.option_strings))
+        option = flag.option
         form = draw(st.sampled_from(("exact",) * 6 + ("abbreviated", "equals")))
-        if form == "abbreviated" and len(flag) > 3:
-            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        if form == "abbreviated" and len(option) > 3:
+            option = option[:draw(st.integers(3, len(option) - 1))]
         elif form == "abbreviated":
             form = "exact"
-        good = action.choices or (("7", "15") if action.type is int else ("out.txt",))
+        good = flag.choices or (("7", "15") if flag.type is int else ("out.txt",))
         value = draw(st.sampled_from(ODD_VALUES if draw(st.integers(0, 7)) == 0 else good))
         if form == "equals":
-            argv.append(f"{flag}={value}")
-        elif action.nargs == 0:
-            argv.append(flag)
+            argv.append(f"{option}={value}")
+        elif not flag.switch:
+            argv += [option, value]
+        elif draw(st.integers(0, 7)):
+            argv.append(option)
         else:
-            argv += [flag, value]
-        exact = (exact and form == "exact" and action.dest not in seen
-                 and action.default is not argparse.SUPPRESS
-                 and (action.nargs == 0 or value in good))
-        seen.add(action.dest)
-    exact = exact and all(a.dest in seen for a in sub._actions if a.required)
-    return command, argv, exact
+            argv += [option, value]  # a switch given a value
+            exact = False
+        exact = (exact and form == "exact" and flag.dest not in seen
+                 and (flag.switch or value in good))
+        seen.add(flag.dest)
+    exact = exact and all(f.dest in seen for f in flags if f.required)
+    return argv, exact
 
 
 class TestParseOnce:
@@ -835,18 +838,18 @@ class TestParseOnce:
             captured = capsys.readouterr()
             return exc.code, captured.out, captured.err
 
-    def parse_calls(self, monkeypatch, capsys, argv) -> int:
-        """The parse_known_args calls that parse_args(argv) makes, once it
-        gives the outcome of argparse's full two-level parse."""
-        parser = cli.build_parser()
-        full = self.outcome(capsys, self.full_parse(parser), argv)
-        calls = count_calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
-        assert self.outcome(capsys, parser.parse_args, argv) == full
-        return len(calls)
-
-    @staticmethod
-    def full_parse(parser):
-        return lambda argv: argparse.ArgumentParser.parse_args(parser, argv)
+    def parse_calls(self, monkeypatch, capsys, argv) -> tuple[int, int]:
+        """The build_parser and parse_known_args calls that main(argv) makes
+        with no parser built yet, once its parse is shown to give the
+        outcome of argparse's full two-level parse."""
+        full = self.outcome(capsys, cli.build_parser().parse_args, argv)
+        assert self.outcome(capsys, cli._parse_args, argv) == full
+        cli._parser.cache_clear()
+        builds = count_calls(monkeypatch, cli, "build_parser")
+        parses = count_calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
+        main(argv)
+        capsys.readouterr()
+        return len(builds), len(parses)
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--mode", "closed"],
@@ -856,8 +859,8 @@ class TestParseOnce:
         ["identity", "--max-n", "12"],
     ])
     def test_one_parse_per_valid_command(self, monkeypatch, capsys, argv):
-        # an exact-form call is read off its subparser's action table alone
-        assert self.parse_calls(monkeypatch, capsys, argv) == 0
+        # an exact-form call is read off cli._COMMANDS alone, with no parser
+        assert self.parse_calls(monkeypatch, capsys, argv) == (0, 0)
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--ring", "zn", "--n=15", "--graph", "total"],
@@ -870,23 +873,23 @@ class TestParseOnce:
         ["compute", "--ring", "zn", "--n", "-15", "--graph", "total"],
         ["sweep", "--family", "pq", "--max-n"],
         ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "-h"],
+        ["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--float", "1"],
     ])
     def test_other_forms_take_one_full_parse(self, monkeypatch, capsys, argv):
-        # the top-level parser, then the command's subparser
-        assert self.parse_calls(monkeypatch, capsys, argv) == 2
+        # one parser built, then the top-level parse and the command's
+        assert self.parse_calls(monkeypatch, capsys, argv) == (1, 2)
 
     @settings(max_examples=400)
     @given(table_argv())
     def test_reader_agrees_with_argparse(self, case):
-        command, argv, exact = case
-        sub = PARSER.commands[command]
+        argv, exact = case
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                full = vars(argparse.ArgumentParser.parse_args(sub, argv))
+                full = vars(PARSER.parse_args(argv))
         except SystemExit:
             full = None
-        read = cli._read_exact(sub, argv)
+        read = cli._read_exact(argv)
         assert read is None or vars(read) == full
         assert read is not None or not exact
 
@@ -894,8 +897,8 @@ class TestParseOnce:
         parser = cli.build_parser()
         for argv in test_golden.commands():
             argv = ["out.txt" if a == test_golden.OUT else a for a in argv]
-            full = self.outcome(capsys, self.full_parse(parser), argv)
-            assert self.outcome(capsys, parser.parse_args, argv) == full, argv
+            full = self.outcome(capsys, parser.parse_args, argv)
+            assert self.outcome(capsys, cli._parse_args, argv) == full, argv
 
     @pytest.mark.parametrize("argv, leftover", [
         (["compute", "--ring", "zn", "--n", "15", "--graph", "total", "--bogus"], "--bogus"),
@@ -909,19 +912,38 @@ class TestParseOnce:
                                 + f"ringsombor: error: unrecognized arguments: {leftover}\n")
 
 
+def run_bare(script: str) -> subprocess.CompletedProcess:
+    """script run by python -S (no site-packages) with the package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ringsombor.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+
+
 def test_import_loads_no_costly_stdlib_modules():
-    # the pool machinery loads only for workers > 1 and datetime only when a
-    # report is stamped; dataclasses, which pulls in inspect, is not used
+    # the pool machinery loads only for workers > 1, datetime only when a
+    # report is stamped and argparse (with gettext and locale) only for an
+    # argv not in exact form; dataclasses, which pulls in inspect, is not used
     script = (
         "import sys\n"
         "import ringsombor, ringsombor.cli\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in"
-        " ('dataclasses', 'inspect', 'datetime', 'concurrent', 'multiprocessing')))\n"
+        " ('dataclasses', 'inspect', 'datetime', 'concurrent', 'multiprocessing',"
+        " 'argparse', 'gettext', 'locale')))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(ringsombor.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert run_bare(script).stdout.strip() == "[]"
+
+
+def test_exact_form_closed_query_never_imports_argparse():
+    script = (
+        "import sys\n"
+        "from ringsombor import cli\n"
+        "code = cli.main(['compute', '--ring', 'zn', '--n', '999999937', '--graph', 'unit',"
+        " '--mode', 'closed', '--format', 'json'])\n"
+        "print(code, 'argparse' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = run_bare(script)
+    assert json.loads(proc.stdout)["ring"] == "Z_999999937"
+    assert proc.stderr == "0 False\n"
 
 
 def test_package_import_loads_only_the_asked_modules():
@@ -934,7 +956,4 @@ def test_package_import_loads_only_the_asked_modules():
         "import ringsombor.rings\n"
         "print(sorted(m for m in sys.modules if m.startswith('ringsombor.')))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(ringsombor.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.splitlines() == ["[]", "['ringsombor.rings']"]
+    assert run_bare(script).stdout.splitlines() == ["[]", "['ringsombor.rings']"]

@@ -364,6 +364,18 @@ class TestRingForms:
         assert len(forms) == len(calls) == variants
         assert [part for _, _, part in forms] == [real(*args) for args in calls]
 
+    @pytest.mark.parametrize("pair", [(CORRECTED,), (PRINTED,), (PRINTED, CORRECTED)])
+    def test_pair_names_the_variants_each_evaluated_as_read(self, monkeypatch, pair):
+        # Z_45's unit graph has a corrected/printed pair: pair picks and
+        # orders its variants, and ring_forms evaluates no form at the call
+        calls = []
+        real = cf.unit_p2q_partition
+        monkeypatch.setattr(cf, "unit_p2q_partition",
+                            lambda *args: calls.append(args[-1]) or real(*args))
+        _, forms = ring_forms(ZnRing(45), UNIT, pair=pair)
+        assert calls == []
+        assert [v for v, _, _ in forms] == list(pair) == calls
+
     def test_pair_rule(self):
         # a corrected/printed pair for the unit graph of an odd prime power,
         # of a p^2*q modulus and of a local ring over an odd residue field;

@@ -115,9 +115,9 @@ def no_factoring(monkeypatch):
 
 class TestSquarePart:
     # radical_normalize reads the trial-division cofactor r without
-    # factoring it when r is a square; a non-square r below 1000^3, which is
-    # a prime or two distinct primes, goes through _square_free_parts like
-    # any other, where a base-2 test or a gcd proof splits it without rho
+    # factoring it when r is a square; every non-square r goes through
+    # _square_free_parts, where a prime or two distinct primes is split by a
+    # base-2 test or a gcd proof without rho
 
     @pytest.mark.parametrize("p, q", [
         (1009, 1013), (10007, 39989), (999983, 1000003), (10**9 + 7, 10**9 + 9),
@@ -130,7 +130,7 @@ class TestSquarePart:
         t = p * q
         assert no_factoring(t * t * k) == (t * c_k, s_k)
 
-    def test_square_free_cofactor_below_cube_is_not_factored(self, monkeypatch):
+    def test_prime_or_two_prime_cofactor_split_without_rho(self, monkeypatch):
         split = refuse_rho_below_the_bound(monkeypatch)
         normalize = radical_normalize.__wrapped__
         rng = random.Random(1000)
@@ -142,7 +142,7 @@ class TestSquarePart:
         assert normalize(999999937 * 98) == (7, 2 * 999999937)  # a prime cofactor
         assert split == []
 
-    def test_p2q_cofactor_above_cube_is_factored(self):
+    def test_p2q_cofactor_split_into_its_square_part(self):
         # p^2 q in (10^9, 10^12) with p, q above 1000: not a square, so the
         # square part comes from splitting it
         rng = random.Random(10**12)
@@ -354,6 +354,14 @@ class TestGcdProof:
         chunks = radicals._gcd_proof_chunks()
         assert math.prod(product for _, product in chunks) == math.prod(MID_PRIMES)
         assert [least for least, _ in chunks] == MID_PRIMES[::radicals._GCD_PROOF_CHUNK]
+
+    def test_chunks_match_a_reference_built_inline(self):
+        # the primes from 1000 to 2^16 by odd trial division, in runs of 256
+        primes = [p for p in range(1001, 1 << 16, 2)
+                  if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+        expected = [(primes[i], math.prod(primes[i:i + 256])) for i in range(0, len(primes), 256)]
+        assert len(expected) == 25
+        assert list(radicals._gcd_proof_chunks()) == expected
 
     @pytest.mark.parametrize("cofactors", [semiprimes, p2q_across_2_16, smooth_square_free,
                                            with_a_wieferich_prime])

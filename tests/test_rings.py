@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import time
@@ -443,6 +444,19 @@ class TestPrimes:
     def test_primes_up_to(self):
         assert primes_up_to(1) == []
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_primes_up_to_against_a_plain_sieve(self):
+        # a sieve over every integer, each prime crossing out its multiples
+        top = 65537
+        marked = bytearray(top + 1)
+        reference = []
+        for k in range(2, top + 1):
+            if not marked[k]:
+                reference.append(k)
+                for m in range(k * k, top + 1, k):
+                    marked[m] = 1
+        for limit in [*range(3001), 65535, 65536, 65537]:
+            assert primes_up_to(limit) == reference[:bisect.bisect_right(reference, limit)], limit
 
     def test_is_prime_against_sieve(self):
         table = set(primes_up_to(3000))
