@@ -44,9 +44,10 @@ def radical_normalize(m: int) -> tuple[int, int]:
     c = prod p^(e // 2) and s = prod p^(e % 2) over the primes p^e that
     rings._trial_divide takes out of m.  The cofactor r it leaves goes into
     c as isqrt(r) when r is a square, and is otherwise split into
-    square-free parts (_square_free_parts).  Raises ValueError when a
-    non-square cofactor has more than rings.FACTOR_BITS bits, when a part
-    at or above SQUARE_FREE_PROOF_BELOW needs a primality proof beyond
+    square-free parts by rings._split_cofactor, the splitter factorize
+    uses, with _square_free_part_divisor as its rule.  Raises ValueError
+    when a non-square part has more than rings.FACTOR_BITS bits, when a
+    part at or above SQUARE_FREE_PROOF_BELOW needs a primality proof beyond
     rings.PSI_13, or when rho needs more than rings.RHO_STEPS squarings on
     one part.
     """
@@ -58,7 +59,7 @@ def radical_normalize(m: int) -> tuple[int, int]:
     if root * root == r:
         c *= root
     else:
-        _square_free_parts(r, factors)
+        rings._split_cofactor(r, factors, _square_free_part_divisor)
     for p, e in factors.items():
         c *= p ** (e // 2)
         if e & 1:
@@ -66,57 +67,27 @@ def radical_normalize(m: int) -> tuple[int, int]:
     return c, s
 
 
-def _square_free_parts(r: int, factors: dict[int, int]) -> None:
-    """Add r, a non-square _trial_divide cofactor, to factors as
-    square-free parts, each to the power it divides r, pairwise coprime and
-    coprime to the primes already in factors.  An r of more than
-    rings.FACTOR_BITS bits is refused before any test.  The WIEFERICH_PRIMES
-    are divided out; then a square part is taken by its root at twice the
-    power and a part that passes the base-2 strong test is taken whole,
-    except at or above SQUARE_FREE_PROOF_BELOW, where rings.is_prime
-    decides: it raises on a probable prime there, past rings.PSI_13, so
-    only a composite goes on.  Any other part x below
-    _GCD_PROOF_BELOW is taken whole or split without rho: the product d of
-    its small prime factors (_small_prime_part) is square-free, so d is
-    taken whole and x // d goes on, and d = 1 proves x square-free, so x is
-    taken whole.  A part at or above _GCD_PROOF_BELOW is split by
-    rings._rho_divisor.  Two parts taken whole may share a prime, so a part
-    x that meets a y in factors is refined by their gcd g into g, x // g
-    and y // g."""
-    if r.bit_length() > rings.FACTOR_BITS:
-        raise ValueError(f"a {r.bit_length()}-bit cofactor is left to factor, "
-                         f"above the {rings.FACTOR_BITS}-bit bound")
+def _square_free_part_divisor(x: int) -> int:
+    """radical_normalize's rule for rings._split_cofactor, on a part x that
+    is not a square and has no prime factor below _TRIAL_BOUND.  A
+    WIEFERICH_PRIMES factor is split off first.  Then x is taken whole if
+    it passes the base-2 strong test, except at or above
+    SQUARE_FREE_PROOF_BELOW, where rings.is_prime decides: it raises on a
+    probable prime there, past rings.PSI_13, so only a composite goes on.
+    A part at or above _GCD_PROOF_BELOW goes to rho (1).  Any other is
+    split without rho: the product d of its small prime factors
+    (_small_prime_part) is square-free, so x is split there, and d = 1
+    proves x square-free, so x is taken whole."""
     for p in WIEFERICH_PRIMES:
-        while r % p == 0:
-            r //= p
-            factors[p] = factors.get(p, 0) + 1
-    pending = [(r, 1)]  # (part, multiplicity)
-    while pending:
-        x, mult = pending.pop()
-        if x == 1:
-            continue
-        root = math.isqrt(x)
-        if root * root == x:
-            pending.append((root, 2 * mult))
-            continue
-        if (not rings._strong_probable_prime(x, (2,))
-                or x >= SQUARE_FREE_PROOF_BELOW and not rings.is_prime(x)):
-            if x >= _GCD_PROOF_BELOW:
-                d = rings._rho_divisor(x)
-                pending += [(d, mult), (x // d, mult)]
-                continue
-            d = _small_prime_part(x)
-            if d > 1:
-                pending.append((x // d, mult))
-                x = d
-        for y, other in factors.items():
-            g = math.gcd(x, y)
-            if g > 1:
-                del factors[y]
-                pending += [(g, mult + other), (x // g, mult), (y // g, other)]
-                break
-        else:
-            factors[x] = mult
+        if x % p == 0:
+            return p
+    if (rings._strong_probable_prime(x, (2,)) if x < SQUARE_FREE_PROOF_BELOW
+            else rings.is_prime(x)):
+        return x
+    if x >= _GCD_PROOF_BELOW:
+        return 1
+    d = _small_prime_part(x)
+    return d if d > 1 else x
 
 
 # Primes per product in _gcd_proof_chunks: a part reads only the chunks whose

@@ -15,7 +15,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 
@@ -128,10 +128,10 @@ CACHE_SIZE = 1 << 16
 def is_prime(n: int) -> bool:
     """Exact primality: trial division by the primes below 1000
     (_trial_divide), then deterministic Miller-Rabin.  Raises ValueError for
-    an n >= PSI_13 that no base proves composite.  Cached, and
-    _factor_cofactor proves its cofactors prime through it, so each prime is
-    proven once per process, whether factorize or a family check meets it
-    first."""
+    an n >= PSI_13 that no base proves composite.  Cached, and factorize's
+    rule for _split_cofactor (_prime_part_divisor) proves its parts prime
+    through it, so each prime is proven once per process, whether factorize
+    or a family check meets it first."""
     if n < 2:
         return False
     factors, r = _trial_divide(n)
@@ -142,11 +142,11 @@ def is_prime(n: int) -> bool:
 # radicands of Z_1300000000529's unit graph take about 1.8 million.
 RHO_STEPS = 1 << 22
 
-# Bits of the largest non-square cofactor _factor_cofactor tests and splits.
-# A Miller-Rabin base or a rho squaring costs more the longer the cofactor,
-# so RHO_STEPS alone does not bound the time.  The bound sits just above the
-# 307-bit cofactor of Z_{3^100}'s unit-graph radicands, which still runs rho
-# to the end of its budget.
+# Bits of the largest non-square part _split_cofactor tests and splits, for
+# factorize and radical_normalize alike.  A Miller-Rabin base or a rho
+# squaring costs more the longer the part, so RHO_STEPS alone does not bound
+# the time.  The bound sits just above the 307-bit cofactor of Z_{3^100}'s
+# unit-graph radicands, which still runs rho to the end of its budget.
 FACTOR_BITS = 320
 
 
@@ -220,40 +220,59 @@ def _trial_divide(m: int) -> tuple[dict[int, int], int]:
     return factors, m
 
 
-def _factor_cofactor(r: int, factors: dict[int, int]) -> dict[int, int]:
-    """factors with the prime factorization of a _trial_divide cofactor r
-    added.  r is split as an exact square, declared prime by is_prime (whose
-    trial division finds nothing in r, so Miller-Rabin decides), or split by
-    Pollard rho.  Raises ValueError for a cofactor that is not a square and
-    has more than FACTOR_BITS bits, where is_prime does, or where rho does
-    not split a cofactor within RHO_STEPS squarings."""
-    pending = [(r, 1)]  # (cofactor, multiplicity)
+def _split_cofactor(r: int, factors: dict[int, int],
+                    part_divisor: Callable[[int], int]) -> dict[int, int]:
+    """factors with a _trial_divide cofactor r added as parts, pairwise
+    coprime, each to the power it divides r.  A square part is read by its
+    root at twice the power.  Any other part x is refused above FACTOR_BITS
+    bits, then read by the caller's rule part_divisor(x): x takes it whole,
+    a proper divisor splits it there, and 1 hands it to _rho_divisor.  A
+    part taken whole that meets a y in factors is refined by their gcd g
+    into g, x // g and y // g, which for primes only merges equal ones.
+    Raises ValueError above FACTOR_BITS, where part_divisor does, or where
+    rho does not split a part within RHO_STEPS squarings."""
+    pending = [(r, 1)]  # (part, multiplicity)
     while pending:
-        r, mult = pending.pop()
-        if r == 1:
+        x, mult = pending.pop()
+        if x == 1:
             continue
-        root = math.isqrt(r)
-        if root * root == r:
+        root = math.isqrt(x)
+        if root * root == x:
             pending.append((root, 2 * mult))
-        elif r.bit_length() > FACTOR_BITS:
-            raise ValueError(f"a {r.bit_length()}-bit cofactor is left to factor, "
+            continue
+        if x.bit_length() > FACTOR_BITS:
+            raise ValueError(f"a {x.bit_length()}-bit cofactor is left to factor, "
                              f"above the {FACTOR_BITS}-bit bound")
-        elif r < _TRIAL_SQUARE or is_prime(r):
-            factors[r] = factors.get(r, 0) + mult
+        d = part_divisor(x)
+        if d == 1:
+            d = _rho_divisor(x)
+        if d != x:
+            pending += [(d, mult), (x // d, mult)]
+            continue
+        for y, other in factors.items():
+            g = math.gcd(x, y)
+            if g > 1:
+                del factors[y]
+                pending += [(g, mult + other), (x // g, mult), (y // g, other)]
+                break
         else:
-            d = _rho_divisor(r)
-            pending += [(d, mult), (r // d, mult)]
+            factors[x] = mult
     return factors
+
+
+def _prime_part_divisor(x: int) -> int:
+    """factorize's rule for _split_cofactor: a part is taken whole below
+    _TRIAL_SQUARE, where it is a prime, or when is_prime proves it one."""
+    return x if x < _TRIAL_SQUARE or is_prime(x) else 1
 
 
 def _modulus(n: int) -> Modulus:
     """Exact prime factorization of n >= 2: _trial_divide, then
-    _factor_cofactor on the cofactor it leaves, which skips 1 and takes one
-    below _TRIAL_SQUARE as a prime."""
+    _split_cofactor on the cofactor it leaves, by _prime_part_divisor."""
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors, r = _trial_divide(n)
-    return Modulus(n, tuple(sorted(_factor_cofactor(r, factors).items())))
+    return Modulus(n, tuple(sorted(_split_cofactor(r, factors, _prime_part_divisor).items())))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

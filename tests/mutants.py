@@ -220,11 +220,13 @@ MUTANTS = {
         "(order := p**e) <= 10 * _MAX_ORDER",
         ("test_rings.py::TestOrderBound::test_order_one_digit_longer_refused[TruncatedPolyRing]",),
     ),
-    "AJ _factor_cofactor: a cofactor one bit above FACTOR_BITS tested and split": (
+    "AJ _split_cofactor: a part one bit above FACTOR_BITS tested and split": (
         "rings.py",
-        "elif r.bit_length() > FACTOR_BITS:",
-        "elif r.bit_length() > FACTOR_BITS + 1:",
-        ("test_rings.py::TestFactorBound::test_cofactor_above_the_bound_refused",),
+        "if x.bit_length() > FACTOR_BITS:",
+        "if x.bit_length() > FACTOR_BITS + 1:",
+        ("test_rings.py::TestFactorBound::test_cofactor_above_the_bound_refused",
+         "test_radicals.py::TestSquareFreeParts::"
+         "test_cofactor_above_the_bits_bound_refused_before_any_test"),
     ),
     "AK ring_forms: a pair whether or not 2 is a unit": (
         "closed_forms.py",
@@ -455,14 +457,14 @@ MUTANTS = {
         "    return cases()\n",
         ("test_verify.py::TestIdentity::test_max_n_bounded_before_any_case",),
     ),
-    "BW _square_free_parts: 1093 and 3511 left in the cofactor": (
+    "BW _square_free_part_divisor: 1093 and 3511 left in the part": (
         "radicals.py",
         "for p in WIEFERICH_PRIMES:",
         "for p in ():",
         ("test_radicals.py::TestSquareFreeParts::test_wieferich_square_is_divided_out[1-1093-4733]",),
     ),
-    "BX _square_free_parts: no gcd refinement, only equal parts merged": (
-        "radicals.py",
+    "BX _split_cofactor: no gcd refinement, only equal parts merged": (
+        "rings.py",
         "if g > 1:",
         "if g == x == y:",
         ("test_radicals.py::TestSquareFreeParts::"
@@ -475,7 +477,7 @@ MUTANTS = {
         ("test_closed_forms.py::TestRingForms::"
          "test_pair_names_the_variants_each_evaluated_as_read[pair0]",),
     ),
-    "BZ _square_free_parts: the 2^48 bound dropped, a gcd proof at any size": (
+    "BZ _square_free_part_divisor: the 2^48 bound dropped, a gcd proof at any size": (
         "radicals.py",
         "if x >= _GCD_PROOF_BELOW:",
         "if False:",
@@ -487,19 +489,12 @@ MUTANTS = {
         "rings.primes_up_to(_GCD_PROOF_PRIMES_BELOW - 16)",
         ("test_radicals.py::TestGcdProof::test_p2q_below_the_bound[65521-65537]",),
     ),
-    "CB _square_free_parts: a part above the Wieferich bound taken whole on base 2": (
+    "CB _square_free_part_divisor: a part above the Wieferich bound taken whole on base 2": (
         "radicals.py",
-        "or x >= SQUARE_FREE_PROOF_BELOW and not rings.is_prime(x)):",
-        "or False):",
+        "if x < SQUARE_FREE_PROOF_BELOW",
+        "if True",
         ("test_radicals.py::TestSquareFreeParts::test_above_the_bound_still_needs_a_proof",
          "test_cli.py::TestClosedModeLargeModuli::test_unproven_cofactor_exits_2"),
-    ),
-    "CC _square_free_parts: a cofactor one bit above FACTOR_BITS tested and split": (
-        "radicals.py",
-        "if r.bit_length() > rings.FACTOR_BITS:",
-        "if r.bit_length() > rings.FACTOR_BITS + 1:",
-        ("test_radicals.py::TestSquareFreeParts::"
-         "test_cofactor_above_the_bits_bound_refused_before_any_test",),
     ),
     "CD cli: argparse imported with the module, not only for a full parse": (
         "cli.py",
@@ -513,6 +508,13 @@ MUTANTS = {
         "for i in range(1, (math.isqrt(limit) + 1) // 2):",
         "for i in range(2, (math.isqrt(limit) + 1) // 2):",
         ("test_rings.py::TestPrimes::test_primes_up_to_against_a_plain_sieve",),
+    ),
+    "CF _split_cofactor: a part its rule hands to rho taken whole": (
+        "rings.py",
+        "d = _rho_divisor(x)",
+        "d = x",
+        ("test_rings.py::TestFactorize::test_two_large_primes_round_trip[998244353-1000000007]",
+         "test_radicals.py::TestGcdProof::test_p2q_above_the_bound_is_split_by_rho"),
     ),
 }
 

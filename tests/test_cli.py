@@ -409,6 +409,22 @@ class TestClosedModeLargeModuli:
         assert out == ""
         assert err.count("error:") == 1 and "within 4096 squarings" in err
 
+    def test_rho_budget_exits_2_on_the_modulus(self, capsys, monkeypatch):
+        # P * Q, the first primes above 2^61 and 2^62: factoring the modulus
+        # itself runs rho out of the budget, before any radicand is formed
+        # (2^22 squarings takes about 2.5 s)
+        p, q = 2305843009213693967, 4611686018427388039
+        n = p * q
+        assert n == 10633823966279327363694553002502260713
+        monkeypatch.setattr(rings, "RHO_STEPS", 1 << 12)
+        code, seconds, out, err = timed_closed(capsys, n, "unit")
+        assert code == 2 and seconds < 1.0
+        assert out == ""
+        message = f"Pollard rho found no factor of {n} within 4096 squarings"
+        assert err.count("error:") == 1 and message in err
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rings.factorize(n)
+
 
 class TestHugeInputs:
     # Unbounded, these would factor cofactors of hundreds of bits, or build an

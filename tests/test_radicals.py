@@ -116,8 +116,8 @@ def no_factoring(monkeypatch):
 class TestSquarePart:
     # radical_normalize reads the trial-division cofactor r without
     # factoring it when r is a square; every non-square r goes through
-    # _square_free_parts, where a prime or two distinct primes is split by a
-    # base-2 test or a gcd proof without rho
+    # rings._split_cofactor, where a prime or two distinct primes is taken
+    # whole by a base-2 test or a gcd proof without rho
 
     @pytest.mark.parametrize("p, q", [
         (1009, 1013), (10007, 39989), (999983, 1000003), (10**9 + 7, 10**9 + 9),
@@ -208,9 +208,9 @@ class TestSquareFreeParts:
     def test_two_whole_parts_that_share_a_prime(self, monkeypatch, p, q, t):
         # p*q and p*t are strong pseudoprimes to base 2, so each is taken
         # whole; a rho that splits p^2*q*t into them leaves the two parts to
-        # be refined by their gcd p.  p^2*q*t is below 2^48, where the gcd
-        # proof splits it into p*q*t and p instead, which are refined the
-        # same way; with that bound lowered to 0, rho splits it
+        # be refined by their gcd p.  p^2*q*t is below 2^48, where gcd
+        # proofs split it instead, into parts refined the same way; with that
+        # bound lowered to 0, rho splits it
         a, b = p * q, p * t
         assert rings._strong_probable_prime(a, (2,)) and rings._strong_probable_prime(b, (2,))
         expected = (p, q * t)
@@ -266,7 +266,7 @@ class TestSquareFreeParts:
 
     def test_cofactor_above_the_bits_bound_refused_before_any_test(self, no_factoring):
         # a 321-bit cofactor is refused before the base-2 test or rho, with
-        # rings._factor_cofactor's message
+        # the message rings._split_cofactor gives factorize too
         r = next(m for m in itertools.count((1 << rings.FACTOR_BITS) + 1, 2)
                  if math.gcd(m, rings._TRIAL_PRODUCT) == 1)
         assert r.bit_length() == rings.FACTOR_BITS + 1 and math.isqrt(r) ** 2 != r
@@ -289,6 +289,46 @@ def refuse_rho_below_the_bound(monkeypatch):
 
     monkeypatch.setattr(rings, "_rho_divisor", rho)
     return split
+
+
+# the primes the witnesses below are built from: those below 2^17 read off
+# the sieve, and known primes above it named outright
+SIEVED = set(primes_up_to(1 << 17))
+LARGE_PRIMES = (10**6 + 3, 10**9 + 7, 10**9 + 9, 10**12 + 39, 2**61 - 1)
+
+
+class TestBuiltFromKnownPrimes:
+    # radical_normalize and factorize share one splitter, so neither is a
+    # witness for the other: here m is built from known primes, and (c, s)
+    # and the factorization are read off that construction.  The cases take
+    # each route of the radicand rule, and reach rho only at or above 2^48
+
+    @pytest.mark.parametrize("primes, rho", [
+        ({1093: 2, 4733: 1, 3: 1}, False),
+        ({3511: 3, 10**9 + 7: 1}, False),
+        ({1009: 1, 1013: 1, 1019: 1, 2: 1}, False),
+        ({65521: 2, 65537: 1}, False),
+        ({10**9 + 7: 2, 10**9 + 9: 1}, True),
+        ({2**61 - 1: 1, 10**6 + 3: 2, 5: 1}, True),
+        ({10**12 + 39: 1, 65537: 1, 3: 2}, True),
+        ({1013: 1, 1657: 1, 7: 3}, False),
+        ({1013: 2, 1657: 1, 25301: 1}, False),
+    ], ids=[
+        "wieferich-square-that-passes-base-2", "wieferich-cube",
+        "gcd-proof-three-primes", "gcd-proof-p2q-below-2^48",
+        "rho-p2q-above-2^48", "rho-mersenne-prime-times-a-square", "rho-two-primes-above-2^48",
+        "two-primes-that-pass-base-2", "two-base-2-pseudoprimes-sharing-a-prime",
+    ])
+    def test_matches_the_construction(self, monkeypatch, primes, rho):
+        assert all(p in SIEVED or p in LARGE_PRIMES for p in primes)
+        m = math.prod(p**e for p, e in primes.items())
+        expected = (math.prod(p ** (e // 2) for p, e in primes.items()),
+                    math.prod(p ** (e % 2) for p, e in primes.items()))
+        split = refuse_rho_below_the_bound(monkeypatch)
+        assert radical_normalize.__wrapped__(m) == expected
+        assert bool(split) == rho
+        monkeypatch.undo()
+        assert rings.factorize.__wrapped__(m).factors == tuple(sorted(primes.items()))
 
 
 def prime_from(start):

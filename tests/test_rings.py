@@ -32,7 +32,7 @@ from ringsombor.rings import (
     z_prime_power,
 )
 from ringsombor import rings
-from ringsombor.rings import _factor_cofactor, _passes_miller_rabin
+from ringsombor.rings import _passes_miller_rabin, _prime_part_divisor, _split_cofactor
 
 
 FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -181,18 +181,18 @@ class TestFactorBound:
         assert FACTOR_BITS == 320
         r = (1 << FACTOR_BITS) + 1
         with pytest.raises(ValueError, match=f"a {FACTOR_BITS + 1}-bit cofactor"):
-            _factor_cofactor(r, {})
+            _split_cofactor(r, {}, _prime_part_divisor)
         assert primality_calls == []
 
     def test_cofactor_at_the_bound_tested(self, primality_calls):
         r = TOP_COFACTOR
         assert r.bit_length() == FACTOR_BITS
-        assert _factor_cofactor(r, {}) == {r: 1}
+        assert _split_cofactor(r, {}, _prime_part_divisor) == {r: 1}
         assert primality_calls == [r]
 
     def test_square_above_the_bound_read_by_its_root(self, primality_calls):
         root = TOP_COFACTOR
-        assert _factor_cofactor(root * root, {}) == {root: 2}
+        assert _split_cofactor(root * root, {}, _prime_part_divisor) == {root: 2}
         assert primality_calls == [root]
 
 
