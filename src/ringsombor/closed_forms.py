@@ -6,6 +6,9 @@ Three of the printed statements disagree with brute force (ERRATA); those
 carry a printed/corrected variant pair, and the corrected side is always
 rebuilt from the degree rules plus an edge partition, never free-invented.
 Inputs outside a family are rejected rather than computed.
+Z_{p^alpha} is the local ring (q, s) = (p, p^(alpha-1)), so its forms are
+the local forms there, but for its printed unit bracket (FORMULA_UNIT_PPOW);
+every regular case is so_regular.
 """
 
 from __future__ import annotations
@@ -57,6 +60,17 @@ def _distinct_odd_primes(p: int, q: int, ordered: bool):
         raise NotInFamilyError(f"need p < q, got p={p}, q={q}")
 
 
+def _check_even(n: int):
+    if n < 2 or n % 2:
+        raise NotInFamilyError(f"n must be even and >= 2, got {n}")
+
+
+def _check_prime_power(p: int, alpha: int):
+    _odd_prime(p, "p")
+    if alpha < 1:
+        raise NotInFamilyError(f"alpha must be >= 1, got {alpha}")
+
+
 def _over_sqrt2(x) -> RadicalSum:
     """x / sqrt(2) in canonical form, (x/2)*sqrt(2), for an integer x."""
     half, odd = divmod(x, 2)
@@ -89,20 +103,14 @@ def assemble_partition_sum(part: EdgePartition, d_zero: int, d_unit: int) -> Rad
 
 def so_total_even(n: int) -> RadicalSum:
     """n even: the total graph is (n - phi(n) - 1)-regular on n vertices."""
-    if n < 2 or n % 2:
-        raise NotInFamilyError(f"n must be even and >= 2, got {n}")
-    d = n - euler_phi(n) - 1
-    return _over_sqrt2(n * d * d)
+    _check_even(n)
+    return so_regular(n, n - euler_phi(n) - 1)
+
 
 def so_total_prime_power(p: int, alpha: int) -> RadicalSum:
-    """n = p^alpha, p odd: zero-divisors form a clique, units attach to it."""
-    _odd_prime(p, "p")
-    if alpha < 1:
-        raise NotInFamilyError(f"alpha must be >= 1, got {alpha}")
-    n = p**alpha
-    phi = n - n // p
-    nz = n - phi
-    return _over_sqrt2(phi * nz * nz) + _over_sqrt2((nz - 1) ** 2 * nz)
+    """n = p^alpha, p odd: the local form at (p, p^(alpha-1))."""
+    _check_prime_power(p, alpha)
+    return so_total_local(p, p ** (alpha - 1))
 
 
 def total_pq_partition(p: int, q: int) -> EdgePartition:
@@ -137,32 +145,26 @@ def total_p2q_partition(p: int, q: int) -> EdgePartition:
 
 def so_unit_even(n: int) -> RadicalSum:
     """n even: the unit graph is phi(n)-regular on n vertices."""
-    if n < 2 or n % 2:
-        raise NotInFamilyError(f"n must be even and >= 2, got {n}")
-    phi = euler_phi(n)
-    return _over_sqrt2(n * phi * phi)
+    _check_even(n)
+    return so_regular(n, euler_phi(n))
 
 
 def so_unit_prime_power(p: int, alpha: int, variant: str = CORRECTED) -> RadicalSum:
-    """n = p^alpha, p odd.
+    """n = p^alpha, p odd: the corrected form is the local form at
+    (p, p^(alpha-1)).
 
     The printed statement's unit-unit bracket is phi*(phi-1) - (n-phi); the
     corrected bracket phi*(phi-1) - (n-phi)*phi is twice the unit-unit edge
     count implied by the degree rules, which is what brute force confirms.
     """
     _check_variant(variant)
-    _odd_prime(p, "p")
-    if alpha < 1:
-        raise NotInFamilyError(f"alpha must be >= 1, got {alpha}")
-    n = p**alpha
-    phi = n - n // p
-    nz = n - phi
+    _check_prime_power(p, alpha)
+    nz = p ** (alpha - 1)
+    if variant == CORRECTED:
+        return so_unit_local(p, nz)
+    phi = (p - 1) * nz
     head = sombor_edge_term(phi * nz, phi, phi - 1)
-    if variant == PRINTED:
-        bracket = phi * (phi - 1) - nz
-    else:
-        bracket = phi * (phi - 1) - nz * phi
-    return head + _over_sqrt2(bracket * (phi - 1))
+    return head + _over_sqrt2((phi * (phi - 1) - nz) * (phi - 1))
 
 
 def unit_pq_partition(p: int, q: int) -> EdgePartition:
@@ -170,7 +172,7 @@ def unit_pq_partition(p: int, q: int) -> EdgePartition:
     _distinct_odd_primes(p, q, ordered=True)
     alpha = (p - 1) * (q - 1)
     beta = (p - 1) * (q - 1) * (p + q - 3)
-    edges = (p * q - 1) * euler_phi(p * q) // 2
+    edges = (p * q - 1) * alpha // 2
     return EdgePartition(alpha, beta, edges - alpha - beta)
 
 
@@ -214,7 +216,7 @@ def so_total_local(q: int, s: int) -> RadicalSum:
     _check_local_factor(q, s)
     n, u, nz = q * s, (q - 1) * s, s
     if q % 2 == 0:
-        return _over_sqrt2(n * (nz - 1) ** 2)
+        return so_regular(n, nz - 1)
     return _over_sqrt2(nz * (nz - 1) ** 2) + _over_sqrt2(u * nz * nz)
 
 
@@ -222,16 +224,17 @@ def so_unit_local(q: int, s: int, variant: str = CORRECTED) -> RadicalSum:
     """Unit graph of a finite local ring with residue field F_q and a
     maximal ideal of s elements.
 
-    The 2-not-a-unit case (q even) has a single agreed statement.  In the
-    2-is-a-unit case the printed expression pairs degree u with n-u under
-    the root; the corrected form uses degrees u and u-1 plus the unit-unit
-    clique count, mirroring the prime-power correction.
+    The 2-not-a-unit case (q even) has a single agreed statement, the
+    u-regular one.  In the 2-is-a-unit case the printed expression pairs
+    degree u with n-u under the root; the corrected form uses degrees u and
+    u-1 plus the unit-unit clique count, and is Z_{p^alpha}'s corrected form
+    at (p, p^(alpha-1)).
     """
     _check_variant(variant)
     _check_local_factor(q, s)
     n, u, nz = q * s, (q - 1) * s, s
     if q % 2 == 0:
-        return _over_sqrt2(n * u * u)
+        return so_regular(n, u)
     if variant == PRINTED:
         return sombor_edge_term(u * nz, u, nz)
     head = sombor_edge_term(u * nz, u, u - 1)
@@ -254,8 +257,6 @@ def so_regular(n: int, k: int) -> RadicalSum:
 
 def so_complete(n: int) -> RadicalSum:
     """The complete graph: the (n-1)-regular case."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
     return so_regular(n, n - 1)
 
 
@@ -266,13 +267,9 @@ def complement_identity_residual(n: int, k: int) -> RadicalSum:
 
     Requires that a k-regular graph on n vertices exists (n*k even).
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"degree {k} out of range for {n} vertices")
+    so_g = so_regular(n, k)
     if (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices (odd degree sum)")
-    so_g = so_regular(n, k)
     so_gc = so_regular(n, n - k - 1)
     cross = rational_sqrt((so_g * so_gc).as_rational()) * 2
     return so_complete(n) - so_g - so_gc - cross

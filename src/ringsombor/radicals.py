@@ -127,6 +127,16 @@ def _canon(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _add_term(terms: dict, s: int, c) -> None:
+    """Add c*sqrt(s) to terms, a canonical map with s square-free: the sum
+    is stored in its canonical type, and a zero sum drops s."""
+    acc = terms.get(s, 0) + c
+    if acc:
+        terms[s] = _canon(acc)
+    else:
+        terms.pop(s, None)
+
+
 class RadicalSum:
     """Immutable exact value sum(c * sqrt(s)); supports +, -, *, ==.
 
@@ -148,11 +158,7 @@ class RadicalSum:
                 if not c:
                     continue
                 cc, ss = radical_normalize(s)
-                acc = tidy.get(ss, 0) + c * cc
-                if acc:
-                    tidy[ss] = _canon(acc)
-                elif ss in tidy:
-                    del tidy[ss]
+                _add_term(tidy, ss, c * cc)
         self._terms = tidy
 
     @classmethod
@@ -193,11 +199,7 @@ class RadicalSum:
             return NotImplemented
         out = dict(self._terms)
         for s, c in other._terms.items():
-            acc = out.get(s, 0) + c
-            if acc:
-                out[s] = _canon(acc)
-            elif s in out:
-                del out[s]
+            _add_term(out, s, c)
         return _wrap(out)
 
     __radd__ = __add__
@@ -227,12 +229,7 @@ class RadicalSum:
             for s1, c1 in self._terms.items():
                 for s2, c2 in other._terms.items():
                     g = math.gcd(s1, s2)
-                    s = (s1 // g) * (s2 // g)
-                    acc = out.get(s, 0) + c1 * c2 * g
-                    if acc:
-                        out[s] = _canon(acc)
-                    elif s in out:
-                        del out[s]
+                    _add_term(out, (s1 // g) * (s2 // g), c1 * c2 * g)
             return _wrap(out)
         return NotImplemented
 

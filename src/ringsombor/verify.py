@@ -197,23 +197,21 @@ def sweep_cases(
 
     The arguments are checked at the call, before any case runs: the kinds,
     the worker count, the family, every ring against the ceiling, and that
-    the sweep is not empty.  The ceiling check reads the first ring and,
-    when max_n is above the ceiling and that ring is not, the first ring
-    past the ceiling, which it refuses; the orders in between are never
-    factored.  Under workers > 1 the pool holds at most 2 * workers batches
-    of _SPEC_BATCH specs at a time (_run_cases).
+    the sweep is not empty.  The ceiling check reads only orders above the
+    ceiling and refuses the first ring there; then the sweep is empty when
+    kinds is, or when the family has no ring up to max_n, read from n = 2
+    up to its first ring.  Under workers > 1 the pool holds at most
+    2 * workers batches of _SPEC_BATCH specs at a time (_run_cases).
     """
     for kind in kinds:
         if kind not in (TOTAL, UNIT):
             raise ValueError(f"unknown graph kind {kind!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    first = next(_family_rings(family, max_n), None)
-    if first and first[0].order <= ceiling < max_n:
-        first = next(_family_rings(family, max_n, _min_n=ceiling + 1), first)
-    if first:
-        check_ceiling(first[0].order, first[0].name, ceiling)
-    if not first or not kinds:
+    past = next(_family_rings(family, max_n, _min_n=max(ceiling + 1, 2)), None)
+    if past:
+        check_ceiling(past[0].order, past[0].name, ceiling)
+    if not kinds or next(_family_rings(family, max_n), None) is None:
         raise EmptySweepError(f"no {family} cases with n <= {max_n}")
     specs = (
         (ring, use_local, kind, ceiling)

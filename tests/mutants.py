@@ -40,16 +40,16 @@ PACKAGE = ROOT / "src" / "ringsombor"
 # name: (file in src/ringsombor, original, mutant, node ids of tests that kill
 # it, relative to tests/)
 MUTANTS = {
-    "A so_total_local, 2 not a unit: (nz-1)^2 read as (u-1)^2": (
+    "A so_total_local, 2 not a unit: degree nz-1 read as u-1": (
         "closed_forms.py",
-        "_over_sqrt2(n * (nz - 1) ** 2)",
-        "_over_sqrt2(n * (u - 1) ** 2)",
+        "so_regular(n, nz - 1)",
+        "so_regular(n, u - 1)",
         ("test_closed_forms.py::TestLocalForms::test_definitional_local_rings[F_4-total]",),
     ),
-    "B so_unit_local, 2 not a unit: u*u read as nz*nz": (
+    "B so_unit_local, 2 not a unit: degree u read as nz": (
         "closed_forms.py",
-        "_over_sqrt2(n * u * u)",
-        "_over_sqrt2(n * nz * nz)",
+        "so_regular(n, u)",
+        "so_regular(n, nz)",
         ("test_closed_forms.py::TestLocalForms::test_definitional_local_rings[F_4-unit]",),
     ),
     "C degree_pair: the total graph's degrees swapped": (
@@ -381,10 +381,9 @@ MUTANTS = {
     ),
     "BK sweep_cases: the scan for a ring above the ceiling starts at 2": (
         "verify.py",
-        "_family_rings(family, max_n, _min_n=ceiling + 1)",
+        "_family_rings(family, max_n, _min_n=max(ceiling + 1, 2))",
         "_family_rings(family, max_n, _min_n=2)",
-        ("test_verify.py::TestSweep::"
-         "test_ceiling_refused_without_factoring_the_orders_below_it",),
+        ("test_verify.py::TestSweep::test_ceiling_checked_before_any_case[1]",),
     ),
     "BM degree_pair_counts, rule 2: an edge counted under its unsorted key pair": (
         "sombor.py",
@@ -515,6 +514,36 @@ MUTANTS = {
         "d = x",
         ("test_rings.py::TestFactorize::test_two_large_primes_round_trip[998244353-1000000007]",
          "test_radicals.py::TestGcdProof::test_p2q_above_the_bound_is_split_by_rho"),
+    ),
+    "CG so_total_prime_power: the ideal size p^(alpha-1) read as p^alpha": (
+        "closed_forms.py",
+        "so_total_local(p, p ** (alpha - 1))",
+        "so_total_local(p, p ** alpha)",
+        ("test_closed_forms.py::TestTotalPrimePower::test_values",),
+    ),
+    "CH so_unit_prime_power: the printed bracket read as the corrected one": (
+        "closed_forms.py",
+        "(phi * (phi - 1) - nz) * (phi - 1)",
+        "(phi * (phi - 1) - nz * phi) * (phi - 1)",
+        ("test_closed_forms.py::TestUnitPrimePower::test_printed_value_z5",),
+    ),
+    "CI _add_term: a zero coefficient kept": (
+        "radicals.py",
+        "    if acc:\n        terms[s] = _canon(acc)\n    else:\n        terms.pop(s, None)\n",
+        "    terms[s] = _canon(acc)\n",
+        ("test_radicals.py::TestArithmetic::test_cancellation",),
+    ),
+    "CJ _add_term: a sum stored without _canon": (
+        "radicals.py",
+        "terms[s] = _canon(acc)",
+        "terms[s] = acc",
+        ("test_radicals.py::TestCoefficientType::test_integral_coefficients_are_ints",),
+    ),
+    "CK unit_pq_partition: the edge count read off beta": (
+        "closed_forms.py",
+        "edges = (p * q - 1) * alpha // 2",
+        "edges = (p * q - 1) * beta // 2",
+        ("test_closed_forms.py::TestUnitPQ::test_partition_3_5",),
     ),
 }
 

@@ -5,6 +5,7 @@ import pytest
 import definitional as defn
 from held import held_graph, sombor_bruteforce
 from ringsombor import closed_forms as cf
+from ringsombor import rings
 from ringsombor.closed_forms import (
     CORRECTED,
     ERRATA,
@@ -211,6 +212,16 @@ class TestUnitPQ:
             assert unit_pq_partition(p, q) == edge_partition_of(degree_pair_counts(g, units))
             assert closed(ring, UNIT) == sombor_bruteforce(g)
 
+    def test_factors_nothing(self, monkeypatch):
+        # phi(pq) = (p-1)(q-1) is read off the primes given: rho cannot split
+        # the product of the first primes above 2^61 and 2^62 in its budget
+        def no_rho(x):
+            raise AssertionError("unit_pq_partition factored p*q")
+
+        monkeypatch.setattr(rings, "_rho_divisor", no_rho)
+        p, q = 2305843009213693967, 4611686018427388039
+        assert unit_pq_partition(p, q).total == (p * q - 1) * (p - 1) * (q - 1) // 2
+
 
 class TestUnitP2Q:
     def test_edge_counts_3_5(self):
@@ -259,8 +270,22 @@ class TestLocalForms:
         assert so_unit_local(3, 3) == RadicalSum({61: 18, 2: 30})
         assert so_unit_local(3, 3, PRINTED) == RadicalSum({5: 54})
 
-    def test_unit_corrected_equals_prime_power_form(self):
-        assert so_unit_local(3, 3) == so_unit_prime_power(3, 2)
+    @pytest.mark.parametrize("alpha", range(1, 6))
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT])
+    def test_prime_power_forms_are_the_local_forms(self, kind, p, alpha):
+        # Z_{p^alpha} is local with residue field F_p and an ideal of
+        # p^(alpha-1) elements; only its printed unit bracket is its own, and
+        # it names a statement distinct from the corrected and the local
+        # printed forms, so ERRATA keeps two printed statements apart
+        s = p ** (alpha - 1)
+        if kind == TOTAL:
+            assert so_total_prime_power(p, alpha) == so_total_local(p, s)
+            return
+        assert so_unit_prime_power(p, alpha) == so_unit_local(p, s)
+        printed = so_unit_prime_power(p, alpha, PRINTED)
+        assert printed != so_unit_local(p, s, CORRECTED)
+        assert printed != so_unit_local(p, s, PRINTED)
 
     def test_unit_oracle_agreement(self):
         for ring in (ZnRing(8), ZnRing(9), ZnRing(25), TruncatedPolyRing(2, 3),
