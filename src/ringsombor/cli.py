@@ -9,7 +9,6 @@ output is read off the CaseResults of verify_case.
 
 from __future__ import annotations
 
-import functools
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -110,8 +109,7 @@ def cmd_compute(args) -> int:
         _, forms = cf.ring_forms(ring, args.graph, use_local, pair=(args.variant,))
 
     # the form shown: a ring has either one unique form or a corrected/printed
-    # pair; ring_forms evaluates a form only as it is read, so the closed path
-    # evaluates the form it shows and no other
+    # pair, of which the closed path evaluates only the variant it shows
     shown = None
     if args.mode != "oracle":
         shown = next((f for f in forms if f[0] in (args.variant, cf.UNIQUE)), None)
@@ -387,7 +385,7 @@ def _read_exact(argv):
 
 def build_parser():
     """A fresh argparse parser declared from _COMMANDS on every call; main
-    builds one, through _parser, only for an argv that _read_exact leaves."""
+    builds one for each argv that _read_exact leaves."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -410,19 +408,11 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser every main call that needs one uses, built on first use.
-    parse_args keeps no state between calls: each makes a fresh Namespace,
-    and an error writes to the sys.stderr of that moment."""
-    return build_parser()
-
-
 def _parse_args(argv):
     """argv's namespace: read off _COMMANDS when argv is in exact form, else
     parsed by argparse, which exits with its message on an error or help."""
     args = _read_exact(argv)
-    return _parser().parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

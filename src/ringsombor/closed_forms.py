@@ -14,7 +14,6 @@ every regular case is so_regular.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 
 from .graphs import UNIT, EdgePartition, predicted_degrees
@@ -110,7 +109,7 @@ def so_total_even(n: int) -> RadicalSum:
 def so_total_prime_power(p: int, alpha: int) -> RadicalSum:
     """n = p^alpha, p odd: the local form at (p, p^(alpha-1))."""
     _check_prime_power(p, alpha)
-    return so_total_local(p, p ** (alpha - 1))
+    return _total_local(p, p ** (alpha - 1))
 
 
 def total_pq_partition(p: int, q: int) -> EdgePartition:
@@ -161,10 +160,8 @@ def so_unit_prime_power(p: int, alpha: int, variant: str = CORRECTED) -> Radical
     _check_prime_power(p, alpha)
     nz = p ** (alpha - 1)
     if variant == CORRECTED:
-        return so_unit_local(p, nz)
-    phi = (p - 1) * nz
-    head = sombor_edge_term(phi * nz, phi, phi - 1)
-    return head + _over_sqrt2((phi * (phi - 1) - nz) * (phi - 1))
+        return _unit_local(p, nz, variant)
+    return _unit_two_is_unit((p - 1) * nz, nz, nz)
 
 
 def unit_pq_partition(p: int, q: int) -> EdgePartition:
@@ -214,6 +211,11 @@ def so_total_local(q: int, s: int) -> RadicalSum:
     """Total graph of a finite local ring with residue field F_q and a
     maximal ideal of s elements: n = q*s elements, u = (q-1)*s units."""
     _check_local_factor(q, s)
+    return _total_local(q, s)
+
+
+def _total_local(q: int, s: int) -> RadicalSum:
+    """so_total_local's body, for a (q, s) already checked."""
     n, u, nz = q * s, (q - 1) * s, s
     if q % 2 == 0:
         return so_regular(n, nz - 1)
@@ -226,20 +228,28 @@ def so_unit_local(q: int, s: int, variant: str = CORRECTED) -> RadicalSum:
 
     The 2-not-a-unit case (q even) has a single agreed statement, the
     u-regular one.  In the 2-is-a-unit case the printed expression pairs
-    degree u with n-u under the root; the corrected form uses degrees u and
-    u-1 plus the unit-unit clique count, and is Z_{p^alpha}'s corrected form
-    at (p, p^(alpha-1)).
+    degree u with n-u under the root; the corrected form, degrees u and u-1
+    plus the unit-unit clique, is Z_{p^alpha}'s at (p, p^(alpha-1)).
     """
     _check_variant(variant)
     _check_local_factor(q, s)
+    return _unit_local(q, s, variant)
+
+
+def _unit_local(q: int, s: int, variant: str) -> RadicalSum:
+    """so_unit_local's body, for a (q, s) and variant already checked."""
     n, u, nz = q * s, (q - 1) * s, s
     if q % 2 == 0:
         return so_regular(n, u)
     if variant == PRINTED:
         return sombor_edge_term(u * nz, u, nz)
-    head = sombor_edge_term(u * nz, u, u - 1)
-    bracket = u * (u - 1) - nz * u
-    return head + _over_sqrt2(bracket * (u - 1))
+    return _unit_two_is_unit(u, nz, nz * u)
+
+
+def _unit_two_is_unit(u: int, nz: int, cross: int) -> RadicalSum:
+    """A unit graph where 2 is a unit, u units and nz zero-divisors: u*nz
+    edges at degrees (u, u-1), (u*(u-1) - cross)/2 at (u-1, u-1)."""
+    return sombor_edge_term(u * nz, u, u - 1) + _over_sqrt2((u * (u - 1) - cross) * (u - 1))
 
 
 # ----------------------------------------------------------------------
@@ -302,18 +312,16 @@ ERRATA = {
 
 
 def ring_forms(ring, kind: str, use_local_forms: bool = False,
-               pair: tuple[str, ...] = (CORRECTED, PRINTED)) -> tuple[str, Iterator]:
-    """The ring's family tag and an iterator over every closed form that
-    applies to it, as (variant, value, edge partition or None) triples; none
-    for a ring outside every family.  F_p[x]/(x^k), and any local ring under
+               pair: tuple[str, ...] = (CORRECTED, PRINTED)) -> tuple[str, tuple]:
+    """The ring's family tag and a tuple of every closed form that applies
+    to it, as (variant, value, edge partition or None) triples; empty for a
+    ring outside every family.  F_p[x]/(x^k), and any local ring under
     use_local_forms, takes the local-ring formulas; Z_n takes its modulus
-    family's.  A corrected/printed pair, corrected first, comes exactly for
-    the unit graph of a ring where 2 is a unit, in a family of ERRATA; every
-    other case has one unique form; pair names the variants of a pair to
-    give, in that order.  The tag is found at the call, and each form is
-    evaluated only when it is read, so a caller that reads one evaluates
-    one.  A pq or p^2*q form is its edge partition, made once a variant, and
-    its value is assembled from it with the predicted degrees."""
+    family's.  A corrected/printed pair comes exactly for the unit graph of
+    a ring where 2 is a unit, in a family of ERRATA, and gives the variants
+    pair names, in that order, each evaluated once; every other case has one
+    unique form.  A pq or p^2*q form is its edge partition, and its value is
+    assembled from it with the predicted degrees."""
     unit = kind == UNIT
     if use_local_forms or isinstance(ring, TruncatedPolyRing):
         if not ring.is_local:
@@ -334,12 +342,10 @@ def ring_forms(ring, kind: str, use_local_forms: bool = False,
         elif family == ODD_P2Q:
             form = unit_p2q_partition if unit else total_p2q_partition
         else:
-            return tag, iter(())
-    if unit and ring.two_is_unit and family in ERRATA:
-        outputs = ((v, form(*args, v)) for v in pair)
-    else:
-        outputs = ((v, form(*args)) for v in (UNIQUE,))
-    if family not in (ODD_PQ, ODD_P2Q):
-        return tag, ((v, value, None) for v, value in outputs)
+            return tag, ()
+    pairs = unit and ring.two_is_unit and family in ERRATA
+    outputs = [(v, form(*args, v)) for v in pair] if pairs else [(UNIQUE, form(*args))]
+    if not any(isinstance(out, EdgePartition) for _, out in outputs):
+        return tag, tuple((v, value, None) for v, value in outputs)
     degrees = predicted_degrees(ring, kind)
-    return tag, ((v, assemble_partition_sum(part, *degrees), part) for v, part in outputs)
+    return tag, tuple((v, assemble_partition_sum(part, *degrees), part) for v, part in outputs)

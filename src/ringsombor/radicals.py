@@ -247,7 +247,10 @@ class RadicalSum:
 
     def to_float(self) -> float:
         """Double-precision evaluation; off by at most a few ulp per term."""
-        return sum(float(self._terms[s]) * math.sqrt(s) for s in sorted(self._terms))
+        total = sum(float(self._terms[s]) * math.sqrt(s) for s in sorted(self._terms))
+        if not math.isfinite(total):
+            raise OverflowError("RadicalSum beyond the float range")
+        return total
 
     def render(self) -> str:
         """Canonical text: terms ascending by radicand, each c*sqrt(s), the

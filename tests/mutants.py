@@ -230,8 +230,8 @@ MUTANTS = {
     ),
     "AK ring_forms: a pair whether or not 2 is a unit": (
         "closed_forms.py",
-        "if unit and ring.two_is_unit and family in ERRATA:",
-        "if unit and family in ERRATA:",
+        "pairs = unit and ring.two_is_unit and family in ERRATA",
+        "pairs = unit and family in ERRATA",
         ("test_closed_forms.py::TestRingForms::test_pair_rule",),
     ),
     "AL ERRATA: the p^2*q edge count left out": (
@@ -469,13 +469,6 @@ MUTANTS = {
         ("test_radicals.py::TestSquareFreeParts::"
          "test_two_whole_parts_that_share_a_prime[1013-1657-25301]",),
     ),
-    "BY ring_forms: every variant's form evaluated at the call": (
-        "closed_forms.py",
-        "outputs = ((v, form(*args, v)) for v in pair)",
-        "outputs = iter([(v, form(*args, v)) for v in pair])",
-        ("test_closed_forms.py::TestRingForms::"
-         "test_pair_names_the_variants_each_evaluated_as_read[pair0]",),
-    ),
     "BZ _square_free_part_divisor: the 2^48 bound dropped, a gcd proof at any size": (
         "radicals.py",
         "if x >= _GCD_PROOF_BELOW:",
@@ -497,8 +490,8 @@ MUTANTS = {
     ),
     "CD cli: argparse imported with the module, not only for a full parse": (
         "cli.py",
-        "import functools\n",
-        "import argparse\nimport functools\n",
+        "import sys\n",
+        "import argparse\nimport sys\n",
         ("test_cli.py::test_import_loads_no_costly_stdlib_modules",
          "test_cli.py::test_exact_form_closed_query_never_imports_argparse"),
     ),
@@ -517,14 +510,14 @@ MUTANTS = {
     ),
     "CG so_total_prime_power: the ideal size p^(alpha-1) read as p^alpha": (
         "closed_forms.py",
-        "so_total_local(p, p ** (alpha - 1))",
-        "so_total_local(p, p ** alpha)",
+        "_total_local(p, p ** (alpha - 1))",
+        "_total_local(p, p ** alpha)",
         ("test_closed_forms.py::TestTotalPrimePower::test_values",),
     ),
     "CH so_unit_prime_power: the printed bracket read as the corrected one": (
         "closed_forms.py",
-        "(phi * (phi - 1) - nz) * (phi - 1)",
-        "(phi * (phi - 1) - nz * phi) * (phi - 1)",
+        "_unit_two_is_unit((p - 1) * nz, nz, nz)",
+        "_unit_two_is_unit((p - 1) * nz, nz, nz * (p - 1) * nz)",
         ("test_closed_forms.py::TestUnitPrimePower::test_printed_value_z5",),
     ),
     "CI _add_term: a zero coefficient kept": (
@@ -544,6 +537,20 @@ MUTANTS = {
         "edges = (p * q - 1) * alpha // 2",
         "edges = (p * q - 1) * beta // 2",
         ("test_closed_forms.py::TestUnitPQ::test_partition_3_5",),
+    ),
+    "CL RadicalSum.to_float: a sum beyond the float range returned as inf": (
+        "radicals.py",
+        "if not math.isfinite(total):",
+        "if False:",
+        ("test_radicals.py::TestToFloat::test_beyond_the_float_range_raises",
+         "test_cli.py::TestCompute::test_float_beyond_range_exits_2[text-zn-unit]"),
+    ),
+    "CM _unit_two_is_unit: the shared unit-unit bracket's terms swapped": (
+        "closed_forms.py",
+        "(u * (u - 1) - cross)",
+        "(cross - u * (u - 1))",
+        ("test_closed_forms.py::TestUnitPrimePower::test_corrected_values",
+         "test_closed_forms.py::TestUnitPrimePower::test_printed_value_z5"),
     ),
 }
 

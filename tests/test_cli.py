@@ -120,11 +120,17 @@ class TestCompute:
         out = capsys.readouterr().out
         assert "oracle_float = 36.9705627485" in out
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_float_beyond_range_exits_2(self, capsys, fmt):
-        # the total graph of Z_{3^700} has coefficients above the largest double
-        code = main(["compute", "--ring", "zppow", "--p", "3", "--alpha", "700",
-                     "--graph", "total", "--mode", "closed", "--float", "--format", fmt])
+    # the total graph of Z_{3^700} has coefficients above the largest double;
+    # the unit graph of Z_n, n = 2^5 * 3^213, is c*sqrt(2) with c a finite
+    # double, about 1.38e308, and the product above the largest double
+    @pytest.mark.parametrize("fmt, ring", [
+        (fmt, ring)
+        for ring in (["zppow", "--p", "3", "--alpha", "700", "--graph", "total"],
+                     ["zn", "--n", str(2 ** 5 * 3 ** 213), "--graph", "unit"])
+        for fmt in ("text", "json")
+    ], ids=["text", "json", "text-zn-unit", "json-zn-unit"])
+    def test_float_beyond_range_exits_2(self, capsys, fmt, ring):
+        code = main(["compute", "--ring", *ring, "--mode", "closed", "--float", "--format", fmt])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == ("error: the closed value is beyond the float range; "
@@ -777,22 +783,22 @@ class TestParserReuse:
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_main_reuses_one_parser_that_keeps_no_state(self, monkeypatch, capsys):
-        cli._parser.cache_clear()
+    def test_main_builds_one_parser_per_non_exact_call(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, cli, "build_parser")
-        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
-        assert len(calls) == 1  # built on the first call, then reused
-        fresh = []
+        builds, outcomes = [], []
         for argv in self.SEQUENCE:
-            cli._parser.cache_clear()
-            fresh.append(self.outcome(capsys, argv))
+            before = len(calls)
+            outcomes.append(self.outcome(capsys, argv))
+            builds.append(len(calls) - before)
         # only the first three calls are not in exact form and need a parser
-        assert len(calls) == 1 + 3
-        assert reused == fresh
-        assert [code for code, _, _ in reused] == [2, 2, 2, 0, 0, 0, 0, 2, 0]
-        assert "invalid choice: 'nope'" in reused[1][2]
-        assert "--graph" in reused[2][2]
-        assert "oracle_float" in reused[3][1] and "oracle = " in reused[4][1]
+        assert builds == [1, 1, 1, 0, 0, 0, 0, 0, 0]
+        # run in the other order, each call gives the same outcome
+        backwards = [self.outcome(capsys, argv) for argv in reversed(self.SEQUENCE)]
+        assert backwards[::-1] == outcomes
+        assert [code for code, _, _ in outcomes] == [2, 2, 2, 0, 0, 0, 0, 2, 0]
+        assert "invalid choice: 'nope'" in outcomes[1][2]
+        assert "--graph" in outcomes[2][2]
+        assert "oracle_float" in outcomes[3][1] and "oracle = " in outcomes[4][1]
 
 
 PARSER = cli.build_parser()
@@ -855,12 +861,11 @@ class TestParseOnce:
             return exc.code, captured.out, captured.err
 
     def parse_calls(self, monkeypatch, capsys, argv) -> tuple[int, int]:
-        """The build_parser and parse_known_args calls that main(argv) makes
-        with no parser built yet, once its parse is shown to give the
-        outcome of argparse's full two-level parse."""
+        """The build_parser and parse_known_args calls that main(argv) makes,
+        once its parse is shown to give the outcome of argparse's full
+        two-level parse."""
         full = self.outcome(capsys, cli.build_parser().parse_args, argv)
         assert self.outcome(capsys, cli._parse_args, argv) == full
-        cli._parser.cache_clear()
         builds = count_calls(monkeypatch, cli, "build_parser")
         parses = count_calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
         main(argv)

@@ -244,6 +244,35 @@ class TestUnitP2Q:
         assert closed(ZnRing(45), UNIT, PRINTED) != closed(ZnRing(45), UNIT, CORRECTED)
 
 
+ODD_PRIMES = [3, 5, 7, 11, 13]
+
+
+class TestErrataAsPolynomials:
+    # the first two printed statements of ERRATA against the corrected
+    # forms, as exact polynomials in the ring's parameters on a grid
+
+    @pytest.mark.parametrize("alpha", range(1, 6))
+    @pytest.mark.parametrize("p", ODD_PRIMES)
+    def test_prime_power_unit_bracket(self, p, alpha):
+        # printed minus corrected is (n - phi)(phi - 1)^2 / sqrt(2), never 0
+        n = p ** alpha
+        phi = euler_phi(n)
+        gap = so_unit_prime_power(p, alpha, PRINTED) - so_unit_prime_power(p, alpha, CORRECTED)
+        assert gap == rt2(Fraction((n - phi) * (phi - 1) ** 2, 2))
+        assert not gap.is_zero
+
+    @pytest.mark.parametrize("p, q", [(p, q) for p in ODD_PRIMES for q in ODD_PRIMES if p != q])
+    def test_p2q_unit_edge_count(self, p, q):
+        # the printed partition keeps the corrected alpha and beta, and its
+        # edge count is p times the handshake count phi(n)(n - 1)/2
+        n = p * p * q
+        printed = unit_p2q_partition(p, q, PRINTED)
+        corrected = unit_p2q_partition(p, q, CORRECTED)
+        assert (printed.alpha, printed.beta) == (corrected.alpha, corrected.beta)
+        assert corrected.total == euler_phi(n) * (n - 1) // 2
+        assert printed.total == p * corrected.total
+
+
 # GF(p^k) as Z_p[x] over an irreducible x^k + ... + monic[0]
 F4, F8, F9 = defn.field(2, (1, 1)), defn.field(2, (1, 1, 0)), defn.field(3, (1, 0))
 LOCAL_WITNESSES = [
@@ -286,6 +315,22 @@ class TestLocalForms:
         printed = so_unit_prime_power(p, alpha, PRINTED)
         assert printed != so_unit_local(p, s, CORRECTED)
         assert printed != so_unit_local(p, s, PRINTED)
+
+    @pytest.mark.parametrize("alpha", range(1, 6))
+    @pytest.mark.parametrize("p", ODD_PRIMES)
+    def test_prime_power_forms_check_their_inputs_once(self, monkeypatch, p, alpha):
+        # the Z_{p^alpha} forms check (p, alpha) themselves and evaluate the
+        # local bodies with no second check of (p, p^(alpha-1))
+        s = p ** (alpha - 1)
+        expected = [so_total_local(p, s), so_unit_local(p, s),
+                    so_unit_prime_power(p, alpha, PRINTED)]
+
+        def refuse(q, s):
+            raise AssertionError("a Z_{p^alpha} form reached _check_local_factor")
+
+        monkeypatch.setattr(cf, "_check_local_factor", refuse)
+        assert [so_total_prime_power(p, alpha), so_unit_prime_power(p, alpha, CORRECTED),
+                so_unit_prime_power(p, alpha, PRINTED)] == expected
 
     def test_unit_oracle_agreement(self):
         for ring in (ZnRing(8), ZnRing(9), ZnRing(25), TruncatedPolyRing(2, 3),
@@ -392,13 +437,12 @@ class TestRingForms:
     @pytest.mark.parametrize("pair", [(CORRECTED,), (PRINTED,), (PRINTED, CORRECTED)])
     def test_pair_names_the_variants_each_evaluated_as_read(self, monkeypatch, pair):
         # Z_45's unit graph has a corrected/printed pair: pair picks and
-        # orders its variants, and ring_forms evaluates no form at the call
+        # orders its variants, and ring_forms evaluates those and no other
         calls = []
         real = cf.unit_p2q_partition
         monkeypatch.setattr(cf, "unit_p2q_partition",
                             lambda *args: calls.append(args[-1]) or real(*args))
         _, forms = ring_forms(ZnRing(45), UNIT, pair=pair)
-        assert calls == []
         assert [v for v, _, _ in forms] == list(pair) == calls
 
     def test_pair_rule(self):

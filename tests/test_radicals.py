@@ -584,6 +584,14 @@ class TestToFloat:
     def test_zero(self):
         assert RadicalSum().to_float() == 0.0
 
+    def test_beyond_the_float_range_raises(self):
+        # each coefficient is a finite double; the sums are not
+        assert math.isfinite(RadicalSum({2: 2 ** 1023}).to_float())
+        for value in (RadicalSum({2: 3 * 2 ** 1022}),
+                      RadicalSum({2: 3 * 2 ** 1022, 3: -3 * 2 ** 1022})):
+            with pytest.raises(OverflowError):
+                value.to_float()
+
     def test_mixed_sum_high_precision(self):
         # oracle: 50-digit decimal evaluation of 218*sqrt(2) + 16*sqrt(85)
         getcontext().prec = 50
