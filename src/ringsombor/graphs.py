@@ -5,27 +5,34 @@ tests bit-parallel and makes popcount-style edge counting cheap up to the
 default vertex ceiling of 2**14.  A ring's graph comes as a row source
 (row_source): its unit mask and rows_of(indices), which makes the asked rows
 on demand, so the oracle, the structure checks and the edge list writer
-read a graph in chunks of about CHUNK_BITS bits of rows (row_chunks:
-CHUNK_BITS // n rows, at least one) and never hold n rows of n bits.  A
-Z_n row is D >> x cut to n bits, where D is the target mask doubled; a
-chunk's rows are cut from one window of D, and only the rows that would
-hold their own vertex get a self-bit mask.  A whole-graph read (every graph
-of at most 2048 vertices is one chunk) shifts D itself with no per-row flag
-test, which at those sizes costs more than it saves; it tests D's even bits
-once and drops the self mask when no row holds its vertex, as in the unit
-graph of every even n.  An F_p[x]/(x^k) row
-is one of p block rows, shared as is by every row of a block that does not
-hold itself.  A circulant (CirculantRows) is a rotation too: row x is its
-offset mask rotated by x.  A Graph holds every row, for tests and for
-perfbench's tracer, and offers the same rows_of, so anything that reads a
-row source reads a Graph too.
+read a graph in the chunks of row_chunks and never hold n rows of n bits.
+A graph of at most 2048 vertices is one chunk; a larger one takes
+CHUNK_BITS // (2n) rows a chunk, since its chunk rows come with an offset
+mask each.  A reader takes a chunk through read_chunk, as rows and a skew
+s: row j of the chunk holds vertex y at bit y + s * j, and a reader ANDs
+it with its masks moved up as far (OffsetMasks), built once a read.  A
+Z_n row is D >> x cut to n bits, where D is the target mask doubled; the
+rows of a chunk shorter than the graph are one AND each on one window of
+D, window & (full << j), so they come with skew 1, and only the rows that
+would hold their own vertex get a self-bit mask.  rows_of moves such rows
+down (unskewed).  A whole-graph read shifts D itself with no per-row flag
+test, which at those sizes costs more than it saves; it tests D's even
+bits once and drops the self mask when no row holds its vertex, as in the
+unit graph of every even n.  Every other source's rows have skew 0.  An
+F_p[x]/(x^k) row is one of p block rows, shared as is by every row of a
+block that does not hold itself.  A circulant (CirculantRows) is a
+rotation too: row x is its offset mask rotated by x.  A Graph holds every
+row, for tests and for perfbench's tracer, and offers the same rows_of, so
+anything that reads a row source reads a Graph too.
 Edges come in lexicographic order (u < v ascending), from Graph.edges and
 in the edge list alike, so the output is reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
+from itertools import compress, repeat
 
 from .rings import FiniteRing, TruncatedPolyRing, ZnRing
 
@@ -36,10 +43,13 @@ UNIT = "unit"
 # time (n rows of n bits a read), not its memory (about one CHUNK_BITS chunk).
 DEFAULT_CEILING = 1 << 14
 
-# Row bits read at a time from a row source: 2^22 bits are 512 KB, so the
-# two chunks check_structure holds side by side fit a 2 MB per-core L2
-# cache, and every graph of at most 2048 vertices (2048 rows of 2048 bits)
-# is still one chunk.
+# Row bits read at a time from a row source, offset masks counted: a chunk
+# of a split graph holds its rows and a mask beside each row (the Z_n
+# window masks, the oracle's and check_structure's lifted masks), so it
+# takes CHUNK_BITS // (2n) rows.  2^22 bits are 512 KB, so what
+# check_structure holds for two graphs side by side fits a 2 MB per-core
+# L2 cache, and every graph of at most 2048 vertices (2048 rows of 2048
+# bits, read whole with no offset masks) is still one chunk.
 CHUNK_BITS = 1 << 22
 
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -56,11 +66,69 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def chunk_rows(n: int) -> int:
+    """Rows a chunk of an n-vertex graph: all n when n rows of n bits fit in
+    CHUNK_BITS, else CHUNK_BITS // (2n) (at least one), since each row of a
+    split graph's chunk comes with an n-bit offset mask."""
+    if n * n <= CHUNK_BITS:
+        return max(n, 1)
+    return max(1, CHUNK_BITS // (2 * n))
+
+
 def row_chunks(n: int) -> list[range]:
-    """The vertices 0..n-1 in consecutive ranges of CHUNK_BITS // n rows (at
-    least one), so a chunk of n-bit rows holds at most CHUNK_BITS bits."""
-    step = max(1, CHUNK_BITS // max(n, 1))
+    """The vertices 0..n-1 in consecutive ranges of chunk_rows(n) rows."""
+    step = chunk_rows(n)
     return [range(s, min(s + step, n)) for s in range(0, n, step)]
+
+
+def read_chunk(source, indices: range) -> tuple[list[int], int]:
+    """The rows of a chunk of row_chunks(source.n) as the source makes them,
+    and their skew s, 0 or 1: row j of the chunk holds vertex y at bit
+    y + s * j.  A source with skewed_rows (a Z_n source) gives both; any
+    other gives its rows_of rows, with skew 0."""
+    skewed_rows = getattr(source, "skewed_rows", None)
+    if skewed_rows is None:
+        return source.rows_of(indices), 0
+    return skewed_rows(indices)
+
+
+def unskewed(rows: list[int], skew: int) -> list[int]:
+    """read_chunk's rows moved down by their skew: row j holds vertex y at
+    bit y."""
+    return [row >> j for j, row in enumerate(rows)] if skew else rows
+
+
+class OffsetMasks:
+    """A vertex mask as each row of a chunk meets it: row j of a chunk read
+    with skew s holds vertex y at bit y + s * j, so it is ANDed with
+    mask << (s * j).  The moved masks are made at the first skewed chunk,
+    the longest, and serve every later one."""
+
+    __slots__ = ("mask", "_lifted")
+
+    def __init__(self, mask: int):
+        self.mask, self._lifted = mask, []
+
+    def of(self, size: int, skew: int, picks: bytes | None = None):
+        """The masks of the rows of a chunk of size rows read with this
+        skew, in row order, or of the rows whose byte in picks is set.  At
+        skew 0 every row meets the mask itself, repeated without end."""
+        if not skew:
+            return repeat(self.mask)
+        lifted = self._lifted
+        if len(lifted) < size:
+            lifted = self._lifted = [self.mask << j for j in range(size)]
+        elif len(lifted) > size:
+            lifted = lifted[:size]
+        return lifted if picks is None else compress(lifted, picks)
+
+
+@functools.lru_cache(maxsize=1)
+def full_lifts(n: int) -> OffsetMasks:
+    """The OffsetMasks of the n-bit full mask, made once for an order: the
+    Z_n sources of both graphs and check_structure's duality test share
+    one set of lifted masks.  The last order's stays cached."""
+    return OffsetMasks(_full_mask(n))
 
 
 def vertex_flags(mask: int, n: int) -> bytes:
@@ -154,9 +222,12 @@ class _ZnSumRows:
     # minus the self bit, which is set iff x+x is in T: bit 2x of D, read for
     # every row by one format of D at the first chunk.  A chunk (a step-1
     # range shorter than the graph) first cuts D to one window of its
-    # n + len bits, so each row shifts about n bits, not 2n - x, and a row
-    # without its self bit needs no mask of its own.  A whole-graph read (a
-    # range over every row, a list or an iterator) shifts D itself, with no
+    # n + len bits, which holds row x = start + j at bits j to j + n - 1, so
+    # the row is window & (full << j) with skew 1, one AND and no shift: the
+    # masks full << j are made once for the order (full_lifts).  A row
+    # that holds its vertex has that bit, start + 2 * j, cleared; a row that
+    # does not needs no mask of its own.  A whole-graph read (a range over
+    # every row, a list or an iterator) shifts D itself, with skew 0, no
     # flags and no per-row test: on graphs of at most 2048 vertices, always
     # read whole, those cost more than the window saves.  It tests D's even
     # bits once, and when no row holds its vertex (the unit graph of every
@@ -170,12 +241,15 @@ class _ZnSumRows:
         self._self_flags = None  # made by the first chunk read
 
     def rows_of(self, indices) -> list[int]:
+        return unskewed(*self.skewed_rows(indices))
+
+    def skewed_rows(self, indices) -> tuple[list[int], int]:
         doubled, full, n = self._doubled, self._full, self.n
         if type(indices) is not range or indices.step != 1 or len(indices) >= n:
             evens = _full_mask(2 * n) // 3  # bit 2x of D is row x's self bit
             if doubled & evens:
-                return [(doubled >> x) & (full ^ (1 << x)) for x in indices]
-            return [(doubled >> x) & full for x in indices]
+                return [(doubled >> x) & (full ^ (1 << x)) for x in indices], 0
+            return [(doubled >> x) & full for x in indices], 0
         start, size = indices.start, len(indices)
         # the last row reads bits up to start + n + size - 2 of D
         window = (doubled >> start) & _full_mask(n + size)
@@ -184,15 +258,13 @@ class _ZnSumRows:
             # byte x is bit 2x of D: every other bit, from the lowest up
             flags = format(doubled, f"0{2 * n}b")[::-2].encode().translate(_TO_FLAGS)
             self._self_flags = flags
-        flagged = flags.count(1, start, indices.stop)
-        if not flagged:
-            return [(window >> j) & full for j in range(size)]
-        if flagged == size:
-            return [((window >> j) & full) ^ (1 << x) for j, x in enumerate(indices)]
+        lifts = full_lifts(n).of(size, 1)
+        if not flags.count(1, start, indices.stop):
+            return list(map(window.__and__, lifts)), 1
         return [
-            ((window >> j) & full) ^ (1 << x) if flags[x] else (window >> j) & full
-            for j, x in enumerate(indices)
-        ]
+            (window & lift) ^ (1 << (start + 2 * j)) if flags[start + j] else window & lift
+            for j, lift in enumerate(lifts)
+        ], 1
 
 
 class CirculantRows:

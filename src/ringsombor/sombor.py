@@ -8,15 +8,19 @@ degree_pair_counts is the oracle's only reader of the rows
 (sombor_of) and the edge partition (graphs.edge_partition_of) are read off
 that one table.  It reads any row source (a ring's graphs.row_source, a
 circulant's graphs.CirculantRows, or a held Graph in tests) in the chunks
-of graphs.row_chunks, about graphs.CHUNK_BITS bits of rows each (a graph
-of at most 2048 vertices is one chunk), so no graph is ever held whole.
-A first pass makes every row and reads its degree and, on the smaller side
-of the unit split, its neighbours on the other side.  When each side's rows
-show at most one degree, as they do on every ring's graphs, the handshake
-identity gives the whole table from that pass and no row is made twice;
-otherwise a second pass keys each row as it reads it and counts every edge
-once, from its later endpoint.  Neither pass keeps per-vertex state but the
-unit split's flag bytes.  The unit mask is input data, not a derived fact.
+of graphs.row_chunks (a graph of at most 2048 vertices is one chunk), so
+no graph is ever held whole.  A first pass takes each chunk as
+graphs.read_chunk gives it, with its skew: a Z_n chunk shorter than the
+graph holds vertex y of its row j at bit y + j, and is read with the
+other side's mask moved up by j (graphs.OffsetMasks, made once a read),
+so no row is shifted.  That pass reads every row's degree and, on the
+smaller side of the unit split, its neighbours on the other side.  When
+each side's rows show at most one degree, as they do on every ring's
+graphs, the handshake identity gives the whole table from that pass and
+no row is made twice; otherwise a second pass keys each row as it reads
+it and counts every edge once, from its later endpoint.  Neither pass
+keeps per-vertex state but the unit split's flag bytes.  The unit mask is
+input data, not a derived fact.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .graphs import FLIP_FLAGS, row_chunks, vertex_flags
+from .graphs import FLIP_FLAGS, OffsetMasks, read_chunk, row_chunks, vertex_flags
 from .radicals import RadicalSum, radical_normalize
 
 Key = tuple[int, int]  # (is_unit, degree) of one vertex
@@ -37,17 +41,19 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
 
     One pass over the row chunks takes every row's degree and, for the rows
     on the smaller side of the unit split (units or non-units), their
-    neighbours on the other side, summed into `across`, and keeps only
-    each side's set of degrees.  Then one of two rules gives the table:
+    neighbours on the other side, summed into `across` (row j of a chunk
+    with skew s meets the other side's mask moved up by s * j), and keeps
+    only each side's set of degrees.  Then one of two rules gives the table:
 
     1. Each side's rows show at most one degree d.  Its one key then has
        (d * size - across) / 2 edges among itself (the handshake identity),
        and the pair across the split has `across`.
-    2. Otherwise every row is read once more, in vertex order, and keyed
-       as it comes: a row of key a adds its neighbours in key b's mask of
-       the vertices already read to the sorted pair of a and b, for every
-       key b, and then its vertex joins a's mask.  Each edge is counted
-       once, from its later endpoint."""
+    2. Otherwise every row is read once more, in vertex order and moved
+       down to skew 0 (rows_of), and keyed as it comes: a row of key a
+       adds its neighbours in key b's mask of the vertices already read to
+       the sorted pair of a and b, for every key b, and then its vertex
+       joins a's mask.  Each edge is counted once, from its later
+       endpoint."""
     n = source.n
     if not n:
         return {}
@@ -59,12 +65,15 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
     few_flags, other = side_flags[few], sides[1 - few]
     seen = (set(), set())  # the degrees each side's rows show
     across = 0  # edges between the two sides
+    other_masks = OffsetMasks(other)
     for idx in row_chunks(n):
-        rows = source.rows_of(idx)
+        rows, skew = read_chunk(source, idx)
         cut = slice(idx.start, idx.stop)
         for ds, flags in zip(seen, side_flags):
             ds.update(map(int.bit_count, compress(rows, flags[cut])))
-        across += sum([(other & row).bit_count() for row in compress(rows, few_flags[cut])])
+        picks = few_flags[cut]
+        lifted = other_masks.of(len(idx), skew, picks)
+        across += sum([(row & mask).bit_count() for row, mask in zip(compress(rows, picks), lifted)])
         del rows  # before the next chunk's rows are made
     keys = [(is_unit, d) for is_unit, ds in enumerate(seen) for d in sorted(ds)]
     if all(len(ds) <= 1 for ds in seen):  # rule 1

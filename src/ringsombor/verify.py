@@ -32,11 +32,15 @@ from .graphs import (
     UNIT,
     CirculantRows,
     EdgePartition,
+    OffsetMasks,
     check_ceiling,
     edge_partition_of,
+    full_lifts,
     predicted_degrees,
+    read_chunk,
     row_chunks,
     row_source,
+    unskewed,
     vertex_flags,
 )
 from .rings import (
@@ -287,7 +291,12 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     subgraph of the total graph complete, do both degree predictions hold,
     and is the unit graph exactly the complement of the total graph.  The
     two graphs' row sources are read side by side, one chunk of rows at a
-    time, and each fact is checked row by row.
+    time (graphs.read_chunk), and each fact is checked row by row.  Both
+    chunks of a Z_n ring shorter than the graph come with skew 1, row j
+    holding vertex y at bit y + j, and are tested as they come, against
+    masks moved up by j (graphs.OffsetMasks); two chunks whose skews
+    differ (a test double beside a Z_n source) are moved down to skew 0
+    first.
 
     Each chunk first takes one partition test per row pair: the total and
     unit rows of x are disjoint and together hold every vertex but x.  When
@@ -295,25 +304,36 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     is n - 1 minus the total degree, and a zero-divisor's total row holds
     every other zero-divisor iff its unit row holds none, so a row needs one
     popcount and, for a zero-divisor, one AND.  A chunk that fails the test
-    (an edge in both graphs or in neither, a self-loop, a stray bit) has
-    the three facts checked one by one on its rows instead."""
+    (an edge in both graphs or in neither, a self-loop, a stray bit) is
+    moved down to skew 0 and has the three facts checked one by one on its
+    rows instead."""
     total = row_source(ring, TOTAL, ceiling=ceiling)
     unit = row_source(ring, UNIT, ceiling=ceiling)
     n, units = total.n, total.units
     full = (1 << n) - 1
     zm = full ^ units
+    full_masks, zero_masks = full_lifts(n), OffsetMasks(zm)
     is_unit = vertex_flags(units, n)
     is_zero = is_unit.translate(FLIP_FLAGS)
     predicted = predicted_degrees(ring, TOTAL), predicted_degrees(ring, UNIT)
     duality = degrees = zdiv_complete = True
     for idx in row_chunks(n):
-        t_rows, u_rows = total.rows_of(idx), unit.rows_of(idx)
+        (t_rows, skew), (u_rows, u_skew) = read_chunk(total, idx), read_chunk(unit, idx)
+        if skew != u_skew:  # e.g. a test double beside a Z_n source
+            t_rows, u_rows, skew = unskewed(t_rows, skew), unskewed(u_rows, u_skew), 0
         t_degrees = list(map(int.bit_count, t_rows))
         zeros = is_zero[idx.start:idx.stop]
-        if all(not t & u and t | u == full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)):
+        # row j's own vertex x sits at bit x + skew * j
+        selves = range(idx.start, idx.stop + skew * len(idx), 1 + skew)
+        if all(
+            not t & u and t | u == lift ^ (1 << x)
+            for x, t, u, lift in zip(selves, t_rows, u_rows, full_masks.of(len(idx), skew))
+        ):
             u_degrees = [n - 1 - d for d in t_degrees]
-            clique = not any(map(zm.__and__, compress(u_rows, zeros)))
+            lifted = zero_masks.of(len(idx), skew, zeros)
+            clique = not any(map(int.__and__, compress(u_rows, zeros), lifted))
         else:
+            t_rows, u_rows = unskewed(t_rows, skew), unskewed(u_rows, skew)
             duality = duality and all(
                 u == t ^ full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)
             )

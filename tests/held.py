@@ -1,9 +1,19 @@
 """Graphs held whole, for tests that want every row at once: a row source
-read into a Graph, and the small graphs and helpers that work on held rows."""
+read into a Graph, and the small graphs and helpers that work on held rows;
+and the one way a test sets the rows a chunk (force_chunk_rows)."""
 
+from ringsombor import graphs
 from ringsombor.graphs import CirculantRows, Graph, row_source
 from ringsombor.radicals import RadicalSum
 from ringsombor.sombor import degree_pair_counts, sombor_of
+
+
+def force_chunk_rows(mp, rows: int):
+    """Make graphs.row_chunks step by `rows` rows at every order, through
+    monkeypatch mp, in place of the rule graphs.chunk_rows states.  The
+    step is set, not CHUNK_BITS: a split read holds an offset mask beside
+    each row, so no CHUNK_BITS gives a step between n / 2 and n."""
+    mp.setattr(graphs, "chunk_rows", lambda n: rows)
 
 
 def held(source) -> Graph:

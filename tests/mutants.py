@@ -96,8 +96,8 @@ MUTANTS = {
     ),
     "N check_structure, partition test: the rows need not be disjoint": (
         "verify.py",
-        "not t & u and t | u == full ^ (1 << x)",
-        "t | u == full ^ (1 << x)",
+        "not t & u and t | u == lift ^ (1 << x)",
+        "t | u == lift ^ (1 << x)",
         ("test_verify.py::TestStructureChunks::test_one_flipped_unit_bit_is_flagged[26-1]",),
     ),
     "O check_structure, partition: unit degree n - d, not n - 1 - d": (
@@ -413,8 +413,8 @@ MUTANTS = {
     ),
     "BQ degree_pair_counts, first pass: across summed over the larger side's rows": (
         "sombor.py",
-        "compress(rows, few_flags[cut])",
-        "compress(rows, side_flags[1 - few][cut])",
+        "picks = few_flags[cut]",
+        "picks = side_flags[1 - few][cut]",
         ("test_cli.py::TestCompute::test_both_modes_agree_z15",),
     ),
     "BR degree_pair_counts: the non-unit flags taken untranslated": (
@@ -551,6 +551,24 @@ MUTANTS = {
         "(cross - u * (u - 1))",
         ("test_closed_forms.py::TestUnitPrimePower::test_corrected_values",
          "test_closed_forms.py::TestUnitPrimePower::test_printed_value_z5"),
+    ),
+    "CN _ZnSumRows, offset chunk: a row's self bit cleared at start + j": (
+        "graphs.py",
+        "(1 << (start + 2 * j))",
+        "(1 << (start + j))",
+        ("test_graphs.py::TestOffsetRead::test_offset_chunks_read_as_whole_chunk[n29-3]",),
+    ),
+    "CO degree_pair_counts, rule 1: across ANDs offset rows with the unmoved mask": (
+        "sombor.py",
+        "other_masks.of(len(idx), skew, picks)",
+        "other_masks.of(len(idx), 0, picks)",
+        ("test_graphs.py::TestOffsetRead::test_offset_chunks_read_as_whole_chunk[n64-3]",),
+    ),
+    "CP check_structure: the clique ANDs offset rows with the unmoved mask": (
+        "verify.py",
+        "zero_masks.of(len(idx), skew, zeros)",
+        "zero_masks.of(len(idx), 0, zeros)",
+        ("test_graphs.py::TestOffsetRead::test_offset_chunks_read_as_whole_chunk[n64-3]",),
     ),
 }
 

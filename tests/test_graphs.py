@@ -5,7 +5,7 @@ import math
 import pytest
 
 import definitional
-from held import circulant_graph, complement, complete_graph, held, held_graph
+from held import circulant_graph, complement, complete_graph, force_chunk_rows, held, held_graph
 from ringsombor import graphs
 from ringsombor.graphs import (
     TOTAL,
@@ -13,15 +13,18 @@ from ringsombor.graphs import (
     EdgePartition,
     CirculantRows,
     Graph,
+    chunk_rows,
     degree_pair,
     edge_partition_of,
     predicted_degrees,
+    read_chunk,
     row_chunks,
     row_source,
     write_edge_list,
 )
 from ringsombor.rings import FiniteRing, TruncatedPolyRing, ZnRing, euler_phi
 from ringsombor.sombor import degree_pair_counts
+from ringsombor.verify import check_structure
 
 
 class OtherRing(FiniteRing):
@@ -322,10 +325,18 @@ class TestRowChunks:
     def test_graph_of_at_most_2048_vertices_is_one_chunk(self, n):
         assert row_chunks(n) == [range(n)]
 
-    def test_ceiling_graph_takes_256_rows_a_chunk(self):
+    # A split graph's chunk holds a row and an offset mask per vertex, so
+    # 128 of each at 2^14 vertices are CHUNK_BITS, where 256 rows were.
+    def test_ceiling_graph_takes_128_rows_a_chunk(self):
         chunks = row_chunks(16384)
-        assert chunks == [range(s, s + 256) for s in range(0, 16384, 256)]
+        assert chunks == [range(s, s + 128) for s in range(0, 16384, 128)]
         assert [v for chunk in chunks for v in chunk] == list(range(16384))
+
+    @pytest.mark.parametrize("n", [2049, 3000, 15015, 16384, 65536])
+    def test_split_rows_and_masks_fit_chunk_bits(self, n):
+        step = chunk_rows(n)
+        assert 2 * step * n <= graphs.CHUNK_BITS < 2 * (step + 1) * n
+        assert len(row_chunks(n)) == -(-n // step) > 1
 
     def test_no_vertices_no_chunks(self):
         assert row_chunks(0) == []
@@ -395,8 +406,8 @@ class TestRowsAgainstDefinition:
     def test_chunked_rows_match_definition(self, monkeypatch, spec, rows):
         ring = ring_of(spec)
         n = ring.order
-        if rows is not None:  # None: the default CHUNK_BITS
-            monkeypatch.setattr(graphs, "CHUNK_BITS", rows * n)
+        if rows is not None:  # None: the default rows a chunk
+            force_chunk_rows(monkeypatch, rows)
         chunks = row_chunks(n)
         assert len(chunks) == -(-n // (rows or n))
         for kind in (TOTAL, UNIT):
@@ -415,7 +426,7 @@ class TestRowsAgainstDefinition:
         assert row_chunks(n) == [range(n)]
         whole = source.rows_of(range(n))
         table = degree_pair_counts(source, source.units)
-        monkeypatch.setattr(graphs, "CHUNK_BITS", n)  # one row a chunk
+        force_chunk_rows(monkeypatch, 1)
         assert len(row_chunks(n)) == n
         assert [row for idx in row_chunks(n) for row in source.rows_of(idx)] == whole
         assert degree_pair_counts(source, source.units) == table
@@ -427,6 +438,61 @@ class TestRowsAgainstDefinition:
             want, source = witness_rows(spec, kind), row_source(ring, kind)
             for name, indices, vertices in index_forms(ring.order):
                 assert source.rows_of(indices) == [want[v] for v in vertices], name
+
+
+# The Z_n rings of WINDOW_SPECS, whose chunks shorter than the graph come
+# with skew 1 (row j holds vertex y at bit y + j).
+ZN_SPECS = [spec for spec in WINDOW_SPECS if len(spec) == 1]
+
+
+def edge_list(source) -> str:
+    buf = io.StringIO()
+    write_edge_list(source, buf)
+    return buf.getvalue()
+
+
+@functools.cache
+def whole_chunk_reads(spec):
+    """What each reader makes of Z_n's graphs read whole, as one chunk with
+    skew 0: the oracle's tables and the edge lists by graph kind, and the
+    structure verdicts."""
+    ring = ring_of(spec)
+    assert row_chunks(ring.order) == [range(ring.order)]
+    sources = {kind: row_source(ring, kind) for kind in (TOTAL, UNIT)}
+    tables = {kind: degree_pair_counts(s, s.units) for kind, s in sources.items()}
+    dumps = {kind: edge_list(s) for kind, s in sources.items()}
+    return tables, dumps, check_structure(ring)
+
+
+class TestOffsetRead:
+    # Every reader of an offset chunk sees the graph a whole-graph read
+    # sees: the oracle's rule 1 (across ANDs row j with its mask moved up
+    # by j), check_structure (its duality and clique masks moved up too)
+    # and the edge list writer (which reads rows moved back down).
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 29, 31])
+    @pytest.mark.parametrize("spec", ZN_SPECS, ids=spec_id)
+    def test_offset_chunks_read_as_whole_chunk(self, monkeypatch, spec, rows):
+        ring = ring_of(spec)
+        n = ring.order
+        tables, dumps, structure = whole_chunk_reads(spec)
+        force_chunk_rows(monkeypatch, rows)
+        for kind in (TOTAL, UNIT):
+            source, want = row_source(ring, kind), witness_rows(spec, kind)
+            for idx in row_chunks(n):
+                got, skew = read_chunk(source, idx)
+                assert skew == (len(idx) < n)
+                assert got == [want[x] << (skew * j) for j, x in enumerate(idx)]
+            assert degree_pair_counts(source, source.units) == tables[kind]
+            assert edge_list(source) == dumps[kind]
+        assert check_structure(ring) == structure
+
+    def test_other_sources_read_with_no_skew(self, monkeypatch):
+        force_chunk_rows(monkeypatch, 3)
+        g, _ = held_graph(ZnRing(10), TOTAL)
+        sources = [g, CirculantRows(10, 0b1000000010), row_source(TruncatedPolyRing(2, 3), UNIT)]
+        for source in sources:
+            for idx in row_chunks(source.n):
+                assert read_chunk(source, idx) == (source.rows_of(idx), 0)
 
 
 def literal_edge_list(g) -> str:
@@ -443,8 +509,8 @@ class TestEdgeListWriter:
     @pytest.mark.parametrize("spec", WINDOW_SPECS, ids=spec_id)
     def test_streamed_dump_matches_definition(self, monkeypatch, spec, rows):
         ring = ring_of(spec)
-        if rows is not None:  # None: the default CHUNK_BITS
-            monkeypatch.setattr(graphs, "CHUNK_BITS", rows * ring.order)
+        if rows is not None:  # None: the default rows a chunk
+            force_chunk_rows(monkeypatch, rows)
         for kind in (TOTAL, UNIT):
             buf = io.StringIO()
             write_edge_list(row_source(ring, kind), buf)

@@ -7,24 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from held import circulant_graph, complement, complete_graph, held_graph, sombor_bruteforce
-from ringsombor import graphs
+from held import (
+    circulant_graph,
+    complement,
+    complete_graph,
+    force_chunk_rows,
+    held_graph,
+    sombor_bruteforce,
+)
 from ringsombor.graphs import (
     TOTAL,
     UNIT,
     EdgePartition,
     Graph,
     edge_partition_of,
+    read_chunk,
+    row_chunks,
     row_source,
+    unskewed,
 )
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing
 from ringsombor.sombor import degree_pair_counts, sombor_of
-
-
-def force_chunk_rows(mp, rows, n):
-    """Make graphs.row_chunks(n) step by `rows` rows, through CHUNK_BITS."""
-    mp.setattr(graphs, "CHUNK_BITS", rows * n)
 
 
 def naive_sombor(g):
@@ -198,7 +202,7 @@ class TestPairTable:
     @settings(max_examples=100, deadline=None)
     def test_chunked_table_matches_literal_edge_loop(self, chunk_rows, graph_units):
         with pytest.MonkeyPatch.context() as mp:
-            force_chunk_rows(mp, chunk_rows, graph_units[0].n)
+            force_chunk_rows(mp, chunk_rows)
             check_table(*graph_units)
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -206,14 +210,14 @@ class TestPairTable:
     @settings(max_examples=50, deadline=None)
     def test_chunked_wide_table_matches_literal_edge_loop(self, chunk_rows, graph_units):
         with pytest.MonkeyPatch.context() as mp:
-            force_chunk_rows(mp, chunk_rows, graph_units[0].n)
+            force_chunk_rows(mp, chunk_rows)
             check_table(*graph_units)
 
     def test_regular_graph_reads_no_row(self, monkeypatch):
         # one key: the rows are read once, for the degrees, and the
         # handshake alone gives its d * n / 2 edges
         g = circulant_graph(12, [1, 2, 6])
-        force_chunk_rows(monkeypatch, 5, g.n)
+        force_chunk_rows(monkeypatch, 5)
         assert set(g.degrees) == {5}
         assert degree_pair_counts(ForgetfulRows(g, (1 << 12) - 1)) == {((0, 5), (0, 5)): 30}
 
@@ -236,7 +240,7 @@ class TestPairTable:
         check_table(g, units)
         table = degree_pair_counts(g, units)
         larger = ((1 << n) - 1) ^ units if smaller_is_units else units
-        force_chunk_rows(monkeypatch, 16, n)
+        force_chunk_rows(monkeypatch, 16)
         assert degree_pair_counts(ForgetfulRows(g, larger), units) == table
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -245,9 +249,48 @@ class TestPairTable:
     def test_ring_source_table_equals_held_graph(self, n, kind, chunk_rows, monkeypatch):
         g, units = held_graph(ZnRing(n), kind)
         table = degree_pair_counts(g, units)
-        force_chunk_rows(monkeypatch, chunk_rows, n)
+        force_chunk_rows(monkeypatch, chunk_rows)
         source = row_source(ZnRing(n), kind)
         assert source.units == units
+        assert degree_pair_counts(source, units) == table
+
+
+class DroppedEdge:
+    """A row source with the edge u-v taken out of source.  It reads the
+    source's chunks as read_chunk gives them and moves each edit up by the
+    chunk's skew, so a Z_n chunk shorter than the graph stays offset;
+    rows_of moves them back down."""
+
+    def __init__(self, source, u, v):
+        self.n, self.source, self.edits = source.n, source, {u: 1 << v, v: 1 << u}
+
+    def skewed_rows(self, indices):
+        rows, skew = read_chunk(self.source, indices)
+        edits = [self.edits.get(x, 0) << (skew * j) for j, x in enumerate(indices)]
+        return list(map(int.__xor__, rows, edits)), skew
+
+    def rows_of(self, indices):
+        return unskewed(*self.skewed_rows(indices))
+
+
+class TestRuleTwoOverOffsetChunks:
+    # One edge taken out of a side of a ring graph leaves that side with two
+    # degrees, so the oracle's first pass, over offset chunks, must send the
+    # table to rule 2.
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    @pytest.mark.parametrize("n", [45, 77, 210])
+    @pytest.mark.parametrize("kind", [TOTAL, UNIT])
+    def test_two_degrees_on_a_side_match_literal_edge_loop(self, n, kind, chunk_rows, monkeypatch):
+        g, units = held_graph(ZnRing(n), kind)
+        # the last edge whose endpoints are both units or both not
+        u, v = [(u, v) for u, v in g.edges() if (units >> u) & 1 == (units >> v) & 1][-1]
+        edited = Graph(n, [row ^ {u: 1 << v, v: 1 << u}.get(x, 0) for x, row in enumerate(g.rows)])
+        edited.validate()
+        table = literal_table(edited, units)[0]
+        assert len({key for pair in table for key in pair}) > 2  # a side shows two degrees
+        force_chunk_rows(monkeypatch, chunk_rows)
+        source = DroppedEdge(row_source(ZnRing(n), kind), u, v)
+        assert read_chunk(source, row_chunks(n)[0])[1] == 1  # offset chunks
         assert degree_pair_counts(source, units) == table
 
 
@@ -287,7 +330,7 @@ class TestRingGraphRows:
     @pytest.mark.parametrize("spec", RING_SPECS, ids=lambda spec: ring_of(spec).name)
     def test_each_row_is_made_once(self, spec, kind, chunk_rows, monkeypatch):
         units, table = literal_ring_table(spec, kind)
-        force_chunk_rows(monkeypatch, chunk_rows, ring_of(spec).order)
+        force_chunk_rows(monkeypatch, chunk_rows)
         source = CountingRows(row_source(ring_of(spec), kind))
         assert degree_pair_counts(source, units) == table
         assert source.requests == [1] * source.n
@@ -310,7 +353,7 @@ class TestRowsRead:
     def test_regular_graph_rows_made_once(self, graph_units, chunk_rows):
         g, units = graph_units
         with pytest.MonkeyPatch.context() as mp:
-            force_chunk_rows(mp, chunk_rows, g.n)
+            force_chunk_rows(mp, chunk_rows)
             source = CountingRows(g)
             assert degree_pair_counts(source, units) == literal_table(g, units)[0]
         assert source.requests == [1] * g.n
@@ -321,7 +364,7 @@ class TestRowsRead:
         # the path 0-1-2-3-4 has degrees 1, 2, 2, 2, 1
         g = Graph(5, [0b10, 0b101, 0b1010, 0b10100, 0b1000])
         g.validate()
-        force_chunk_rows(monkeypatch, chunk_rows, g.n)
+        force_chunk_rows(monkeypatch, chunk_rows)
         source = CountingRows(g)
         assert degree_pair_counts(source, units) == literal_table(g, units)[0]
         assert source.requests == [2] * g.n

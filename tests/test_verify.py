@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from held import held, held_graph
+from held import force_chunk_rows, held, held_graph
 from ringsombor import graphs, rings, verify
 from ringsombor.cli import main
 from ringsombor.closed_forms import (
@@ -105,11 +105,6 @@ def edit_rows(monkeypatch, kind, edits):
         return EditedRows(source, edits) if k == kind else source
 
     monkeypatch.setattr(verify, "row_source", edited)
-
-
-def force_chunk_rows(mp, rows, n):
-    """Make graphs.row_chunks(n) step by `rows` rows, through CHUNK_BITS."""
-    mp.setattr(graphs, "CHUNK_BITS", rows * n)
 
 
 class TestVerifyCase:
@@ -339,7 +334,7 @@ class TestStructureChunks:
     def test_verdicts_equal_whole_chunk(self, chunk_rows, whole_chunk_structures, monkeypatch):
         results = []
         for ring in CHUNKED_RINGS:
-            force_chunk_rows(monkeypatch, chunk_rows, ring.order)
+            force_chunk_rows(monkeypatch, chunk_rows)
             results.append(check_structure(ring))
         assert results == whole_chunk_structures
 
@@ -349,7 +344,7 @@ class TestStructureChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
     @pytest.mark.parametrize("row", [0, 12, 26])
     def test_one_flipped_unit_bit_is_flagged(self, chunk_rows, row, monkeypatch):
-        force_chunk_rows(monkeypatch, chunk_rows, 27)
+        force_chunk_rows(monkeypatch, chunk_rows)
         edit_rows(monkeypatch, UNIT, {row: 1 << (row + 5) % 27})
         r = check_structure(ZnRing(27))
         assert not r.duality_ok and not r.degrees_ok
@@ -358,7 +353,7 @@ class TestStructureChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
     @pytest.mark.parametrize("row", [0, 12, 24])
     def test_one_missing_zero_divisor_pair_is_flagged(self, chunk_rows, row, monkeypatch):
-        force_chunk_rows(monkeypatch, chunk_rows, 27)
+        force_chunk_rows(monkeypatch, chunk_rows)
         edit_rows(monkeypatch, TOTAL, {row: 1 << (row + 9) % 27})
         r = check_structure(ZnRing(27))
         assert not r.zdiv_complete
@@ -377,7 +372,7 @@ class TestStructureChunks:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, None])
     def test_self_loop_in_both_graphs_is_flagged(self, chunk_rows, monkeypatch):
         if chunk_rows is not None:
-            force_chunk_rows(monkeypatch, chunk_rows, 27)
+            force_chunk_rows(monkeypatch, chunk_rows)
         edit = (1 << 1) | (1 << 2)
         edit_rows(monkeypatch, TOTAL, {1: edit})
         edit_rows(monkeypatch, UNIT, {1: edit})
@@ -467,7 +462,7 @@ class TestStructureReference:
         ring, total_edits, unit_edits = case
         with pytest.MonkeyPatch.context() as mp:
             if chunk_rows is not None:
-                force_chunk_rows(mp, chunk_rows, ring.order)
+                force_chunk_rows(mp, chunk_rows)
             edit_rows(mp, TOTAL, total_edits)
             edit_rows(mp, UNIT, unit_edits)
             result = check_structure(ring)
@@ -481,7 +476,8 @@ class TestStructureReference:
 # total graph is read whole twice to dump its 8190 edges.  Z_65536, under a
 # raised ceiling, has 2^16 vertices, where a list of every row's degree took
 # about 2.3 MB; the oracle keeps no list per vertex, and check_structure
-# keeps only its two chunks of rows and a byte of flags a vertex.
+# keeps only its two chunks of rows, their offset masks and a byte of flags
+# a vertex.
 CEILING_RUNS = {
     "verify_case": lambda: verify_case(ZnRing(16384), TOTAL),
     "check_structure": lambda: check_structure(ZnRing(16384)),
