@@ -415,6 +415,17 @@ def _parse_args(argv):
     return build_parser().parse_args(argv) if args is None else args
 
 
+def _error(exc: Exception, code: int) -> int:
+    """Print exc's error line to stderr and return code.  A stderr that
+    cannot take the line, such as a pipe shared with a stdout whose reader
+    has gone, leaves the exit code as it is."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
@@ -423,14 +434,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except OffFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OFF_FAMILY
+        return _error(exc, EXIT_OFF_FAMILY)
     except ValueError as exc:  # usage, ceiling and empty-sweep errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _error(exc, EXIT_IO)
 
 
 if __name__ == "__main__":

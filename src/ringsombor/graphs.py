@@ -3,27 +3,28 @@
 Adjacency is one Python-int bitmask per vertex, which keeps the pairwise sum
 tests bit-parallel and makes popcount-style edge counting cheap up to the
 default vertex ceiling of 2**14.  A ring's graph comes as a row source
-(row_source): its unit mask and rows_of(indices), which makes the asked rows
-on demand, so the oracle, the structure checks and the edge list writer
-read a graph in the chunks of row_chunks and never hold n rows of n bits.
-A graph of at most 2048 vertices is one chunk; a larger one takes
-CHUNK_BITS // (2n) rows a chunk, since its chunk rows come with an offset
-mask each.  A reader takes a chunk through read_chunk, as rows and a skew
-s: row j of the chunk holds vertex y at bit y + s * j, and a reader ANDs
-it with its masks moved up as far (OffsetMasks), built once a read.  A
-Z_n row is D >> x cut to n bits, where D is the target mask doubled; the
-rows of a chunk shorter than the graph are one AND each on one window of
-D, window & (full << j), so they come with skew 1, and only the rows that
-would hold their own vertex get a self-bit mask.  rows_of moves such rows
-down (unskewed).  A whole-graph read shifts D itself with no per-row flag
-test, which at those sizes costs more than it saves; it tests D's even
-bits once and drops the self mask when no row holds its vertex, as in the
-unit graph of every even n.  Every other source's rows have skew 0.  An
-F_p[x]/(x^k) row is one of p block rows, shared as is by every row of a
-block that does not hold itself.  A circulant (CirculantRows) is a
-rotation too: row x is its offset mask rotated by x.  A Graph holds every
-row, for tests and for perfbench's tracer, and offers the same rows_of, so
-anything that reads a row source reads a Graph too.
+(row_source): its unit mask and one read, skewed_rows(chunk), which makes
+the rows of one chunk of row_chunks on demand, so the oracle, the structure
+checks and the edge list writer read a graph a chunk at a time and never
+hold n rows of n bits.  A graph of at most 2048 vertices is one chunk; a
+larger one takes CHUNK_BITS // (2n) rows a chunk, since its chunk rows come
+with an offset mask each.  A read gives the chunk's rows and their skew s:
+row j of the chunk holds vertex y at bit y + s * j, and a reader ANDs it
+with its masks moved up as far (OffsetMasks), built once a read; a reader
+that needs vertex coordinates moves the rows down (unskewed).  A Z_n row
+is D >> x cut to n bits, where D is the target mask doubled; the rows of a
+chunk shorter than the graph are one AND each on one window of D,
+window & (full << j), so they come with skew 1, and only the rows that
+would hold their own vertex get a self-bit mask.  A whole-graph read
+shifts D itself with no per-row flag test, which at those sizes costs more
+than it saves; it tests D's even bits once and drops the self mask when no
+row holds its vertex, as in the unit graph of every even n.  Every other
+source's rows have skew 0.  An F_p[x]/(x^k) row is one of p block rows,
+shared as is by every row of a block that does not hold itself.  A
+circulant (CirculantRows) is a rotation too: row x is its offset mask
+rotated by x.  A Graph holds every row, for tests and for perfbench's
+tracer, and answers the same read, so anything that reads a row source
+reads a Graph too.
 Edges come in lexicographic order (u < v ascending), from Graph.edges and
 in the edge list alike, so the output is reproducible.
 """
@@ -81,20 +82,9 @@ def row_chunks(n: int) -> list[range]:
     return [range(s, min(s + step, n)) for s in range(0, n, step)]
 
 
-def read_chunk(source, indices: range) -> tuple[list[int], int]:
-    """The rows of a chunk of row_chunks(source.n) as the source makes them,
-    and their skew s, 0 or 1: row j of the chunk holds vertex y at bit
-    y + s * j.  A source with skewed_rows (a Z_n source) gives both; any
-    other gives its rows_of rows, with skew 0."""
-    skewed_rows = getattr(source, "skewed_rows", None)
-    if skewed_rows is None:
-        return source.rows_of(indices), 0
-    return skewed_rows(indices)
-
-
 def unskewed(rows: list[int], skew: int) -> list[int]:
-    """read_chunk's rows moved down by their skew: row j holds vertex y at
-    bit y."""
+    """A chunk's rows, read with this skew, moved down: row j holds vertex
+    y at bit y."""
     return [row >> j for j, row in enumerate(rows)] if skew else rows
 
 
@@ -157,9 +147,9 @@ class Graph:
             self._degrees = tuple(map(int.bit_count, self.rows))
         return self._degrees
 
-    def rows_of(self, indices) -> list[int]:
-        """The held rows of the given vertices, in the given order."""
-        return list(map(self.rows.__getitem__, indices))
+    def skewed_rows(self, chunk: range) -> tuple[list[int], int]:
+        """The held rows of a chunk of row_chunks(n), with skew 0."""
+        return self.rows[chunk.start:chunk.stop], 0
 
     @property
     def edge_count(self) -> int:
@@ -220,18 +210,18 @@ class _ZnSumRows:
     # row x is bit (x+y) mod n of T.  The doubled mask D = T | (T << n) holds
     # that bit at x+y for every x, y < n, so row x is D >> x cut to n bits,
     # minus the self bit, which is set iff x+x is in T: bit 2x of D, read for
-    # every row by one format of D at the first chunk.  A chunk (a step-1
-    # range shorter than the graph) first cuts D to one window of its
-    # n + len bits, which holds row x = start + j at bits j to j + n - 1, so
-    # the row is window & (full << j) with skew 1, one AND and no shift: the
-    # masks full << j are made once for the order (full_lifts).  A row
-    # that holds its vertex has that bit, start + 2 * j, cleared; a row that
-    # does not needs no mask of its own.  A whole-graph read (a range over
-    # every row, a list or an iterator) shifts D itself, with skew 0, no
-    # flags and no per-row test: on graphs of at most 2048 vertices, always
-    # read whole, those cost more than the window saves.  It tests D's even
-    # bits once, and when no row holds its vertex (the unit graph of every
-    # even n: x + x is never a unit there) it drops the self mask.
+    # every row by one format of D at the first chunk.  A chunk shorter
+    # than the graph first cuts D to one window of its n + len bits, which
+    # holds row x = start + j at bits j to j + n - 1, so the row is
+    # window & (full << j) with skew 1, one AND and no shift: the masks
+    # full << j are made once for the order (full_lifts).  A row that
+    # holds its vertex has that bit, start + 2 * j, cleared; a row that
+    # does not needs no mask of its own.  A whole-graph read (a chunk of
+    # all n rows) shifts D itself, with skew 0, no flags and no per-row
+    # test: on graphs of at most 2048 vertices, always read whole, those
+    # cost more than the window saves.  It tests D's even bits once, and
+    # when no row holds its vertex (the unit graph of every even n: x + x
+    # is never a unit there) it drops the self mask.
     __slots__ = ("n", "units", "_doubled", "_full", "_self_flags")
 
     def __init__(self, n: int, units: int, target_mask: int):
@@ -240,17 +230,14 @@ class _ZnSumRows:
         self._full = _full_mask(n)
         self._self_flags = None  # made by the first chunk read
 
-    def rows_of(self, indices) -> list[int]:
-        return unskewed(*self.skewed_rows(indices))
-
-    def skewed_rows(self, indices) -> tuple[list[int], int]:
+    def skewed_rows(self, chunk: range) -> tuple[list[int], int]:
         doubled, full, n = self._doubled, self._full, self.n
-        if type(indices) is not range or indices.step != 1 or len(indices) >= n:
+        if len(chunk) == n:
             evens = _full_mask(2 * n) // 3  # bit 2x of D is row x's self bit
             if doubled & evens:
-                return [(doubled >> x) & (full ^ (1 << x)) for x in indices], 0
-            return [(doubled >> x) & full for x in indices], 0
-        start, size = indices.start, len(indices)
+                return [(doubled >> x) & (full ^ (1 << x)) for x in chunk], 0
+            return [(doubled >> x) & full for x in chunk], 0
+        start, size = chunk.start, len(chunk)
         # the last row reads bits up to start + n + size - 2 of D
         window = (doubled >> start) & _full_mask(n + size)
         flags = self._self_flags
@@ -259,7 +246,7 @@ class _ZnSumRows:
             flags = format(doubled, f"0{2 * n}b")[::-2].encode().translate(_TO_FLAGS)
             self._self_flags = flags
         lifts = full_lifts(n).of(size, 1)
-        if not flags.count(1, start, indices.stop):
+        if not flags.count(1, start, chunk.stop):
             return list(map(window.__and__, lifts)), 1
         return [
             (window & lift) ^ (1 << (start + 2 * j)) if flags[start + j] else window & lift
@@ -270,9 +257,9 @@ class _ZnSumRows:
 class CirculantRows:
     """The circulant graph on n vertices whose offset mask S (bit s set iff
     each x is adjacent to x + s mod n) is symmetric and has bit 0 clear, as
-    a row source (n and rows_of).  Row x is S rotated up by x: the doubled
-    mask D = S | (S << n) holds bit (y - x) mod n of S at n - x + y, so row
-    x is D >> (n - x) cut to n bits."""
+    a row source (n and skewed_rows, with skew 0).  Row x is S rotated up
+    by x: the doubled mask D = S | (S << n) holds bit (y - x) mod n of S at
+    n - x + y, so row x is D >> (n - x) cut to n bits."""
 
     __slots__ = ("n", "offsets", "_doubled", "_full")
 
@@ -280,9 +267,9 @@ class CirculantRows:
         self.n, self.offsets = n, offsets
         self._doubled, self._full = offsets | (offsets << n), _full_mask(n)
 
-    def rows_of(self, indices) -> list[int]:
+    def skewed_rows(self, chunk: range) -> tuple[list[int], int]:
         doubled, full, n = self._doubled, self._full, self.n
-        return [(doubled >> (n - x)) & full for x in indices]
+        return [(doubled >> (n - x)) & full for x in chunk], 0
 
     def complemented(self) -> CirculantRows:
         """The complement graph: the circulant of every other nonzero offset."""
@@ -306,13 +293,13 @@ class _PolySumRows:
         # (row, whether it holds its own block), by constant coefficient
         self._blocks = [(row, bool((row >> (c * lead)) & 1)) for c, row in enumerate(block_rows)]
 
-    def rows_of(self, indices) -> list[int]:
+    def skewed_rows(self, chunk: range) -> tuple[list[int], int]:
         lead, blocks = self._lead, self._blocks
         return [
             row ^ (1 << x) if own else row
-            for x in indices
+            for x in chunk
             for row, own in (blocks[x // lead],)
-        ]
+        ], 0
 
 
 def check_ceiling(order: int, name: str, ceiling: int):
@@ -325,8 +312,9 @@ def check_ceiling(order: int, name: str, ceiling: int):
 def row_source(ring: FiniteRing, kind: str, *, ceiling: int = DEFAULT_CEILING):
     """The rows of the ring's total or unit graph, made on demand: an object
     with n, units (the ring's unit mask, bit v set iff v is a unit) and
-    rows_of(indices), the adjacency rows of the given vertices in the given
-    order.  Raises CeilingExceededError above `ceiling` elements."""
+    skewed_rows(chunk), the adjacency rows of a chunk of row_chunks(n) and
+    their skew (row j holds vertex y at bit y + skew * j).  Raises
+    CeilingExceededError above `ceiling` elements."""
     if not isinstance(ring, (ZnRing, TruncatedPolyRing)):
         raise TypeError(f"no graph builder for rings of type {type(ring).__name__}")
     if kind not in (TOTAL, UNIT):
@@ -382,14 +370,15 @@ def _neighbours_above(u: int, row: int) -> list[int]:
 
 
 def write_edge_list(source, fh):
-    """DIMACS-like edge list of a row source (n and rows_of; a Graph is
+    """DIMACS-like edge list of a row source (n and skewed_rows; a Graph is
     one): 'p edge n m' then 'e u v' lines, 1-indexed.  The rows are read
     twice, a chunk at a time, so no more than a chunk is ever held: once to
-    count the edges for the header, once to write them."""
+    count the edges for the header, popcounting the rows as they come, and
+    once to write them, moved down to vertex coordinates."""
     n = source.n
-    degree_sum = sum(sum(map(int.bit_count, source.rows_of(chunk))) for chunk in row_chunks(n))
+    degree_sum = sum(sum(map(int.bit_count, source.skewed_rows(idx)[0])) for idx in row_chunks(n))
     fh.write(f"p edge {n} {degree_sum // 2}\n")
     for chunk in row_chunks(n):
-        for u, row in zip(chunk, source.rows_of(chunk)):
+        for u, row in zip(chunk, unskewed(*source.skewed_rows(chunk))):
             head = f"e {u + 1} "
             fh.write("".join([f"{head}{v + 1}\n" for v in _neighbours_above(u, row)]))

@@ -9,18 +9,18 @@ degree_pair_counts is the oracle's only reader of the rows
 that one table.  It reads any row source (a ring's graphs.row_source, a
 circulant's graphs.CirculantRows, or a held Graph in tests) in the chunks
 of graphs.row_chunks (a graph of at most 2048 vertices is one chunk), so
-no graph is ever held whole.  A first pass takes each chunk as
-graphs.read_chunk gives it, with its skew: a Z_n chunk shorter than the
-graph holds vertex y of its row j at bit y + j, and is read with the
-other side's mask moved up by j (graphs.OffsetMasks, made once a read),
-so no row is shifted.  That pass reads every row's degree and, on the
-smaller side of the unit split, its neighbours on the other side.  When
-each side's rows show at most one degree, as they do on every ring's
-graphs, the handshake identity gives the whole table from that pass and
-no row is made twice; otherwise a second pass keys each row as it reads
-it and counts every edge once, from its later endpoint.  Neither pass
-keeps per-vertex state but the unit split's flag bytes.  The unit mask is
-input data, not a derived fact.
+no graph is ever held whole.  A first pass takes each chunk as the
+source's one read, skewed_rows, makes it, with its skew: a Z_n chunk
+shorter than the graph holds vertex y of its row j at bit y + j, and is
+read with the other side's mask moved up by j (graphs.OffsetMasks, made
+once a read), so no row is shifted.  That pass reads every row's degree
+and, on the smaller side of the unit split, its neighbours on the other
+side.  When each side's rows show at most one degree, as they do on every
+ring's graphs, the handshake identity gives the whole table from that
+pass and no row is made twice; otherwise a second pass keys each row as
+it reads it and counts every edge once, from its later endpoint.  Neither
+pass keeps per-vertex state but the unit split's flag bytes.  The unit
+mask is input data, not a derived fact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from .graphs import FLIP_FLAGS, OffsetMasks, read_chunk, row_chunks, vertex_flags
+from .graphs import FLIP_FLAGS, OffsetMasks, row_chunks, unskewed, vertex_flags
 from .radicals import RadicalSum, radical_normalize
 
 Key = tuple[int, int]  # (is_unit, degree) of one vertex
@@ -37,7 +37,8 @@ Key = tuple[int, int]  # (is_unit, degree) of one vertex
 def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]:
     """Edge counts keyed by the endpoints' (is_unit, degree) keys (lo, hi),
     lo <= hi, in ascending key order; keys with no edge between them are
-    absent.  source is anything with n and rows_of(indices).
+    absent.  source is anything with n and skewed_rows(chunk), as
+    graphs.row_source states it.
 
     One pass over the row chunks takes every row's degree and, for the rows
     on the smaller side of the unit split (units or non-units), their
@@ -49,10 +50,10 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
        (d * size - across) / 2 edges among itself (the handshake identity),
        and the pair across the split has `across`.
     2. Otherwise every row is read once more, in vertex order and moved
-       down to skew 0 (rows_of), and keyed as it comes: a row of key a
-       adds its neighbours in key b's mask of the vertices already read to
-       the sorted pair of a and b, for every key b, and then its vertex
-       joins a's mask.  Each edge is counted once, from its later
+       down to skew 0 (graphs.unskewed), and keyed as it comes: a row of
+       key a adds its neighbours in key b's mask of the vertices already
+       read to the sorted pair of a and b, for every key b, and then its
+       vertex joins a's mask.  Each edge is counted once, from its later
        endpoint."""
     n = source.n
     if not n:
@@ -67,7 +68,7 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
     across = 0  # edges between the two sides
     other_masks = OffsetMasks(other)
     for idx in row_chunks(n):
-        rows, skew = read_chunk(source, idx)
+        rows, skew = source.skewed_rows(idx)
         cut = slice(idx.start, idx.stop)
         for ds, flags in zip(seen, side_flags):
             ds.update(map(int.bit_count, compress(rows, flags[cut])))
@@ -84,7 +85,8 @@ def degree_pair_counts(source, unit_mask: int = 0) -> dict[tuple[Key, Key], int]
         masks = dict.fromkeys(keys, 0)  # the vertices read so far, by key
         counts = {}
         for idx in row_chunks(n):
-            for v, is_unit, row in zip(idx, side_flags[1][idx.start:idx.stop], source.rows_of(idx)):
+            flags = side_flags[1][idx.start:idx.stop]
+            for v, is_unit, row in zip(idx, flags, unskewed(*source.skewed_rows(idx))):
                 a = (is_unit, row.bit_count())
                 for b, mask in masks.items():
                     pair = (a, b) if a <= b else (b, a)

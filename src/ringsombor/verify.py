@@ -37,10 +37,8 @@ from .graphs import (
     edge_partition_of,
     full_lifts,
     predicted_degrees,
-    read_chunk,
     row_chunks,
     row_source,
-    unskewed,
     vertex_flags,
 )
 from .rings import (
@@ -291,12 +289,12 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     subgraph of the total graph complete, do both degree predictions hold,
     and is the unit graph exactly the complement of the total graph.  The
     two graphs' row sources are read side by side, one chunk of rows at a
-    time (graphs.read_chunk), and each fact is checked row by row.  Both
-    chunks of a Z_n ring shorter than the graph come with skew 1, row j
-    holding vertex y at bit y + j, and are tested as they come, against
-    masks moved up by j (graphs.OffsetMasks); two chunks whose skews
-    differ (a test double beside a Z_n source) are moved down to skew 0
-    first.
+    time (skewed_rows), and each fact is checked row by row.  Both sources
+    come from graphs.row_source on one ring, so their chunks share a skew:
+    those of a Z_n ring shorter than the graph come with skew 1, row j
+    holding vertex y at bit y + j, and every chunk is tested as it comes,
+    against masks moved up by j (graphs.OffsetMasks) and with row j's own
+    vertex x at bit x + j.
 
     Each chunk first takes one partition test per row pair: the total and
     unit rows of x are disjoint and together hold every vertex but x.  When
@@ -304,9 +302,9 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     is n - 1 minus the total degree, and a zero-divisor's total row holds
     every other zero-divisor iff its unit row holds none, so a row needs one
     popcount and, for a zero-divisor, one AND.  A chunk that fails the test
-    (an edge in both graphs or in neither, a self-loop, a stray bit) is
-    moved down to skew 0 and has the three facts checked one by one on its
-    rows instead."""
+    (an edge in both graphs or in neither, a self-loop, a stray bit) has
+    the three facts checked one by one on its rows instead, on the same
+    moved masks and self positions."""
     total = row_source(ring, TOTAL, ceiling=ceiling)
     unit = row_source(ring, UNIT, ceiling=ceiling)
     n, units = total.n, total.units
@@ -318,32 +316,31 @@ def check_structure(ring: FiniteRing, *, ceiling: int = DEFAULT_CEILING) -> Stru
     predicted = predicted_degrees(ring, TOTAL), predicted_degrees(ring, UNIT)
     duality = degrees = zdiv_complete = True
     for idx in row_chunks(n):
-        (t_rows, skew), (u_rows, u_skew) = read_chunk(total, idx), read_chunk(unit, idx)
-        if skew != u_skew:  # e.g. a test double beside a Z_n source
-            t_rows, u_rows, skew = unskewed(t_rows, skew), unskewed(u_rows, u_skew), 0
+        (t_rows, skew), (u_rows, _) = total.skewed_rows(idx), unit.skewed_rows(idx)
         t_degrees = list(map(int.bit_count, t_rows))
         zeros = is_zero[idx.start:idx.stop]
         # row j's own vertex x sits at bit x + skew * j
         selves = range(idx.start, idx.stop + skew * len(idx), 1 + skew)
+        lifts = full_masks.of(len(idx), skew)  # a list, or one mask repeated: read twice
         if all(
             not t & u and t | u == lift ^ (1 << x)
-            for x, t, u, lift in zip(selves, t_rows, u_rows, full_masks.of(len(idx), skew))
+            for x, t, u, lift in zip(selves, t_rows, u_rows, lifts)
         ):
             u_degrees = [n - 1 - d for d in t_degrees]
             lifted = zero_masks.of(len(idx), skew, zeros)
             clique = not any(map(int.__and__, compress(u_rows, zeros), lifted))
         else:
-            t_rows, u_rows = unskewed(t_rows, skew), unskewed(u_rows, skew)
             duality = duality and all(
-                u == t ^ full ^ (1 << x) for x, t, u in zip(idx, t_rows, u_rows)
+                u == t ^ lift ^ (1 << x) for x, t, u, lift in zip(selves, t_rows, u_rows, lifts)
             )
             u_degrees = list(map(int.bit_count, u_rows))
             # each zero-divisor row holds every other zero-divisor and not itself
             clique = all(
-                map(
-                    int.__eq__,
-                    map(zm.__and__, compress(t_rows, zeros)),
-                    map(zm.__xor__, map((1).__lshift__, compress(idx, zeros))),
+                t & z == z ^ (1 << x)
+                for x, t, z in zip(
+                    compress(selves, zeros),
+                    compress(t_rows, zeros),
+                    zero_masks.of(len(idx), skew, zeros),
                 )
             )
         flags = is_unit[idx.start:idx.stop]

@@ -1,9 +1,10 @@
 """Graphs held whole, for tests that want every row at once: a row source
 read into a Graph, and the small graphs and helpers that work on held rows;
-and the one way a test sets the rows a chunk (force_chunk_rows)."""
+the one way a test sets the rows a chunk (force_chunk_rows); and a row
+source with some rows edited (EditedRows)."""
 
 from ringsombor import graphs
-from ringsombor.graphs import CirculantRows, Graph, row_source
+from ringsombor.graphs import CirculantRows, Graph, row_source, unskewed
 from ringsombor.radicals import RadicalSum
 from ringsombor.sombor import degree_pair_counts, sombor_of
 
@@ -16,9 +17,24 @@ def force_chunk_rows(mp, rows: int):
     mp.setattr(graphs, "chunk_rows", lambda n: rows)
 
 
+class EditedRows:
+    """A row source whose row of each vertex in edits is XORed with the
+    vertex's edit mask.  It reads the source's chunks as they come and
+    moves each edit up by the chunk's skew, so a Z_n chunk shorter than the
+    graph stays offset."""
+
+    def __init__(self, source, edits):
+        self.n, self.units, self.source, self.edits = source.n, source.units, source, edits
+
+    def skewed_rows(self, chunk):
+        rows, skew = self.source.skewed_rows(chunk)
+        edits = [self.edits.get(x, 0) << (skew * j) for j, x in enumerate(chunk)]
+        return list(map(int.__xor__, rows, edits)), skew
+
+
 def held(source) -> Graph:
-    """Every row of a row source, held as a Graph."""
-    return Graph(source.n, source.rows_of(range(source.n)))
+    """Every row of a row source, read as one chunk and held as a Graph."""
+    return Graph(source.n, unskewed(*source.skewed_rows(range(source.n))))
 
 
 def held_graph(ring, kind) -> tuple[Graph, int]:

@@ -566,9 +566,22 @@ MUTANTS = {
     ),
     "CP check_structure: the clique ANDs offset rows with the unmoved mask": (
         "verify.py",
-        "zero_masks.of(len(idx), skew, zeros)",
-        "zero_masks.of(len(idx), 0, zeros)",
+        "lifted = zero_masks.of(len(idx), skew, zeros)",
+        "lifted = zero_masks.of(len(idx), 0, zeros)",
         ("test_graphs.py::TestOffsetRead::test_offset_chunks_read_as_whole_chunk[n64-3]",),
+    ),
+    "CQ check_structure, failing chunk: duality against the unmoved full mask and self bit": (
+        "verify.py",
+        "u == t ^ lift ^ (1 << x) for x, t, u, lift in zip(selves,",
+        "u == t ^ full ^ (1 << x) for x, t, u, lift in zip(idx,",
+        ("test_verify.py::TestStructureChunks::test_self_loop_in_both_graphs_is_flagged[3]",
+         "test_verify.py::TestStructureChunks::test_self_loop_in_both_graphs_is_flagged[7]"),
+    ),
+    "CR check_structure, failing chunk: the clique's self bit at the unmoved vertex": (
+        "verify.py",
+        "compress(selves, zeros),",
+        "compress(idx, zeros),",
+        ("test_verify.py::TestStructureChunks::test_one_flipped_unit_bit_is_flagged[12-7]",),
     ),
 }
 

@@ -50,6 +50,13 @@ class ClosedPipe(io.StringIO):
         return super().write(text)
 
 
+class GonePipe(io.StringIO):
+    """A stream whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 def json_peaks(*argv, sizes) -> dict[int, int]:
     """The tracemalloc peaks of this process over the JSON runs of argv
     with --max-n at each of sizes, written to os.devnull, by size.  An
@@ -575,6 +582,13 @@ class TestSweepStream:
                      "--format", fmt]) == 4
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
         assert 0 < len(calls) < 400 // 4  # of 400 cases
+
+    def test_broken_pipe_on_stdout_and_stderr_exits_4(self, monkeypatch):
+        # under 2>&1 stderr is the pipe stdout broke, so the error line
+        # cannot be written either; the exit code stays the I/O code
+        monkeypatch.setattr(sys, "stdout", GonePipe())
+        monkeypatch.setattr(sys, "stderr", GonePipe())
+        assert main(["sweep", "--family", "even", "--max-n", "40"]) == 4
 
     @staticmethod
     def sweep_peaks(monkeypatch, *flags) -> dict[int, int]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from held import (
+    EditedRows,
     circulant_graph,
     complement,
     complete_graph,
@@ -21,10 +22,8 @@ from ringsombor.graphs import (
     EdgePartition,
     Graph,
     edge_partition_of,
-    read_chunk,
     row_chunks,
     row_source,
-    unskewed,
 )
 from ringsombor.radicals import RadicalSum
 from ringsombor.rings import TruncatedPolyRing, ZnRing
@@ -173,13 +172,13 @@ class ForgetfulRows:
     def __init__(self, g, mask):
         self.n, self.g, self.mask, self.seen = g.n, g, mask, set()
 
-    def rows_of(self, indices):
+    def skewed_rows(self, chunk):
         rows = []
-        for v in indices:
+        for v in chunk:
             forgotten = v in self.seen and (self.mask >> v) & 1
             rows.append(0 if forgotten else self.g.rows[v])
             self.seen.add(v)
-        return rows
+        return rows, 0
 
 
 class TestPairTable:
@@ -255,24 +254,6 @@ class TestPairTable:
         assert degree_pair_counts(source, units) == table
 
 
-class DroppedEdge:
-    """A row source with the edge u-v taken out of source.  It reads the
-    source's chunks as read_chunk gives them and moves each edit up by the
-    chunk's skew, so a Z_n chunk shorter than the graph stays offset;
-    rows_of moves them back down."""
-
-    def __init__(self, source, u, v):
-        self.n, self.source, self.edits = source.n, source, {u: 1 << v, v: 1 << u}
-
-    def skewed_rows(self, indices):
-        rows, skew = read_chunk(self.source, indices)
-        edits = [self.edits.get(x, 0) << (skew * j) for j, x in enumerate(indices)]
-        return list(map(int.__xor__, rows, edits)), skew
-
-    def rows_of(self, indices):
-        return unskewed(*self.skewed_rows(indices))
-
-
 class TestRuleTwoOverOffsetChunks:
     # One edge taken out of a side of a ring graph leaves that side with two
     # degrees, so the oracle's first pass, over offset chunks, must send the
@@ -284,13 +265,14 @@ class TestRuleTwoOverOffsetChunks:
         g, units = held_graph(ZnRing(n), kind)
         # the last edge whose endpoints are both units or both not
         u, v = [(u, v) for u, v in g.edges() if (units >> u) & 1 == (units >> v) & 1][-1]
-        edited = Graph(n, [row ^ {u: 1 << v, v: 1 << u}.get(x, 0) for x, row in enumerate(g.rows)])
+        drop = {u: 1 << v, v: 1 << u}
+        edited = Graph(n, [row ^ drop.get(x, 0) for x, row in enumerate(g.rows)])
         edited.validate()
         table = literal_table(edited, units)[0]
         assert len({key for pair in table for key in pair}) > 2  # a side shows two degrees
         force_chunk_rows(monkeypatch, chunk_rows)
-        source = DroppedEdge(row_source(ZnRing(n), kind), u, v)
-        assert read_chunk(source, row_chunks(n)[0])[1] == 1  # offset chunks
+        source = EditedRows(row_source(ZnRing(n), kind), drop)
+        assert source.skewed_rows(row_chunks(n)[0])[1] == 1  # offset chunks
         assert degree_pair_counts(source, units) == table
 
 
@@ -301,11 +283,10 @@ class CountingRows:
     def __init__(self, source):
         self.n, self.source, self.requests = source.n, source, [0] * source.n
 
-    def rows_of(self, indices):
-        indices = list(indices)
-        for v in indices:
+    def skewed_rows(self, chunk):
+        for v in chunk:
             self.requests[v] += 1
-        return self.source.rows_of(indices)
+        return self.source.skewed_rows(chunk)
 
 
 # Z_n with one and two unit-split sides of each size, and F_p[x]/(x^k)
@@ -378,14 +359,14 @@ class CycleWithChordRows:
     def __init__(self, n):
         self.n = n
 
-    def rows_of(self, indices):
+    def skewed_rows(self, chunk):
         n, rows = self.n, []
-        for v in indices:
+        for v in chunk:
             row = (1 << ((v + 1) % n)) | (1 << ((v - 1) % n))
             if v % (n // 2) == 0:
                 row |= 1 << ((v + n // 2) % n)
             rows.append(row)
-        return rows
+        return rows, 0
 
 
 class TestRuleTwoMemory:

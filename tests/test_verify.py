@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from held import force_chunk_rows, held, held_graph
+from held import EditedRows, force_chunk_rows, held, held_graph
 from ringsombor import graphs, rings, verify
 from ringsombor.cli import main
 from ringsombor.closed_forms import (
@@ -80,19 +80,6 @@ def json_report(result: SweepResult) -> str:
     buf = io.StringIO()
     write_sweep_json(result, buf)
     return buf.getvalue()
-
-
-class EditedRows:
-    """A row source whose row of each vertex in edits is XORed with the
-    vertex's edit mask."""
-
-    def __init__(self, source, edits):
-        self.n, self.units, self.source, self.edits = source.n, source.units, source, edits
-
-    def rows_of(self, indices):
-        indices = list(indices)
-        rows = self.source.rows_of(indices)
-        return [row ^ self.edits.get(v, 0) for v, row in zip(indices, rows)]
 
 
 def edit_rows(monkeypatch, kind, edits):
